@@ -634,9 +634,11 @@ impl EvrSystem {
     pub fn build_traces_only(video: VideoId, duration_s: f64) -> EvrSystem {
         let mut sas = SasConfig::tiny_for_tests();
         sas.object_utilization = 0.0;
-        // Trace analytics never touch pixels; shrink the rasters further.
+        // Trace analytics never touch pixels; shrink the rasters further
+        // (a 6×3 grid keeps the tiles 8×8, so the config validates).
         sas.analysis_src = (48, 24);
         sas.analysis_fov = (16, 16);
+        sas.tile_grid = evr_sas::TileGrid { cols: 6, rows: 3 };
         EvrSystem::build(video, sas, duration_s)
     }
 }

@@ -99,14 +99,21 @@ pub fn sample(src: &impl PixelSource, u: f64, v: f64, filter: FilterMode, edge: 
             let y0 = py.floor() as i64;
             let fx = px - x0 as f64;
             let fy = py - y0 as f64;
-            let fetch = |dx: i64, dy: i64| {
-                let (x, y) = edge.resolve(x0 + dx, y0 + dy, w, h);
-                src.pixel(x, y)
+            // An interior 2×2 footprint resolves to itself under either
+            // edge mode, so only border taps pay for `resolve` (a
+            // `rem_euclid` per tap for ERP). `resolve` folds x and y
+            // independently, so two calls cover all four taps.
+            let (xa, ya, xb, yb) = if x0 >= 0 && y0 >= 0 && x0 < w as i64 - 1 && y0 < h as i64 - 1 {
+                (x0 as u32, y0 as u32, x0 as u32 + 1, y0 as u32 + 1)
+            } else {
+                let (xa, ya) = edge.resolve(x0, y0, w, h);
+                let (xb, yb) = edge.resolve(x0 + 1, y0 + 1, w, h);
+                (xa, ya, xb, yb)
             };
-            let p00 = fetch(0, 0);
-            let p10 = fetch(1, 0);
-            let p01 = fetch(0, 1);
-            let p11 = fetch(1, 1);
+            let p00 = src.pixel(xa, ya);
+            let p10 = src.pixel(xb, ya);
+            let p01 = src.pixel(xa, yb);
+            let p11 = src.pixel(xb, yb);
             let blend = |c00: u8, c10: u8, c01: u8, c11: u8| -> u8 {
                 let top = c00 as f64 * (1.0 - fx) + c10 as f64 * fx;
                 let bot = c01 as f64 * (1.0 - fx) + c11 as f64 * fx;
@@ -227,7 +234,65 @@ mod tests {
         assert_eq!(f.len(), 1);
     }
 
+    /// The always-`resolve` bilinear tap the interior fast path
+    /// replaces.
+    fn bilinear_reference(src: &ImageBuffer, u: f64, v: f64, edge: EdgeMode) -> Rgb {
+        let (w, h) = (src.width(), src.height());
+        let px = u * w as f64 - 0.5;
+        let py = v * h as f64 - 0.5;
+        let x0 = px.floor() as i64;
+        let y0 = py.floor() as i64;
+        let fx = px - x0 as f64;
+        let fy = py - y0 as f64;
+        let fetch = |dx: i64, dy: i64| {
+            let (x, y) = edge.resolve(x0 + dx, y0 + dy, w, h);
+            src.pixel(x, y)
+        };
+        let (p00, p10, p01, p11) = (fetch(0, 0), fetch(1, 0), fetch(0, 1), fetch(1, 1));
+        let blend = |c00: u8, c10: u8, c01: u8, c11: u8| -> u8 {
+            let top = c00 as f64 * (1.0 - fx) + c10 as f64 * fx;
+            let bot = c01 as f64 * (1.0 - fx) + c11 as f64 * fx;
+            (top * (1.0 - fy) + bot * fy).round().clamp(0.0, 255.0) as u8
+        };
+        Rgb::new(
+            blend(p00.r, p10.r, p01.r, p11.r),
+            blend(p00.g, p10.g, p01.g, p11.g),
+            blend(p00.b, p10.b, p01.b, p11.b),
+        )
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn prop_bilinear_matches_always_resolve_reference(
+            w in 1u32..12,
+            h in 1u32..9,
+            seed in 0u32..1000,
+            (u, v) in (0.0f64..1.0, 0.0f64..1.0),
+            border in 0u32..9,
+        ) {
+            let img = ImageBuffer::from_fn(w, h, |x, y| {
+                let k = x * 31 + y * 17 + seed;
+                Rgb::new((k * 7 % 256) as u8, (k * 13 % 256) as u8, (k * 29 % 256) as u8)
+            });
+            // Push most samples onto the seam and the borders: u, v
+            // within half a texel of 0 or 1, and exactly 0 or 1.
+            let snap = |t: f64, size: u32, pick: u32| match pick {
+                0 => t / (2.0 * size as f64),
+                1 => 1.0 - t / (2.0 * size as f64),
+                2 => 0.0,
+                3 => 1.0,
+                _ => t,
+            };
+            let (u, v) = (snap(u, w, border % 5), snap(v, h, border / 2 % 5));
+            for edge in [EdgeMode::Clamp, EdgeMode::WrapU] {
+                prop_assert_eq!(
+                    sample(&img, u, v, FilterMode::Bilinear, edge),
+                    bilinear_reference(&img, u, v, edge)
+                );
+            }
+        }
+
         #[test]
         fn prop_sample_never_exceeds_source_range(u in 0.0f64..1.0, v in 0.0f64..1.0) {
             // A constant image must sample to exactly that constant.

@@ -176,6 +176,17 @@ impl SasConfig {
         if self.tile_grid.is_empty() {
             return Err("tile_grid must have at least one tile".into());
         }
+        let ((src_w, src_h), grid) = (self.analysis_src, self.tile_grid);
+        if !src_w.is_multiple_of(grid.cols) || !src_h.is_multiple_of(grid.rows) {
+            return Err(format!(
+                "analysis frame {src_w}x{src_h} must divide into the {}x{} tile grid",
+                grid.cols, grid.rows
+            ));
+        }
+        let (tile_w, tile_h) = (src_w / grid.cols, src_h / grid.rows);
+        if !tile_w.is_multiple_of(8) || !tile_h.is_multiple_of(8) {
+            return Err(format!("tiles of {tile_w}x{tile_h} are not 8-aligned"));
+        }
         if self.tiled_low_quantizer > 50 {
             return Err("tiled_low_quantizer must be at most 50".into());
         }
@@ -224,5 +235,30 @@ mod tests {
         assert!(c.validate().is_err());
         let c = SasConfig { object_utilization: 1.2, ..SasConfig::default() };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_requires_8_aligned_tiles() {
+        let tiles = |src: (u32, u32), cols: u32, rows: u32| SasConfig {
+            analysis_src: src,
+            tile_grid: TileGrid { cols, rows },
+            ..SasConfig::default()
+        };
+        // 128×64 over the default 8×4 grid cuts 16×16 tiles.
+        assert_eq!(tiles((128, 64), 8, 4).validate(), Ok(()));
+        // 96×48 over 8×4 divides into 12×12 tiles, which pad the DCT.
+        let err = tiles((96, 48), 8, 4).validate().unwrap_err();
+        assert!(err.contains("8-aligned"), "{err}");
+        // 100×48 does not divide into 8 columns at all.
+        let err = tiles((100, 48), 8, 4).validate().unwrap_err();
+        assert!(err.contains("must divide"), "{err}");
+        // Such a config is refused at ingest, before the tiled ingest
+        // could reach its assert.
+        let scene = evr_video::library::scene_for(evr_video::library::VideoId::Rs);
+        let cfg = SasConfig { tile_grid: TileGrid::default(), ..SasConfig::tiny_for_tests() };
+        assert!(matches!(
+            crate::ingest::try_ingest_video(&scene, &cfg, 0.5),
+            Err(crate::ingest::IngestError::InvalidConfig(_))
+        ));
     }
 }

@@ -241,15 +241,20 @@ impl Encoder {
     }
 
     /// Encodes one frame, updating the reconstruction reference.
+    ///
+    /// A frame whose dimensions differ from the reference's is coded
+    /// intra: motion compensation only means something between frames
+    /// of one raster. The GOP cadence is unchanged.
     pub fn encode_frame(&mut self, image: &ImageBuffer) -> EncodedFrame {
         let yuv = rgb_to_yuv420(image);
-        let kind = if self.frames_since_intra == 0 || self.reference.is_none() {
+        let same_size = |r: &Yuv420| (r.y.width(), r.y.height()) == (yuv.y.width(), yuv.y.height());
+        let reference = self.reference.take().filter(same_size);
+        let kind = if self.frames_since_intra == 0 || reference.is_none() {
             FrameKind::Intra
         } else {
             FrameKind::Predicted
         };
         let q = self.config.quantizer;
-        let reference = self.reference.take();
         let motion = match (kind, &reference) {
             (FrameKind::Predicted, Some(r)) => estimate_global_motion(&yuv.y, &r.y, 8),
             _ => (0, 0),
@@ -364,31 +369,78 @@ pub(crate) fn quant_step(q: u8, u: usize, v: usize, is_luma: bool) -> f64 {
 
 /// Estimates the global motion vector between `cur` and `reference` by
 /// exhaustive search over `±range` luma pixels, minimising the sum of
-/// absolute differences on a 2×-subsampled grid. Returns the vector
-/// pointing into the reference (`pred(x, y) = ref(x + mvx, y + mvy)`).
+/// absolute differences on a 2×-subsampled grid plus a bias towards
+/// zero motion; the first minimum in raster order (`dy`, then `dx`)
+/// wins. Returns the vector pointing into the reference
+/// (`pred(x, y) = ref(x + mvx, y + mvy)`).
+///
+/// Every sampled position lies in `[range, w − range) × [range, h −
+/// range)`, so every candidate offset stays inside the equal-sized
+/// reference and no sample needs clamping. The sampled current samples
+/// and each parity's reference columns are packed once, which turns a
+/// candidate's row into one contiguous `u8` run. A candidate is dropped
+/// once its partial SAD plus penalty reaches `min(running best,
+/// zero-vector cost + 1)`: it can no longer win the strict-less raster
+/// comparison, and the final winner never costs more than the zero
+/// vector. The result equals the exhaustive search's (DESIGN.md §7).
 fn estimate_global_motion(cur: &Plane, reference: &Plane, range: i64) -> (i16, i16) {
-    let w = cur.width() as i64;
-    let h = cur.height() as i64;
+    assert_eq!(
+        (cur.width(), cur.height()),
+        (reference.width(), reference.height()),
+        "motion search needs equal-sized planes"
+    );
+    let (w, h) = (cur.width() as usize, cur.height() as usize);
+    let r = range as usize;
+    if w <= 2 * r || h <= 2 * r {
+        // No sampled position: every SAD is 0 and the penalty keeps
+        // the zero vector.
+        return (0, 0);
+    }
+    let cols = (w - 2 * r).div_ceil(2);
+    let rows = (h - 2 * r).div_ceil(2);
+    let cur_rows: Vec<u8> = (0..rows)
+        .flat_map(|k| cur.samples()[(r + 2 * k) * w..][r..w - r].iter().step_by(2))
+        .copied()
+        .collect();
+    // `packed[p][y * half + j]` holds reference sample `(p + 2j, y)`.
+    let half = w.div_ceil(2);
+    let mut packed = [vec![0u8; h * half], vec![0u8; h * half]];
+    for (y, row) in reference.samples().chunks_exact(w).enumerate() {
+        for (x, &s) in row.iter().enumerate() {
+            packed[x & 1][y * half + x / 2] = s;
+        }
+    }
+    // Cost (SAD + penalty) of candidate `(dx, dy)`, or `None` once it
+    // reaches `limit`.
+    let cost = |dx: i64, dy: i64, limit: u64| -> Option<u64> {
+        // Bias towards zero motion (ties and noise should not pan).
+        let mut total = (dx.unsigned_abs() + dy.unsigned_abs()) * 8;
+        if total >= limit {
+            return None;
+        }
+        let x0 = (r as i64 + dx) as usize;
+        let plane = &packed[x0 & 1];
+        for (k, c) in cur_rows.chunks_exact(cols).enumerate() {
+            let start = (r as i64 + 2 * k as i64 + dy) as usize * half + x0 / 2;
+            let row: u32 = c
+                .iter()
+                .zip(&plane[start..start + cols])
+                .map(|(&a, &b)| u32::from(a.abs_diff(b)))
+                .sum();
+            total += u64::from(row);
+            if total >= limit {
+                return None;
+            }
+        }
+        Some(total)
+    };
+    let zero_cost = cost(0, 0, u64::MAX).expect("an unbounded search never prunes");
     let mut best = (0i16, 0i16);
-    let mut best_sad = u64::MAX;
+    let mut best_cost = u64::MAX;
     for dy in -range..=range {
         for dx in -range..=range {
-            let mut sad = 0u64;
-            let mut y = range;
-            while y < h - range {
-                let mut x = range;
-                while x < w - range {
-                    let c = cur.sample_clamped(x, y) as i64;
-                    let r = reference.sample_clamped(x + dx, y + dy) as i64;
-                    sad += c.abs_diff(r);
-                    x += 2;
-                }
-                y += 2;
-            }
-            // Bias towards zero motion (ties and noise should not pan).
-            let penalty = (dx.unsigned_abs() + dy.unsigned_abs()) * 8;
-            if sad + penalty < best_sad {
-                best_sad = sad + penalty;
+            if let Some(c) = cost(dx, dy, best_cost.min(zero_cost + 1)) {
+                best_cost = c;
                 best = (dx as i16, dy as i16);
             }
         }
@@ -610,6 +662,48 @@ mod tests {
     use evr_projection::Rgb;
     use proptest::prelude::*;
 
+    /// The exhaustive, clamped motion search the fast kernel replaces:
+    /// the oracle it must match vector for vector.
+    fn estimate_global_motion_reference(cur: &Plane, reference: &Plane, range: i64) -> (i16, i16) {
+        let w = cur.width() as i64;
+        let h = cur.height() as i64;
+        let mut best = (0i16, 0i16);
+        let mut best_sad = u64::MAX;
+        for dy in -range..=range {
+            for dx in -range..=range {
+                let mut sad = 0u64;
+                let mut y = range;
+                while y < h - range {
+                    let mut x = range;
+                    while x < w - range {
+                        let c = cur.sample_clamped(x, y) as i64;
+                        let r = reference.sample_clamped(x + dx, y + dy) as i64;
+                        sad += c.abs_diff(r);
+                        x += 2;
+                    }
+                    y += 2;
+                }
+                let penalty = (dx.unsigned_abs() + dy.unsigned_abs()) * 8;
+                if sad + penalty < best_sad {
+                    best_sad = sad + penalty;
+                    best = (dx as i16, dy as i16);
+                }
+            }
+        }
+        best
+    }
+
+    /// A `w`×`h` plane from a sample function.
+    fn plane(w: u32, h: u32, f: impl Fn(u32, u32) -> u8) -> Plane {
+        let mut p = Plane::filled(w, h, 0);
+        for y in 0..h {
+            for x in 0..w {
+                p.set(x, y, f(x, y));
+            }
+        }
+        p
+    }
+
     fn textured(w: u32, h: u32, phase: f64) -> ImageBuffer {
         ImageBuffer::from_fn(w, h, |x, y| {
             let v = ((x as f64 * 0.4 + phase).sin() * 60.0
@@ -778,6 +872,119 @@ mod tests {
     #[should_panic(expected = "quantizer")]
     fn invalid_quantizer_panics() {
         let _ = CodecConfig::new(30, 0);
+    }
+
+    #[test]
+    fn frame_of_another_size_is_coded_intra_and_decodes() {
+        // One GOP mixing rasters: a frame whose size differs from the
+        // reference cannot be motion-compensated from it.
+        let sizes = [(32, 32), (32, 32), (48, 24), (48, 24), (32, 32)];
+        let frames: Vec<_> =
+            sizes.iter().enumerate().map(|(i, &(w, h))| textured(w, h, i as f64 * 0.2)).collect();
+        let mut enc = Encoder::new(CodecConfig::new(30, 6));
+        let encoded: Vec<_> = frames.iter().map(|f| enc.encode_frame(f)).collect();
+        let kinds: Vec<_> = encoded.iter().map(|f| f.kind).collect();
+        use FrameKind::{Intra, Predicted};
+        assert_eq!(kinds, [Intra, Predicted, Intra, Predicted, Intra]);
+        let mut dec = Decoder::new();
+        for (orig, ef) in frames.iter().zip(&encoded) {
+            let out = dec.decode_frame(ef);
+            assert_eq!((out.width(), out.height()), (orig.width(), orig.height()));
+            assert!(orig.mean_abs_error(&out) < 0.05, "err {}", orig.mean_abs_error(&out));
+        }
+    }
+
+    #[test]
+    fn motion_search_matches_reference_on_edge_cases() {
+        let tex = |phase: u32| move |x: u32, y: u32| ((x * 37 + y * 11 + phase) % 251) as u8;
+        // Identical frames, constant planes (every candidate ties on
+        // SAD), planes too small to sample, and a 1×1 plane.
+        let cases = [
+            (plane(40, 30, tex(0)), plane(40, 30, tex(0))),
+            (plane(40, 30, |_, _| 90), plane(40, 30, |_, _| 90)),
+            (plane(17, 17, tex(3)), plane(17, 17, tex(9))),
+            (plane(18, 40, tex(3)), plane(18, 40, tex(9))),
+            (plane(1, 1, |_, _| 5), plane(1, 1, |_, _| 200)),
+        ];
+        for (cur, reference) in &cases {
+            for range in [0, 1, 8] {
+                assert_eq!(
+                    estimate_global_motion(cur, reference, range),
+                    estimate_global_motion_reference(cur, reference, range),
+                    "{}x{} range {range}",
+                    cur.width(),
+                    cur.height()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn motion_search_breaks_equal_cost_ties_in_raster_order() {
+        // Columns alternate between two values and the reference is the
+        // current frame shifted by one column: every odd `dx` matches
+        // exactly, so `(-1, 0)` and `(1, 0)` tie on SAD and penalty, and
+        // the first in raster order must win.
+        let cur = plane(36, 36, |x, _| if x % 2 == 0 { 30 } else { 220 });
+        let shifted = plane(36, 36, |x, _| if x % 2 == 0 { 220 } else { 30 });
+        for range in [1, 2, 8] {
+            assert_eq!(estimate_global_motion(&cur, &shifted, range), (-1, 0), "range {range}");
+            assert_eq!(estimate_global_motion_reference(&cur, &shifted, range), (-1, 0));
+        }
+    }
+
+    #[test]
+    fn motion_search_ties_with_the_zero_vector_keep_raster_order() {
+        // Range 1 samples the odd rows and columns. The reference sits 1
+        // above the flat current frame there and 5 above on even rows, so
+        // the zero vector costs 64. One column of even samples matches
+        // exactly, which makes the horizontal neighbour reading it cost
+        // 56 + 8 = 64 too: a tie the first vector in raster order wins.
+        let cur = plane(18, 18, |_, _| 100);
+        let reference = |exact_col: u32| {
+            plane(18, 18, move |x, y| match (y % 2, x) {
+                (0, _) => 105,
+                (_, x) if x == exact_col => 100,
+                _ => 101,
+            })
+        };
+        for (exact_col, want) in [(0, (-1, 0)), (16, (0, 0))] {
+            let reference = reference(exact_col);
+            assert_eq!(estimate_global_motion(&cur, &reference, 1), want, "column {exact_col}");
+            assert_eq!(estimate_global_motion_reference(&cur, &reference, 1), want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_motion_search_matches_reference(
+            w in 1u32..48,
+            h in 1u32..40,
+            range in 0i64..=8,
+            shift in (-9i32..=9, -9i32..=9),
+            noise in 0u32..4,
+            seed in 0u32..1000,
+        ) {
+            // A shifted copy of a texture plus sparse noise: the true
+            // vector, its neighbours and the zero vector all compete.
+            let tex = |x: i64, y: i64| {
+                let v = (x * 29 + y * 13 + seed as i64).rem_euclid(97) as u32;
+                (v * 5 % 256) as u8
+            };
+            let cur = plane(w, h, |x, y| tex(x as i64, y as i64));
+            let reference = plane(w, h, |x, y| {
+                let v = tex(x as i64 - shift.0 as i64, y as i64 - shift.1 as i64);
+                if noise > 0 && (x * 7 + y * 3 + seed) % (11 * noise) == 0 { v / 2 } else { v }
+            });
+            prop_assert_eq!(
+                estimate_global_motion(&cur, &reference, range),
+                estimate_global_motion_reference(&cur, &reference, range)
+            );
+            // Range 0 and identical frames always keep the zero vector.
+            prop_assert_eq!(estimate_global_motion(&cur, &reference, 0), (0, 0));
+            prop_assert_eq!(estimate_global_motion(&cur, &cur, range), (0, 0));
+        }
     }
 
     proptest! {

@@ -243,7 +243,9 @@ impl Scene {
         }
     }
 
-    fn shade_background(&self, dir: Vec3, t: f64) -> Rgb {
+    /// Background colour in direction `dir`; `horizon` is
+    /// `tanh(4 · dir.y)`, which the ERP path computes once per row.
+    fn shade_background(&self, dir: Vec3, t: f64, horizon: f64) -> Rgb {
         let b = self.background;
         let s = hash_unit(b.seed);
         let drift = b.motion * t;
@@ -252,9 +254,8 @@ impl Scene {
         let f1 = (b.detail * (3.1 * dir.x + 1.7 * dir.z) + drift + 6.0 * s).sin();
         let f2 = (b.detail * (2.3 * dir.y - 2.9 * dir.x) + 0.7 * drift + 3.0 * s).sin();
         let f3 = (b.detail * (1.9 * dir.z + 2.2 * dir.y) - 0.4 * drift).cos();
-        // Sky/ground split keeps large-scale structure (helps the codec's
-        // intra prediction behave realistically).
-        let horizon = (4.0 * dir.y).tanh();
+        // Sky/ground split (`horizon`) keeps large-scale structure (helps
+        // the codec's intra prediction behave realistically).
         let r = 110.0 + 50.0 * f1 + 30.0 * horizon;
         let g = 120.0 + 45.0 * f2 + 35.0 * horizon;
         let bch = 130.0 + 40.0 * f3 + 60.0 * horizon;
@@ -262,6 +263,13 @@ impl Scene {
     }
 
     /// Renders the panoramic image for time `t` in the given projection.
+    ///
+    /// ERP frames take a separable path: longitude trig once per column,
+    /// latitude trig and the background horizon once per row. These are
+    /// the same calls [`Projection::frame_to_sphere`] makes per pixel,
+    /// so the image is bit-identical to the generic
+    /// [`render_panorama`](evr_projection::transform::render_panorama)
+    /// path that CMP and EAC take (DESIGN.md §11).
     pub fn render_image(
         &self,
         t: f64,
@@ -270,9 +278,14 @@ impl Scene {
         height: u32,
     ) -> ImageBuffer {
         let shader = self.frame_shader(t);
-        evr_projection::transform::render_panorama(projection, width, height, |dir| {
-            shader.shade(dir)
-        })
+        match projection {
+            Projection::Erp => shader.render_erp(width, height),
+            Projection::Cmp | Projection::Eac => {
+                evr_projection::transform::render_panorama(projection, width, height, |dir| {
+                    shader.shade(dir)
+                })
+            }
+        }
     }
 
     /// Renders the frame at `index` of a stream described by `meta`.
@@ -300,6 +313,38 @@ impl FrameShader<'_> {
 
     /// Shades the scene in direction `dir`.
     pub fn shade(&self, dir: Vec3) -> Rgb {
+        self.shade_with_horizon(dir, || (4.0 * dir.y).tanh())
+    }
+
+    /// ERP frame of `width`×`height`: the per-pixel directions of
+    /// `Projection::Erp.frame_to_sphere` with the longitude wrap and its
+    /// sin/cos hoisted per column and the latitude clamp, its sin/cos
+    /// and the horizon hoisted per row.
+    fn render_erp(&self, width: u32, height: u32) -> ImageBuffer {
+        let columns: Vec<(f64, f64)> = (0..width)
+            .map(|x| {
+                let u = (x as f64 + 0.5) / width as f64;
+                let lon = Radians((u - 0.5) * std::f64::consts::TAU).wrapped().0;
+                (lon.sin(), lon.cos())
+            })
+            .collect();
+        let mut pixels = Vec::with_capacity(width as usize * height as usize);
+        for y in 0..height {
+            let v = (y as f64 + 0.5) / height as f64;
+            let lat = ((0.5 - v) * std::f64::consts::PI)
+                .clamp(-std::f64::consts::FRAC_PI_2, std::f64::consts::FRAC_PI_2);
+            let (sp, cp) = (lat.sin(), lat.cos());
+            let horizon = (4.0 * sp).tanh();
+            pixels.extend(columns.iter().map(|&(sl, cl)| {
+                self.shade_with_horizon(Vec3::new(cp * sl, sp, cp * cl), || horizon)
+            }));
+        }
+        ImageBuffer::from_pixels(width, height, pixels)
+    }
+
+    /// [`FrameShader::shade`] with the background horizon supplied by
+    /// the caller, evaluated only where no object covers `dir`.
+    fn shade_with_horizon(&self, dir: Vec3, horizon: impl FnOnce() -> f64) -> Rgb {
         // Objects paint over the background, nearest-to-centre wins.
         let mut best: Option<(f64, &SceneObject)> = None;
         for ((obj, &center), &cos_r) in
@@ -319,7 +364,7 @@ impl FrameShader<'_> {
         if let Some((ang, obj)) = best {
             return shade_object(obj, ang, dir, self.t);
         }
-        self.scene.shade_background(dir, self.t)
+        self.scene.shade_background(dir, self.t, horizon())
     }
 }
 
@@ -458,6 +503,46 @@ mod tests {
         let b1 = moving.render_image(1.0, Projection::Erp, 32, 16);
         assert!(a0.mean_abs_error(&a1) < 1e-6, "static background should not change");
         assert!(b0.mean_abs_error(&b1) > 0.01, "moving background should change");
+    }
+
+    /// The generic per-pixel render the ERP fast path replaces.
+    fn render_image_reference(scene: &Scene, t: f64, width: u32, height: u32) -> ImageBuffer {
+        let shader = scene.frame_shader(t);
+        evr_projection::transform::render_panorama(Projection::Erp, width, height, |dir| {
+            shader.shade(dir)
+        })
+    }
+
+    #[test]
+    fn erp_render_matches_generic_path_for_every_library_scene() {
+        for id in crate::library::VideoId::ALL {
+            let scene = crate::library::scene_for(id);
+            for (t, w, h) in [(0.0, 320, 160), (1.7, 320, 160), (0.4, 33, 17), (2.0, 1, 1)] {
+                assert_eq!(
+                    scene.render_image(t, Projection::Erp, w, h),
+                    render_image_reference(&scene, t, w, h),
+                    "{id:?} at t = {t}, {w}x{h}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn prop_erp_render_matches_generic_path(
+            w in 1u32..40,
+            h in 1u32..24,
+            t in 0.0f64..60.0,
+            video in 0usize..6,
+        ) {
+            // Odd sizes, 1×1 and 1-wide/1-high strips included.
+            let scene = crate::library::scene_for(crate::library::VideoId::ALL[video]);
+            prop_assert_eq!(
+                scene.render_image(t, Projection::Erp, w, h),
+                render_image_reference(&scene, t, w, h)
+            );
+        }
     }
 
     proptest! {

@@ -1,13 +1,15 @@
 //! SAS store/server invariants across the ingest → serve boundary,
 //! including property-based checks over random request streams.
 
+use std::fmt::Write as _;
+
 use proptest::prelude::*;
 
 use evr_client::session::{ContentPath, PlaybackSession, Renderer, SessionConfig};
 use evr_math::EulerAngles;
 use evr_sas::{
-    ingest_video, ingest_video_with, FovPrerenderStore, IngestOptions, Request, Response,
-    SasConfig, SasServer,
+    fov_rung_quantizers, ingest_tiled_rates_with, ingest_video, ingest_video_with,
+    populate_fov_ladder, FovPrerenderStore, IngestOptions, Request, Response, SasConfig, SasServer,
 };
 use evr_video::library::{scene_for, VideoId};
 
@@ -121,6 +123,51 @@ fn degraded_catalog_plays_end_to_end_from_originals() {
         report.fallback_frames, report.frames_total,
         "every frame comes from the original panorama"
     );
+}
+
+/// FNV-1a over the `Debug` rendering of a value, the digest
+/// `perfbench` prints for its outputs.
+fn debug_digest(value: &impl std::fmt::Debug) -> String {
+    struct Fnv(u64);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    write!(h, "{value:?}").expect("digest writes never fail");
+    format!("{:016x}", h.0)
+}
+
+/// Byte identity of the three ingest stages (catalog, delta FOV ladder,
+/// tiled-rate catalog) against `tests/golden/ingest_digest.txt`. The
+/// digests come from the exhaustive kernels that the motion-search,
+/// ERP-render and bilinear fast paths replace (DESIGN.md §7, §11).
+/// Regenerate them only for a deliberate output change, never to absorb
+/// a kernel change.
+#[test]
+fn ingest_outputs_match_golden_digest() {
+    let cfg = SasConfig::tiny_for_tests();
+    let mut got = String::new();
+    for video in [VideoId::Paris, VideoId::Rhino] {
+        let scene = scene_for(video);
+        let store = FovPrerenderStore::new();
+        let options =
+            IngestOptions { workers: 2, store: Some(store.clone()), ..Default::default() };
+        let catalog = ingest_video_with(&scene, &cfg, 1.0, &options).expect("tiny config ingests");
+        let ladder = populate_fov_ladder(&catalog, &store, &fov_rung_quantizers(&cfg), 2, true);
+        let tiles = ingest_tiled_rates_with(&scene, &cfg, 1.0, 2);
+        writeln!(got, "{video:?} catalog {}", debug_digest(&catalog)).unwrap();
+        writeln!(got, "{video:?} ladder {}", debug_digest(&ladder)).unwrap();
+        writeln!(got, "{video:?} tiles {}", debug_digest(&tiles)).unwrap();
+    }
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/ingest_digest.txt");
+    let want = std::fs::read_to_string(&path).expect("tests/golden/ingest_digest.txt exists");
+    assert_eq!(got, want, "ingest output drifted from the golden digests");
 }
 
 proptest! {
