@@ -57,8 +57,9 @@ pub struct FovLadderStats {
 ///
 /// # Panics
 ///
-/// Panics if `quantizers` is empty, not strictly descending, or does not
-/// end at the catalog's `fov_quantizer`.
+/// Panics if `quantizers` is empty, not strictly descending, does not
+/// end at the catalog's `fov_quantizer`, or holds a rung above the
+/// codec's 50 ([`transcode_segment`]).
 pub fn populate_fov_ladder(
     catalog: &SasCatalog,
     store: &FovPrerenderStore,

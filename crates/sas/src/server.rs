@@ -15,6 +15,7 @@ use evr_projection::FovFrameMeta;
 use evr_video::codec::EncodedSegment;
 use evr_video::delta::{transcode_segment, DeltaSegment, SegmentRepr};
 
+use crate::fovladder::fov_rung_quantizers;
 use crate::ingest::SasCatalog;
 use crate::prerender::{FovPrerenderStore, PrerenderKey, PrerenderedFov};
 use crate::tiles::{TileRung, TiledRateCatalog};
@@ -102,6 +103,17 @@ pub enum SasError {
         /// The requested cluster.
         cluster: usize,
     },
+    /// The quantiser is not a rung of the FOV ladder
+    /// ([`fov_rung_quantizers`](crate::fov_rung_quantizers)), so no such
+    /// representation of the stream exists.
+    UnknownRung {
+        /// The requested segment.
+        segment: u32,
+        /// The requested cluster.
+        cluster: usize,
+        /// The requested rung quantiser.
+        quantizer: u8,
+    },
     /// No tiled-rate catalog is attached, or the tile/rung index is out
     /// of range for the attached grid.
     UnknownTile {
@@ -125,6 +137,9 @@ impl std::fmt::Display for SasError {
             }
             SasError::CorruptStream { segment, cluster } => {
                 write!(f, "corrupt stream for cluster {cluster} in segment {segment}")
+            }
+            SasError::UnknownRung { segment, cluster, quantizer } => {
+                write!(f, "unknown rung q{quantizer} for cluster {cluster} in segment {segment}")
             }
             SasError::UnknownTile { segment, tile } => {
                 write!(f, "unknown tile {tile} in segment {segment}")
@@ -288,6 +303,18 @@ impl SasServer {
         }
     }
 
+    /// Refuses a quantiser outside the FOV ladder before any transcode
+    /// or store insert: an arbitrary quantiser would transcode a payload
+    /// that is no rung (saturated at 0, larger than the top at 1, outside
+    /// the codec's range above 50) and admit it to the store.
+    fn check_rung(&self, segment: u32, cluster: usize, quantizer: u8) -> Result<(), SasError> {
+        if fov_rung_quantizers(self.catalog.config()).contains(&quantizer) {
+            Ok(())
+        } else {
+            Err(SasError::UnknownRung { segment, cluster, quantizer })
+        }
+    }
+
     /// The resident top-rung payload of `(segment, cluster)`, read back
     /// from the catalog and re-inserted on a store miss. Shared by the
     /// rung and upgrade paths; carries no request metrics of its own.
@@ -347,7 +374,8 @@ impl SasServer {
     /// and kept delta-resident against it, so the lower rungs of a
     /// popular stream cost residual bytes rather than full encodings.
     /// Requesting the catalog's own `fov_quantizer` is identical to
-    /// [`SasServer::fetch_fov`].
+    /// [`SasServer::fetch_fov`]; a quantiser outside the ladder
+    /// ([`fov_rung_quantizers`]) is refused as [`SasError::UnknownRung`].
     pub fn fetch_fov_rung(
         &self,
         segment: u32,
@@ -355,9 +383,10 @@ impl SasServer {
         quantizer: u8,
     ) -> Result<(Arc<PrerenderedFov>, u64), SasError> {
         self.metrics.fov_requests.inc();
-        let payload = self.rung_payload(segment, cluster, quantizer).inspect_err(|e| {
-            self.note_lookup_error(e);
-        })?;
+        let payload = self
+            .check_rung(segment, cluster, quantizer)
+            .and_then(|()| self.rung_payload(segment, cluster, quantizer))
+            .inspect_err(|e| self.note_lookup_error(e))?;
         let wire_bytes = payload.data.scaled_bytes(self.catalog.config().fov_byte_scale());
         self.metrics.fov_bytes.add(wire_bytes);
         Ok((payload, wire_bytes))
@@ -369,7 +398,9 @@ impl SasServer {
     /// whenever that is smaller at target scale — the client
     /// reconstructs ([`DeltaSegment::reconstruct`], bit-exact) and pays
     /// the reconstruction energy; otherwise (and whenever the delta is
-    /// not smaller) the full top encoding moves instead.
+    /// not smaller) the full top encoding moves instead. A
+    /// `reference_quantizer` outside the ladder ([`fov_rung_quantizers`])
+    /// is refused as [`SasError::UnknownRung`].
     pub fn fetch_fov_upgrade(
         &self,
         segment: u32,
@@ -378,9 +409,10 @@ impl SasServer {
         delta_wire: bool,
     ) -> Result<FovUpgrade, SasError> {
         self.metrics.fov_requests.inc();
-        let top = self.top_payload(segment, cluster).inspect_err(|e| {
-            self.note_lookup_error(e);
-        })?;
+        let top = self
+            .check_rung(segment, cluster, reference_quantizer)
+            .and_then(|()| self.top_payload(segment, cluster))
+            .inspect_err(|e| self.note_lookup_error(e))?;
         let scale = self.catalog.config().fov_byte_scale();
         let full_wire = top.data.scaled_bytes(scale);
         // Like the ladder's fallback rule, the winner is decided at the
@@ -759,6 +791,33 @@ mod tests {
             Err(SasError::UnknownCluster { segment: 0, cluster: 99 })
         );
         assert_eq!(s.fetch_fov_rung(999, 0, 30), Err(SasError::UnknownSegment { segment: 999 }));
+    }
+
+    #[test]
+    fn quantizers_outside_the_ladder_are_refused_without_touching_the_store() {
+        let catalog = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0);
+        let store = crate::prerender::FovPrerenderStore::new();
+        let obs = evr_obs::Observer::enabled();
+        let mut s = SasServer::with_store(catalog, store.clone());
+        s.set_observer(&obs);
+        let cluster = s.catalog().clusters_in_segment(0)[0];
+        let ladder = fov_rung_quantizers(s.catalog().config());
+        s.fetch_fov_rung(0, cluster, ladder[0]).expect("a ladder rung serves");
+        let (len, stats) = (store.len(), store.stats());
+        for quantizer in [0, 1, 51, 200] {
+            assert!(!ladder.contains(&quantizer));
+            let refused = SasError::UnknownRung { segment: 0, cluster, quantizer };
+            assert_eq!(s.fetch_fov_rung(0, cluster, quantizer), Err(refused));
+            for delta_wire in [false, true] {
+                assert_eq!(s.fetch_fov_upgrade(0, cluster, quantizer, delta_wire), Err(refused));
+            }
+        }
+        assert_eq!((store.len(), store.stats()), (len, stats), "store untouched");
+        assert_eq!(obs.counter(evr_obs::names::SAS_NOT_FOUND).get(), 12);
+        assert_eq!(
+            SasError::UnknownRung { segment: 1, cluster: 2, quantizer: 0 }.to_string(),
+            "unknown rung q0 for cluster 2 in segment 1"
+        );
     }
 
     #[test]

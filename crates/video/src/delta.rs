@@ -87,19 +87,93 @@ impl PlaneDelta {
     }
 }
 
+/// The requantisation ratios `quant_step(from_q, u, v) / quant_step(to_q,
+/// u, v)` of one quantiser pair, per plane kind. `quant_step` depends on
+/// the coefficient position only through `u + v`, so each plane kind has
+/// 15 ratios, indexed by `pos / 8 + pos % 8`; each is computed by the
+/// same expression at one `(u, v)` with that sum, so it is bit-identical
+/// to the ratio at every other such position (DESIGN.md §16).
+#[derive(Debug, Clone, Copy)]
+struct StepRatios {
+    quantizers: (u8, u8),
+    luma: [f64; 15],
+    chroma: [f64; 15],
+}
+
+impl StepRatios {
+    fn new(from_q: u8, to_q: u8) -> StepRatios {
+        let ratios = |is_luma| {
+            std::array::from_fn(|k| {
+                let (v, u) = (k.saturating_sub(7), k.min(7));
+                quant_step(from_q, u, v, is_luma) / quant_step(to_q, u, v, is_luma)
+            })
+        };
+        StepRatios { quantizers: (from_q, to_q), luma: ratios(true), chroma: ratios(false) }
+    }
+}
+
+/// The step ratios of the last quantiser pair asked for. Every frame
+/// carries its own quantiser, but a segment's frames mostly share one,
+/// so the table is rebuilt only when the pair changes between frames.
+#[derive(Debug, Default)]
+struct RatioCache(Option<StepRatios>);
+
+impl RatioCache {
+    fn get(&mut self, from_q: u8, to_q: u8) -> &StepRatios {
+        if !matches!(&self.0, Some(r) if r.quantizers == (from_q, to_q)) {
+            self.0 = Some(StepRatios::new(from_q, to_q));
+        }
+        self.0.as_ref().expect("filled above")
+    }
+}
+
+/// `x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i32` without
+/// the libm call `f64::round` compiles to on baseline x86-64. Equal for
+/// every `f64`, NaN and infinities included: for |x| < 2^31 the
+/// truncation `t` is exact and so is the fraction `x − t` (|x| < 2^52),
+/// so stepping `t` away from zero on |fraction| ≥ 0.5 is round-half-
+/// away-from-zero; a saturated `t` lands outside the i16 range either
+/// way.
+#[inline]
+fn round_to_i16(x: f64) -> i32 {
+    let t = x as i32;
+    let f = x - f64::from(t);
+    let r = i64::from(t) + i64::from(f >= 0.5) - i64::from(f <= -0.5);
+    r.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i32
+}
+
+/// Rescales the coefficient `value` at global index `idx` by its step
+/// ratio: the target-rung value the reference coefficient predicts.
+#[inline]
+fn rescale(value: i16, idx: u32, ratios: &[f64; 15]) -> i32 {
+    let pos = (idx % 64) as usize;
+    round_to_i16(f64::from(value) * ratios[pos / 8 + pos % 8])
+}
+
 /// Computes the residuals of `target` against `reference` requantised
-/// from `ref_q` to `tgt_q`. Returns `None` on a plane shape mismatch.
+/// by `ratios`. Returns `None` on a plane shape mismatch.
+///
+/// Every merge step writes its unclamped residual to `scratch` and
+/// advances only past a non-zero one, so the walk has no branch on the
+/// residual; the kept prefix is clamped to i16 and copied out at exact
+/// capacity. `scratch` only ever grows and its stale tail is never read,
+/// so one buffer serves every plane of a segment without being
+/// zero-filled again.
 fn diff_plane(
     target: &QuantizedPlane,
     reference: &QuantizedPlane,
-    tgt_q: u8,
-    ref_q: u8,
-    is_luma: bool,
+    ratios: &[f64; 15],
+    scratch: &mut Vec<(u32, i32)>,
 ) -> Option<PlaneDelta> {
     if target.width != reference.width || target.height != reference.height {
         return None;
     }
-    let mut residuals = Vec::new();
+    // Each merge step consumes at least one entry.
+    let steps = target.entries.len() + reference.entries.len();
+    if scratch.len() < steps {
+        scratch.resize(steps, (0, 0));
+    }
+    let mut kept = 0usize;
     let mut ti = 0usize;
     let mut ri = 0usize;
     // Merge-walk the two ascending sparse streams.
@@ -119,37 +193,29 @@ fn diff_plane(
         } else {
             0
         };
-        let r = tv as i32 - predict_coeff(rv, idx, ref_q, tgt_q, is_luma);
-        if r != 0 {
-            residuals.push((idx, r.clamp(i16::MIN as i32, i16::MAX as i32) as i16));
-        }
+        let r = tv as i32 - rescale(rv, idx, ratios);
+        scratch[kept] = (idx, r);
+        kept += usize::from(r != 0);
     }
-    Some(PlaneDelta { width: target.width, height: target.height, residuals })
+    Some(PlaneDelta {
+        width: target.width,
+        height: target.height,
+        residuals: scratch[..kept]
+            .iter()
+            .map(|&(idx, r)| (idx, r.clamp(i16::MIN as i32, i16::MAX as i32) as i16))
+            .collect(),
+    })
 }
 
-/// Predicts a target-rung coefficient from the reference-rung coefficient
-/// at the same index by rescaling through the dequantised value.
-fn predict_coeff(ref_val: i16, idx: u32, ref_q: u8, tgt_q: u8, is_luma: bool) -> i32 {
-    if ref_val == 0 {
-        return 0;
-    }
-    let pos = (idx % 64) as usize;
-    let (v, u) = (pos / 8, pos % 8);
-    let scale = quant_step(ref_q, u, v, is_luma) / quant_step(tgt_q, u, v, is_luma);
-    (ref_val as f64 * scale).round().clamp(i16::MIN as f64, i16::MAX as f64) as i32
-}
-
-/// Applies residuals back onto the requantised reference, recovering the
-/// target plane exactly (zero-valued coefficients are dropped, matching
-/// the encoder's sparse form).
+/// Applies residuals back onto the reference requantised by `ratios`,
+/// recovering the target plane exactly (zero-valued coefficients are
+/// dropped, matching the encoder's sparse form).
 fn apply_plane(
     delta: &PlaneDelta,
     reference: &QuantizedPlane,
-    tgt_q: u8,
-    ref_q: u8,
-    is_luma: bool,
+    ratios: &[f64; 15],
 ) -> QuantizedPlane {
-    let mut entries = Vec::new();
+    let mut entries = Vec::with_capacity(delta.residuals.len() + reference.entries.len());
     let mut di = 0usize;
     let mut ri = 0usize;
     while di < delta.residuals.len() || ri < reference.entries.len() {
@@ -168,7 +234,7 @@ fn apply_plane(
         } else {
             0
         };
-        let val = predict_coeff(rv, idx, ref_q, tgt_q, is_luma) + dv as i32;
+        let val = rescale(rv, idx, ratios) + dv as i32;
         if val != 0 {
             entries.push((idx, val as i16));
         }
@@ -225,15 +291,18 @@ impl DeltaSegment {
             return None;
         }
         let mut frames = Vec::with_capacity(target.frames.len());
+        let mut ratios = RatioCache::default();
+        let mut scratch = Vec::new();
         for (t, r) in target.frames.iter().zip(&reference.frames) {
+            let ratios = ratios.get(r.quantizer, t.quantizer);
             frames.push(DeltaFrame {
                 kind: t.kind,
                 bytes: t.bytes,
                 quantizer: t.quantizer,
                 motion: t.motion,
-                y: diff_plane(&t.y, &r.y, t.quantizer, r.quantizer, true)?,
-                cb: diff_plane(&t.cb, &r.cb, t.quantizer, r.quantizer, false)?,
-                cr: diff_plane(&t.cr, &r.cr, t.quantizer, r.quantizer, false)?,
+                y: diff_plane(&t.y, &r.y, &ratios.luma, &mut scratch)?,
+                cb: diff_plane(&t.cb, &r.cb, &ratios.chroma, &mut scratch)?,
+                cr: diff_plane(&t.cr, &r.cr, &ratios.chroma, &mut scratch)?,
             });
         }
         Some(DeltaSegment {
@@ -267,18 +336,22 @@ impl DeltaSegment {
             self.reference_digest,
             "delta reconstructed against the wrong reference segment"
         );
+        let mut ratios = RatioCache::default();
         let frames = self
             .frames
             .iter()
             .zip(&reference.frames)
-            .map(|(d, r)| EncodedFrame {
-                kind: d.kind,
-                bytes: d.bytes,
-                quantizer: d.quantizer,
-                motion: d.motion,
-                y: apply_plane(&d.y, &r.y, d.quantizer, r.quantizer, true),
-                cb: apply_plane(&d.cb, &r.cb, d.quantizer, r.quantizer, false),
-                cr: apply_plane(&d.cr, &r.cr, d.quantizer, r.quantizer, false),
+            .map(|(d, r)| {
+                let ratios = ratios.get(r.quantizer, d.quantizer);
+                EncodedFrame {
+                    kind: d.kind,
+                    bytes: d.bytes,
+                    quantizer: d.quantizer,
+                    motion: d.motion,
+                    y: apply_plane(&d.y, &r.y, &ratios.luma),
+                    cb: apply_plane(&d.cb, &r.cb, &ratios.chroma),
+                    cr: apply_plane(&d.cr, &r.cr, &ratios.chroma),
+                }
             })
             .collect();
         EncodedSegment { start_index: self.start_index, frames }
@@ -389,18 +462,20 @@ fn plane_bits(plane: &QuantizedPlane) -> u64 {
     bits
 }
 
-/// Remaps a plane's sparse coefficients from `from_q` steps to `to_q`
-/// steps (the same rescaling rule the delta prediction uses), dropping
-/// coefficients that quantise away.
-fn requantize_plane(plane: &QuantizedPlane, from_q: u8, to_q: u8, is_luma: bool) -> QuantizedPlane {
-    let entries = plane
-        .entries
-        .iter()
-        .filter_map(|&(idx, v)| {
-            let nv = predict_coeff(v, idx, from_q, to_q, is_luma);
-            (nv != 0).then_some((idx, nv as i16))
-        })
-        .collect();
+/// Remaps a plane's sparse coefficients by `ratios` (the same rescaling
+/// rule the delta prediction uses), dropping coefficients that quantise
+/// away. The output is sized for the input; nothing quantises away
+/// unless a ratio is below ½, so a ladder rung (at most twice the top
+/// quantiser) comes out at exact capacity.
+fn requantize_plane(plane: &QuantizedPlane, ratios: &[f64; 15]) -> QuantizedPlane {
+    let mut entries = Vec::with_capacity(plane.entries.len());
+    for &(idx, v) in &plane.entries {
+        let nv = rescale(v, idx, ratios);
+        if nv != 0 {
+            entries.push((idx, nv as i16));
+        }
+    }
+    entries.shrink_to_fit();
     QuantizedPlane { width: plane.width, height: plane.height, entries }
 }
 
@@ -413,14 +488,22 @@ fn requantize_plane(plane: &QuantizedPlane, from_q: u8, to_q: u8, is_luma: bool)
 /// because no decode/re-encode round trip injects requantisation noise
 /// into the inter frames, rung sizes stay monotone in the quantiser.
 /// Deterministic: same input segment and quantiser, same output.
+///
+/// # Panics
+///
+/// Panics if `quantizer` is outside the codec's `1..=50`, as
+/// [`crate::codec::CodecConfig::new`] does.
 pub fn transcode_segment(segment: &EncodedSegment, quantizer: u8) -> EncodedSegment {
+    assert!((1..=50).contains(&quantizer), "quantizer must be in 1..=50");
+    let mut ratios = RatioCache::default();
     let frames = segment
         .frames
         .iter()
         .map(|f| {
-            let y = requantize_plane(&f.y, f.quantizer, quantizer, true);
-            let cb = requantize_plane(&f.cb, f.quantizer, quantizer, false);
-            let cr = requantize_plane(&f.cr, f.quantizer, quantizer, false);
+            let ratios = ratios.get(f.quantizer, quantizer);
+            let y = requantize_plane(&f.y, &ratios.luma);
+            let cb = requantize_plane(&f.cb, &ratios.chroma);
+            let cr = requantize_plane(&f.cr, &ratios.chroma);
             let bits = plane_bits(&y) + plane_bits(&cb) + plane_bits(&cr);
             EncodedFrame {
                 kind: f.kind,
@@ -434,6 +517,189 @@ pub fn transcode_segment(segment: &EncodedSegment, quantizer: u8) -> EncodedSegm
         })
         .collect();
     EncodedSegment { start_index: segment.start_index, frames }
+}
+
+/// The per-coefficient kernels the step-ratio table replaced, kept as
+/// test oracles: every fast kernel must reproduce them bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Predicts a target-rung coefficient from the reference-rung
+    /// coefficient at the same index by rescaling through the
+    /// dequantised value.
+    pub(super) fn predict_coeff(
+        ref_val: i16,
+        idx: u32,
+        ref_q: u8,
+        tgt_q: u8,
+        is_luma: bool,
+    ) -> i32 {
+        if ref_val == 0 {
+            return 0;
+        }
+        let pos = (idx % 64) as usize;
+        let (v, u) = (pos / 8, pos % 8);
+        let scale = quant_step(ref_q, u, v, is_luma) / quant_step(tgt_q, u, v, is_luma);
+        (ref_val as f64 * scale).round().clamp(i16::MIN as f64, i16::MAX as f64) as i32
+    }
+
+    fn diff_plane(
+        target: &QuantizedPlane,
+        reference: &QuantizedPlane,
+        tgt_q: u8,
+        ref_q: u8,
+        is_luma: bool,
+    ) -> Option<PlaneDelta> {
+        if target.width != reference.width || target.height != reference.height {
+            return None;
+        }
+        let mut residuals = Vec::new();
+        let mut ti = 0usize;
+        let mut ri = 0usize;
+        while ti < target.entries.len() || ri < reference.entries.len() {
+            let tn = target.entries.get(ti).map(|e| e.0).unwrap_or(u32::MAX);
+            let rn = reference.entries.get(ri).map(|e| e.0).unwrap_or(u32::MAX);
+            let idx = tn.min(rn);
+            let tv = if tn == idx {
+                ti += 1;
+                target.entries[ti - 1].1
+            } else {
+                0
+            };
+            let rv = if rn == idx {
+                ri += 1;
+                reference.entries[ri - 1].1
+            } else {
+                0
+            };
+            let r = tv as i32 - predict_coeff(rv, idx, ref_q, tgt_q, is_luma);
+            if r != 0 {
+                residuals.push((idx, r.clamp(i16::MIN as i32, i16::MAX as i32) as i16));
+            }
+        }
+        Some(PlaneDelta { width: target.width, height: target.height, residuals })
+    }
+
+    fn apply_plane(
+        delta: &PlaneDelta,
+        reference: &QuantizedPlane,
+        tgt_q: u8,
+        ref_q: u8,
+        is_luma: bool,
+    ) -> QuantizedPlane {
+        let mut entries = Vec::new();
+        let mut di = 0usize;
+        let mut ri = 0usize;
+        while di < delta.residuals.len() || ri < reference.entries.len() {
+            let dn = delta.residuals.get(di).map(|e| e.0).unwrap_or(u32::MAX);
+            let rn = reference.entries.get(ri).map(|e| e.0).unwrap_or(u32::MAX);
+            let idx = dn.min(rn);
+            let dv = if dn == idx {
+                di += 1;
+                delta.residuals[di - 1].1
+            } else {
+                0
+            };
+            let rv = if rn == idx {
+                ri += 1;
+                reference.entries[ri - 1].1
+            } else {
+                0
+            };
+            let val = predict_coeff(rv, idx, ref_q, tgt_q, is_luma) + dv as i32;
+            if val != 0 {
+                entries.push((idx, val as i16));
+            }
+        }
+        QuantizedPlane { width: delta.width, height: delta.height, entries }
+    }
+
+    fn requantize_plane(
+        plane: &QuantizedPlane,
+        from_q: u8,
+        to_q: u8,
+        is_luma: bool,
+    ) -> QuantizedPlane {
+        let entries = plane
+            .entries
+            .iter()
+            .filter_map(|&(idx, v)| {
+                let nv = predict_coeff(v, idx, from_q, to_q, is_luma);
+                (nv != 0).then_some((idx, nv as i16))
+            })
+            .collect();
+        QuantizedPlane { width: plane.width, height: plane.height, entries }
+    }
+
+    pub(super) fn encode(
+        target: &EncodedSegment,
+        reference: &EncodedSegment,
+    ) -> Option<DeltaSegment> {
+        if target.frames.len() != reference.frames.len() || target.frames.is_empty() {
+            return None;
+        }
+        let mut frames = Vec::with_capacity(target.frames.len());
+        for (t, r) in target.frames.iter().zip(&reference.frames) {
+            frames.push(DeltaFrame {
+                kind: t.kind,
+                bytes: t.bytes,
+                quantizer: t.quantizer,
+                motion: t.motion,
+                y: diff_plane(&t.y, &r.y, t.quantizer, r.quantizer, true)?,
+                cb: diff_plane(&t.cb, &r.cb, t.quantizer, r.quantizer, false)?,
+                cr: diff_plane(&t.cr, &r.cr, t.quantizer, r.quantizer, false)?,
+            });
+        }
+        Some(DeltaSegment {
+            start_index: target.start_index,
+            reference_quantizer: reference.frames[0].quantizer,
+            reference_digest: segment_digest(reference),
+            frames,
+        })
+    }
+
+    pub(super) fn reconstruct(delta: &DeltaSegment, reference: &EncodedSegment) -> EncodedSegment {
+        assert_eq!(segment_digest(reference), delta.reference_digest);
+        let frames = delta
+            .frames
+            .iter()
+            .zip(&reference.frames)
+            .map(|(d, r)| EncodedFrame {
+                kind: d.kind,
+                bytes: d.bytes,
+                quantizer: d.quantizer,
+                motion: d.motion,
+                y: apply_plane(&d.y, &r.y, d.quantizer, r.quantizer, true),
+                cb: apply_plane(&d.cb, &r.cb, d.quantizer, r.quantizer, false),
+                cr: apply_plane(&d.cr, &r.cr, d.quantizer, r.quantizer, false),
+            })
+            .collect();
+        EncodedSegment { start_index: delta.start_index, frames }
+    }
+
+    pub(super) fn transcode_segment(segment: &EncodedSegment, quantizer: u8) -> EncodedSegment {
+        let frames = segment
+            .frames
+            .iter()
+            .map(|f| {
+                let y = requantize_plane(&f.y, f.quantizer, quantizer, true);
+                let cb = requantize_plane(&f.cb, f.quantizer, quantizer, false);
+                let cr = requantize_plane(&f.cr, f.quantizer, quantizer, false);
+                let bits = plane_bits(&y) + plane_bits(&cb) + plane_bits(&cr);
+                EncodedFrame {
+                    kind: f.kind,
+                    bytes: FRAME_HEADER_BYTES + (bits + 24).div_ceil(8),
+                    quantizer,
+                    motion: f.motion,
+                    y,
+                    cb,
+                    cr,
+                }
+            })
+            .collect();
+        EncodedSegment { start_index: segment.start_index, frames }
+    }
 }
 
 #[cfg(test)]
@@ -537,8 +803,260 @@ mod tests {
         assert!(low.bytes() < top.bytes(), "coarser rung must be smaller");
     }
 
+    /// A segment whose frame `i` is coded at `quantizers[i]`, as a rate
+    /// controller that moves the quantiser between frames leaves it.
+    fn rate_controlled(w: u32, h: u32, quantizers: &[u8]) -> EncodedSegment {
+        let frames = quantizers
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| {
+                Encoder::new(CodecConfig::new(1, q)).encode_frame(&textured(w, h, i as f64 * 0.21))
+            })
+            .collect();
+        EncodedSegment { start_index: 0, frames }
+    }
+
+    /// A random sparse plane: each of the `w`×`h` coefficients is present
+    /// with probability `1 / spread`, valued anywhere in the i16 range or,
+    /// with `extreme`, within 64 of ±`i16::MAX`.
+    fn random_plane(rng: &mut u64, w: u32, h: u32, spread: u64, extreme: bool) -> QuantizedPlane {
+        let mut entries = Vec::new();
+        for idx in 0..w.div_ceil(8) * h.div_ceil(8) * 64 {
+            let r = xorshift(rng);
+            if !r.is_multiple_of(spread) {
+                continue;
+            }
+            let v = (r >> 32) as i16;
+            let v = if extreme { v.signum() * (i16::MAX - (v & 63)) } else { v };
+            entries.push((idx, if v == 0 { 1 } else { v }));
+        }
+        QuantizedPlane { width: w, height: h, entries }
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A segment of random sparse planes, frame `i` at `quantizers[i]`.
+    fn random_segment(seed: u64, quantizers: &[u8], spread: u64, extreme: bool) -> EncodedSegment {
+        let mut rng = seed | 1;
+        let frames = quantizers
+            .iter()
+            .map(|&quantizer| EncodedFrame {
+                kind: crate::codec::FrameKind::Intra,
+                bytes: 0,
+                quantizer,
+                motion: (0, 0),
+                y: random_plane(&mut rng, 16, 16, spread, extreme),
+                cb: random_plane(&mut rng, 8, 8, spread, extreme),
+                cr: random_plane(&mut rng, 8, 8, spread, extreme),
+            })
+            .collect();
+        EncodedSegment { start_index: 0, frames }
+    }
+
+    /// Every fast kernel reproduces its oracle on `seg`: the transcode to
+    /// `quantizer`, and the delta encode and reconstruct both ways between
+    /// `seg` and that transcode and between `seg` and `other`.
+    fn check_kernels(
+        seg: &EncodedSegment,
+        other: &EncodedSegment,
+        quantizer: u8,
+    ) -> Result<(), TestCaseError> {
+        let rung = transcode_segment(seg, quantizer);
+        prop_assert_eq!(&rung, &oracle::transcode_segment(seg, quantizer));
+        for (target, reference) in [(&rung, seg), (seg, &rung), (other, seg), (seg, other)] {
+            let delta = DeltaSegment::encode(target, reference);
+            prop_assert_eq!(&delta, &oracle::encode(target, reference));
+            if let Some(d) = delta {
+                prop_assert_eq!(d.reconstruct(reference), oracle::reconstruct(&d, reference));
+            }
+        }
+        Ok(())
+    }
+
+    /// The step-ratio table, the rounding helper and the rescale against
+    /// `predict_coeff` and `f64::round`, at every i16 value and every
+    /// `u + v`, for the ladder pairs 15↔30 and 15↔22 — 15 → 30 is a
+    /// ratio of exactly ½, so every odd coefficient is a tie.
+    #[test]
+    fn rescale_matches_predict_coeff_on_the_ladder_pairs() {
+        for (from_q, to_q) in [(15, 30), (30, 15), (15, 22), (22, 15)] {
+            let table = StepRatios::new(from_q, to_q);
+            for (is_luma, ratios) in [(true, &table.luma), (false, &table.chroma)] {
+                for pos in 0..64 {
+                    let (v, u) = (pos / 8, pos % 8);
+                    let exact = quant_step(from_q, u, v, is_luma) / quant_step(to_q, u, v, is_luma);
+                    assert_eq!(ratios[u + v].to_bits(), exact.to_bits(), "{from_q}→{to_q} {pos}");
+                }
+                for (k, &ratio) in ratios.iter().enumerate() {
+                    // A global index in block 3 whose position has u + v = k.
+                    let idx = 64 * 3 + (8 * k.saturating_sub(7) + k.min(7)) as u32;
+                    for value in i16::MIN..=i16::MAX {
+                        let want = oracle::predict_coeff(value, idx, from_q, to_q, is_luma);
+                        assert_eq!(
+                            rescale(value, idx, ratios),
+                            want,
+                            "{from_q}→{to_q} {value} {k}"
+                        );
+                        let x = f64::from(value) * ratio;
+                        let rounded = x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i32;
+                        assert_eq!(round_to_i16(x), rounded, "{from_q}→{to_q} {value} {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_to_i16_matches_f64_round_at_the_edges() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+            1.5,
+            -2.5,
+            32766.5,
+            32767.5,
+            -32768.5,
+            -32767.5,
+            2147483647.0,
+            2147483647.5,
+            2147483648.0,
+            -2147483648.5,
+            -2147483649.0,
+            4503599627370495.5,
+            9007199254740993.0,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        for x in edges {
+            let want = x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i32;
+            assert_eq!(round_to_i16(x), want, "{x:e}");
+        }
+    }
+
+    #[test]
+    fn kept_buffers_are_exact_capacity() {
+        let top = encode_segment(48, 32, 6, 6, 15);
+        let planes = |seg: &EncodedSegment| {
+            seg.frames
+                .iter()
+                .flat_map(|f| [&f.y, &f.cb, &f.cr])
+                .map(|p| p.entries.capacity() - p.entries.len())
+                .sum::<usize>()
+        };
+        for q in [22, 30, 50] {
+            let rung = transcode_segment(&top, q);
+            assert_eq!(planes(&rung), 0, "transcode to q{q}");
+            for (target, reference) in [(&rung, &top), (&top, &rung)] {
+                let d = DeltaSegment::encode(target, reference).expect("same shape");
+                let slack = d
+                    .frames
+                    .iter()
+                    .flat_map(|f| [&f.y, &f.cb, &f.cr])
+                    .map(|p| p.residuals.capacity() - p.residuals.len())
+                    .sum::<usize>();
+                assert_eq!(slack, 0, "delta at q{q}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "quantizer must be in 1..=50")]
+    fn transcode_rejects_quantizers_outside_the_codec_range() {
+        let _ = transcode_segment(&encode_segment(16, 16, 1, 1, 15), 51);
+    }
+
+    #[test]
+    fn fast_kernels_match_the_oracles_on_degenerate_segments() {
+        // Single frame, empty planes and a shape mismatch.
+        let one = encode_segment(24, 16, 1, 1, 15);
+        check_kernels(&one, &encode_segment(24, 16, 1, 1, 40), 30).unwrap();
+        let mut empty = one.clone();
+        for f in &mut empty.frames {
+            for plane in [&mut f.y, &mut f.cb, &mut f.cr] {
+                plane.entries.clear();
+            }
+        }
+        check_kernels(&empty, &one, 22).unwrap();
+        check_kernels(&one, &empty, 22).unwrap();
+        let small = encode_segment(16, 16, 1, 1, 15);
+        assert_eq!(DeltaSegment::encode(&small, &one), None);
+        assert_eq!(oracle::encode(&small, &one), None);
+        let mut chroma_mismatch = one.clone();
+        chroma_mismatch.frames[0].cr.width += 8;
+        assert_eq!(DeltaSegment::encode(&chroma_mismatch, &one), None);
+        assert_eq!(oracle::encode(&chroma_mismatch, &one), None);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Fast kernels equal their oracles for quantiser pairs across the
+        /// codec's range, coarser and finer, on real encodings.
+        #[test]
+        fn prop_fast_kernels_match_oracles(
+            from_q in 1u8..=50,
+            to_q in 1u8..=50,
+            other_q in 1u8..=50,
+            frames in 1usize..5,
+            gop in 1u32..5,
+        ) {
+            let seg = encode_segment(24, 16, frames, gop, from_q);
+            check_kernels(&seg, &encode_segment(24, 16, frames, gop, other_q), to_q)?;
+        }
+
+        /// The same when every frame carries its own quantiser, as under
+        /// rate control: runs of a repeated pair reuse the ratio table,
+        /// every change rebuilds it.
+        #[test]
+        fn prop_fast_kernels_match_oracles_under_rate_control(
+            runs in collection::vec((1u8..=50, 1usize..4), 1..4),
+            shift in 0usize..3,
+            to_q in 1u8..=50,
+        ) {
+            let qs: Vec<u8> = runs.iter().flat_map(|&(q, n)| std::iter::repeat_n(q, n)).collect();
+            let mut other_qs = qs.clone();
+            other_qs.rotate_left(shift % qs.len());
+            check_kernels(&rate_controlled(16, 16, &qs), &rate_controlled(16, 16, &other_qs), to_q)?;
+        }
+
+        /// Random sparse planes with unrelated index sets and values across
+        /// the whole i16 range or near ±`i16::MAX`, where finer targets hit
+        /// the clamp.
+        #[test]
+        fn prop_fast_kernels_match_oracles_on_random_planes(
+            seed in any::<u64>(),
+            quantizers in collection::vec(1u8..=50, 1..4),
+            to_q in 1u8..=50,
+            spread in 1u64..6,
+            extreme in any::<bool>(),
+        ) {
+            let seg = random_segment(seed, &quantizers, spread, extreme);
+            let other = random_segment(seed ^ 0x9e37_79b9, &quantizers, spread, !extreme);
+            check_kernels(&seg, &other, to_q)?;
+        }
+
+        /// The rounding helper equals `f64::round` + clamp on arbitrary bit
+        /// patterns, NaNs and infinities included.
+        #[test]
+        fn prop_round_to_i16_matches_f64_round(bits in any::<u64>(), scale in 0i32..40) {
+            for x in [f64::from_bits(bits), (f64::from_bits(bits >> 12 | 0x3ff0_0000_0000_0000) - 1.5) * f64::from(1 << (scale % 31))] {
+                let want = x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i32;
+                prop_assert_eq!(round_to_i16(x), want, "{:e}", x);
+            }
+        }
 
         /// Delta encode→reconstruct is bit-exact for arbitrary quantiser
         /// pairs, GOP structures and degenerate segments (single-frame,

@@ -9,9 +9,11 @@ use evr_client::session::{ContentPath, PlaybackSession, Renderer, SessionConfig}
 use evr_math::EulerAngles;
 use evr_sas::{
     fov_rung_quantizers, ingest_tiled_rates_with, ingest_video, ingest_video_with,
-    populate_fov_ladder, FovPrerenderStore, IngestOptions, Request, Response, SasConfig, SasServer,
+    populate_fov_ladder, FovPrerenderStore, IngestOptions, Request, Response, SasCatalog,
+    SasConfig, SasServer,
 };
 use evr_video::library::{scene_for, VideoId};
+use evr_video::DeltaSegment;
 
 fn server() -> SasServer {
     SasServer::new(ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 2.0))
@@ -142,12 +144,38 @@ fn debug_digest(value: &impl std::fmt::Debug) -> String {
     format!("{:016x}", h.0)
 }
 
+/// The serving outputs of every FOV stream at every lower ladder rung on
+/// a fresh store: the first rung fetch (a transcode), the second (a
+/// delta reconstruct), the delta-wire upgrade, and the rung's down-delta
+/// against the top rung.
+fn serving_digest(catalog: &SasCatalog, cfg: &SasConfig) -> String {
+    let server = SasServer::with_store(catalog.clone(), FovPrerenderStore::new());
+    let rungs = fov_rung_quantizers(cfg);
+    let mut served = Vec::new();
+    for segment in 0..catalog.segment_count() {
+        for cluster in catalog.clusters_in_segment(segment) {
+            for &q in &rungs[..rungs.len() - 1] {
+                let transcoded = server.fetch_fov_rung(segment, cluster, q);
+                let reconstructed = server.fetch_fov_rung(segment, cluster, q);
+                let upgrade = server.fetch_fov_upgrade(segment, cluster, q, true);
+                let (top, _) = server.fetch_fov(segment, cluster).expect("indexed stream");
+                let (rung, _) = transcoded.as_ref().expect("ladder rung");
+                let down = DeltaSegment::encode(&rung.data, &top.data);
+                served.push((transcoded, reconstructed, upgrade, down));
+            }
+        }
+    }
+    debug_digest(&served)
+}
+
 /// Byte identity of the three ingest stages (catalog, delta FOV ladder,
-/// tiled-rate catalog) against `tests/golden/ingest_digest.txt`. The
-/// digests come from the exhaustive kernels that the motion-search,
-/// ERP-render and bilinear fast paths replace (DESIGN.md §7, §11).
-/// Regenerate them only for a deliberate output change, never to absorb
-/// a kernel change.
+/// tiled-rate catalog) and of the serving kernels (transcode, delta
+/// encode, delta reconstruct) against `tests/golden/ingest_digest.txt`.
+/// The digests come from the exhaustive kernels that the motion-search,
+/// ERP-render and bilinear fast paths replace (DESIGN.md §7, §11), and
+/// from the per-coefficient `predict_coeff` rescale that the step-ratio
+/// table replaces (DESIGN.md §16). Regenerate them only for a deliberate
+/// output change, never to absorb a kernel change.
 #[test]
 fn ingest_outputs_match_golden_digest() {
     let cfg = SasConfig::tiny_for_tests();
@@ -163,6 +191,7 @@ fn ingest_outputs_match_golden_digest() {
         writeln!(got, "{video:?} catalog {}", debug_digest(&catalog)).unwrap();
         writeln!(got, "{video:?} ladder {}", debug_digest(&ladder)).unwrap();
         writeln!(got, "{video:?} tiles {}", debug_digest(&tiles)).unwrap();
+        writeln!(got, "{video:?} serve {}", serving_digest(&catalog, &cfg)).unwrap();
     }
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/golden/ingest_digest.txt");
