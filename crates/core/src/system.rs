@@ -9,7 +9,7 @@ use evr_sas::{
     ingest_tiled_rates_with, ingest_video_with, FovPrerenderStore, IngestOptions, SasConfig,
     SasServer, TiledRateCatalog,
 };
-use evr_trace::behavior::{generate_user_trace, params_for};
+use evr_trace::behavior::{params_for, ObjectTracks};
 use evr_trace::HeadTrace;
 use evr_video::library::{scene_for, VideoId};
 use evr_video::scene::Scene;
@@ -157,6 +157,9 @@ pub struct EvrSystem {
     /// Per-tile multi-rate catalog for the `T`/`T+H` variants, built
     /// lazily on the first tiled session (most sweeps never pay for it).
     tiles: Mutex<Option<Arc<TiledRateCatalog>>>,
+    /// The scene's object tracks on the `duration_s` × `FPS` grid,
+    /// shared by every user trace.
+    tracks: Arc<ObjectTracks>,
 }
 
 impl EvrSystem {
@@ -177,6 +180,7 @@ impl EvrSystem {
         let catalog = ingest_video_with(&scene, &sas, duration_s, &options)
             .unwrap_or_else(|e| panic!("ingest of {video:?} failed: {e}"));
         let server = SasServer::with_store(catalog, store);
+        let tracks = Arc::new(ObjectTracks::new(&scene, duration_s, evr_sas::ingest::FPS));
         EvrSystem {
             video,
             scene,
@@ -185,6 +189,7 @@ impl EvrSystem {
             duration_s,
             observer: evr_obs::Observer::noop(),
             tiles: Mutex::new(None),
+            tracks,
         }
     }
 
@@ -242,16 +247,11 @@ impl EvrSystem {
         &self.scene
     }
 
-    /// Generates the head trace of one study user.
+    /// Generates the head trace of one study user: the
+    /// [`evr_trace::generate_user_trace`] trace, on object tracks the
+    /// system's users share.
     pub fn user_trace(&self, user: u64) -> HeadTrace {
-        let seed = user ^ ((self.video as u64) << 32);
-        generate_user_trace(
-            &self.scene,
-            &params_for(self.video),
-            seed,
-            self.duration_s,
-            evr_sas::ingest::FPS,
-        )
+        self.tracks.generate(&params_for(self.video), user ^ ((self.video as u64) << 32))
     }
 
     /// Runs one user's playback under `variant` in the online-streaming
@@ -347,6 +347,7 @@ impl EvrSystem {
             duration_s: self.duration_s,
             observer: self.observer.clone(),
             tiles: Mutex::new(self.tiles.lock().unwrap().clone()),
+            tracks: self.tracks.clone(),
         }
     }
 }
@@ -415,6 +416,29 @@ mod tests {
         let sys = tiny_system();
         assert_eq!(sys.user_trace(7), sys.user_trace(7));
         assert_ne!(sys.user_trace(7), sys.user_trace(8));
+    }
+
+    #[test]
+    fn user_traces_are_the_one_off_traces_bit_for_bit() {
+        let bits = |trace: &HeadTrace| -> Vec<[u64; 4]> {
+            let b = |s: &evr_trace::PoseSample| {
+                [s.t, s.pose.yaw.0, s.pose.pitch.0, s.pose.roll.0].map(f64::to_bits)
+            };
+            trace.samples().iter().map(b).collect()
+        };
+        let sys = tiny_system();
+        let derived = sys.with_utilization(sys.sas_config().object_utilization / 2.0);
+        for user in 0..24 {
+            let one_off = evr_trace::generate_user_trace(
+                sys.scene(),
+                &params_for(sys.video()),
+                user ^ ((sys.video() as u64) << 32),
+                sys.duration(),
+                evr_sas::ingest::FPS,
+            );
+            assert_eq!(bits(&sys.user_trace(user)), bits(&one_off), "user {user}");
+            assert_eq!(bits(&derived.user_trace(user)), bits(&one_off), "user {user}, derived");
+        }
     }
 
     #[test]

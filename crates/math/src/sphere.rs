@@ -123,7 +123,7 @@ pub fn step_towards(from: Vec3, to: Vec3, step: Radians) -> Vec3 {
     if total < 1e-12 || step.0 >= total {
         return to;
     }
-    from.slerp(to, step.0 / total)
+    from.slerp_by_angle(to, step.0 / total, total)
 }
 
 /// The fraction of the sphere covered by a spherical cap of angular
@@ -213,6 +213,74 @@ mod tests {
             let after = next.dot(target);
             prop_assert!(after > before);
             prop_assert!((next.norm() - 1.0).abs() < 1e-9);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn prop_step_towards_matches_the_two_acos_oracle(
+            (lon, lat) in (-3.2f64..3.2, -1.6f64..1.6),
+            (to_lon, to_lat) in (-3.2f64..3.2, -1.6f64..1.6),
+            eps in 1e-9f64..1e-6,
+            frac in 0.0f64..1.0,
+        ) {
+            let from = SphericalCoord::new(Radians(lon), Radians(lat)).to_unit_vector();
+            let to = SphericalCoord::new(Radians(to_lon), Radians(to_lat)).to_unit_vector();
+            let nudged = |v: Vec3| {
+                let s = SphericalCoord::from_vector(v).unwrap();
+                SphericalCoord::new(s.lon, Radians(s.lat.0 + eps)).to_unit_vector()
+            };
+            let total = from.dot(to).clamp(-1.0, 1.0).acos();
+            let cases = [
+                // A general pair, part-way and past the target.
+                (to, frac * total),
+                (to, total * (1.0 + frac)),
+                (to, total),
+                // Coincident: `total < 1e-12`.
+                (from, frac),
+                // Nearly parallel: the `total < 1e-6` lerp branch.
+                (nudged(from), frac * eps),
+                // Near-antipodal.
+                (nudged(-from), frac * std::f64::consts::PI),
+                (-from, frac * std::f64::consts::PI),
+            ];
+            for (to, step) in cases {
+                let got = step_towards(from, to, Radians(step));
+                let want = oracle::step_towards(from, to, Radians(step));
+                prop_assert_eq!(bits(got), bits(want), "{from} -> {to} by {step}");
+                prop_assert_eq!(bits(from.slerp(to, frac)), bits(oracle::slerp(from, to, frac)));
+            }
+        }
+    }
+
+    fn bits(v: Vec3) -> [u64; 3] {
+        [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]
+    }
+
+    /// `step_towards` and `Vec3::slerp` as they were before `step_towards`
+    /// reused its angle: `acos` once here and once more inside `slerp`.
+    mod oracle {
+        use crate::{Radians, Vec3};
+
+        pub fn slerp(a: Vec3, b: Vec3, t: f64) -> Vec3 {
+            let dot = a.dot(b).clamp(-1.0, 1.0);
+            let theta = dot.acos();
+            if theta < 1e-6 {
+                return a.lerp(b, t).normalized().unwrap_or(a);
+            }
+            let sin_theta = theta.sin();
+            let wa = ((1.0 - t) * theta).sin() / sin_theta;
+            let wb = (t * theta).sin() / sin_theta;
+            a * wa + b * wb
+        }
+
+        pub fn step_towards(from: Vec3, to: Vec3, step: Radians) -> Vec3 {
+            let total = from.dot(to).clamp(-1.0, 1.0).acos();
+            if total < 1e-12 || step.0 >= total {
+                return to;
+            }
+            slerp(from, to, step.0 / total)
         }
     }
 }

@@ -170,8 +170,13 @@ impl Vec3 {
     /// Falls back to normalized lerp when the vectors are nearly parallel.
     /// Used by the behaviour model to move gaze smoothly between targets.
     pub fn slerp(self, rhs: Vec3, t: f64) -> Vec3 {
-        let dot = self.dot(rhs).clamp(-1.0, 1.0);
-        let theta = dot.acos();
+        self.slerp_by_angle(rhs, t, self.dot(rhs).clamp(-1.0, 1.0).acos())
+    }
+
+    /// [`Vec3::slerp`] for a caller that already holds the angle `theta`
+    /// between the two vectors, `self.dot(rhs).clamp(-1.0, 1.0).acos()`,
+    /// so it is not computed twice.
+    pub(crate) fn slerp_by_angle(self, rhs: Vec3, t: f64, theta: f64) -> Vec3 {
         if theta < 1e-6 {
             return self.lerp(rhs, t).normalized().unwrap_or(self);
         }

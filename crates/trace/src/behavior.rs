@@ -16,10 +16,11 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use evr_math::{sphere::step_towards, EulerAngles, Radians, SphericalCoord, Vec3};
 use evr_video::library::VideoId;
-use evr_video::scene::Scene;
+use evr_video::scene::{Scene, SceneObject};
 
 use crate::sample::{HeadTrace, PoseSample};
 
@@ -91,6 +92,8 @@ enum GazeState {
 ///
 /// `user_seed` individualises the user (the study uses seeds `0..59`);
 /// `duration` is capped to the scene duration; `sample_rate` is in Hz.
+/// A one-off trace: callers generating many traces on one grid share an
+/// [`ObjectTracks`] instead, and get the same bits.
 ///
 /// # Panics
 ///
@@ -103,81 +106,226 @@ pub fn generate_user_trace(
     duration: f64,
     sample_rate: f64,
 ) -> HeadTrace {
-    assert!(!scene.objects().is_empty(), "behaviour model requires at least one object");
-    assert!(duration > 0.0 && sample_rate > 0.0, "duration and sample rate must be positive");
-    let duration = duration.min(scene.duration());
-    let dt = 1.0 / sample_rate;
-    let steps = (duration * sample_rate).round() as usize;
-    let mut rng = SmallRng::seed_from_u64(user_seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-
-    // Users start looking at some object.
-    let first = rng.gen_range(0..scene.objects().len());
-    let mut gaze = scene.objects()[first].position(0.0);
-    let mut state = GazeState::Tracking { target: first, until: dwell(&mut rng, params) };
-    let mut jitter_phase = rng.gen_range(0.0..std::f64::consts::TAU);
-
-    let mut samples = Vec::with_capacity(steps + 1);
-    for step in 0..=steps {
-        let t = step as f64 * dt;
-        state = advance_state(scene, params, &mut rng, state, gaze, t);
-        let target_dir = match state {
-            GazeState::Tracking { target, .. } | GazeState::Acquiring { target } => {
-                jittered(scene.objects()[target].position(t), params.jitter, jitter_phase, t)
-            }
-            GazeState::Exploring { dir, .. } => dir,
-        };
-        let speed = match state {
-            GazeState::Tracking { .. } => params.pursuit_speed,
-            _ => params.saccade_speed,
-        };
-        gaze = step_towards(gaze, target_dir, Radians(speed * dt));
-        jitter_phase += dt * 1.3;
-        samples.push(PoseSample { t, pose: gaze_to_pose(gaze) });
-    }
-    HeadTrace::from_samples(samples)
+    ObjectTracks::new(scene, duration, sample_rate).generate(params, user_seed)
 }
 
-fn advance_state(
-    scene: &Scene,
-    params: &BehaviorParams,
-    rng: &mut SmallRng,
-    state: GazeState,
-    gaze: Vec3,
-    t: f64,
-) -> GazeState {
-    match state {
-        GazeState::Tracking { target, until } => {
-            // Spontaneous exploration (Poisson with rate explore_rate).
-            let dt_prob = params.explore_rate / 30.0;
-            if rng.gen_bool(dt_prob.clamp(0.0, 1.0)) {
-                return GazeState::Exploring {
-                    dir: random_explore_dir(rng),
-                    until: t + rng.gen_range(params.explore_duration.0..params.explore_duration.1),
-                };
-            }
-            if t >= until {
-                let next = pick_next_object(scene, params, rng, target, t);
-                return GazeState::Acquiring { target: next };
-            }
-            GazeState::Tracking { target, until }
+/// Every scene object's direction on one sampling grid, shared by all
+/// the traces generated on it.
+///
+/// A cell holds one object's [`SceneObject::position`] at
+/// `step as f64 * dt` and that direction's spherical coordinates (the
+/// jitter centre). Neither depends on the user, so a system evaluates
+/// each trajectory once instead of once per user. Cells are filled on
+/// first use: a one-off trace reads only the few objects its gaze
+/// visits, and an eagerly filled table would cost it every object at
+/// every step. A cell is a pure function of `(object, step)`, so threads
+/// filling the same cell concurrently store the same bits, and a trace
+/// is bit-identical however its cells were filled (DESIGN.md §17).
+///
+/// # Example
+///
+/// ```
+/// use evr_trace::behavior::{generate_user_trace, params_for, ObjectTracks};
+/// use evr_video::library::{scene_for, VideoId};
+///
+/// let scene = scene_for(VideoId::Rs);
+/// let params = params_for(VideoId::Rs);
+/// let tracks = ObjectTracks::new(&scene, 2.0, 30.0);
+/// for user in 0..3 {
+///     let one_off = generate_user_trace(&scene, &params, user, 2.0, 30.0);
+///     assert_eq!(tracks.generate(&params, user), one_off);
+/// }
+/// ```
+#[derive(Debug)]
+pub struct ObjectTracks {
+    objects: Vec<SceneObject>,
+    sample_rate: f64,
+    dt: f64,
+    steps: usize,
+    /// One object's direction at one step and its spherical coordinates,
+    /// as the bits of `[x, y, z, lon, lat]`; `lat` reads [`EMPTY`] until
+    /// the cell is filled. Step-major: the cell of `(step, object)` is at
+    /// `step * objects.len() + object`.
+    cells: Vec<[AtomicU64; 5]>,
+}
+
+/// The `lat` bits of an unfilled cell: a NaN, which `from_vector` of a
+/// unit direction never returns.
+const EMPTY: u64 = u64::MAX;
+
+impl ObjectTracks {
+    /// The empty table for `scene` sampled at `sample_rate` Hz over
+    /// `duration` seconds, capped to the scene duration: the grid of
+    /// [`generate_user_trace`] with the same arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scene has no objects, `duration <= 0` or
+    /// `sample_rate <= 0`.
+    pub fn new(scene: &Scene, duration: f64, sample_rate: f64) -> Self {
+        assert!(!scene.objects().is_empty(), "behaviour model requires at least one object");
+        assert!(duration > 0.0 && sample_rate > 0.0, "duration and sample rate must be positive");
+        let duration = duration.min(scene.duration());
+        let steps = (duration * sample_rate).round() as usize;
+        let objects = scene.objects().to_vec();
+        let cells = (0..(steps + 1) * objects.len())
+            .map(|_| [0, 0, 0, 0, EMPTY].map(AtomicU64::new))
+            .collect();
+        ObjectTracks { objects, sample_rate, dt: 1.0 / sample_rate, steps, cells }
+    }
+
+    /// Generates one user's head trace on this grid; `user_seed`
+    /// individualises the user (the study uses seeds `0..59`).
+    pub fn generate(&self, params: &BehaviorParams, user_seed: u64) -> HeadTrace {
+        let dt = self.dt;
+        let mut rng = SmallRng::seed_from_u64(user_seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
+
+        // Users start looking at some object.
+        let first = rng.gen_range(0..self.objects.len());
+        let mut gaze = self.position(0, first);
+        let mut state = GazeState::Tracking { target: first, until: dwell(&mut rng, params) };
+        let mut jitter_phase = rng.gen_range(0.0..std::f64::consts::TAU);
+
+        let mut samples = Vec::with_capacity(self.steps + 1);
+        for step in 0..=self.steps {
+            let t = step as f64 * dt;
+            state = self.advance_state(params, &mut rng, state, gaze, step, t);
+            let target_dir = match state {
+                GazeState::Tracking { target, .. } | GazeState::Acquiring { target } => {
+                    let (dir, centre) = self.cell(step, target);
+                    jittered(dir, centre, params.jitter, jitter_phase, t)
+                }
+                GazeState::Exploring { dir, .. } => dir,
+            };
+            let speed = match state {
+                GazeState::Tracking { .. } => params.pursuit_speed,
+                _ => params.saccade_speed,
+            };
+            gaze = step_towards(gaze, target_dir, Radians(speed * dt));
+            jitter_phase += dt * 1.3;
+            samples.push(PoseSample { t, pose: gaze_to_pose(gaze) });
         }
-        GazeState::Acquiring { target } => {
-            let obj = scene.objects()[target].position(t);
-            if gaze.dot(obj).clamp(-1.0, 1.0).acos() < 0.05 {
-                GazeState::Tracking { target, until: t + dwell(rng, params) }
-            } else {
-                GazeState::Acquiring { target }
+        HeadTrace::from_samples(samples)
+    }
+
+    /// The cell of `object` at `step`, filled on first use.
+    fn cell(&self, step: usize, object: usize) -> (Vec3, SphericalCoord) {
+        let words = &self.cells[step * self.objects.len() + object];
+        // Acquire pairs with the Release store of `lat` below: a filled
+        // `lat` makes the four words stored before it visible.
+        let lat = words[4].load(Ordering::Acquire);
+        if lat != EMPTY {
+            let [x, y, z, lon] = [0, 1, 2, 3].map(|i| words[i].load(Ordering::Relaxed));
+            let [x, y, z, lon, lat] = [x, y, z, lon, lat].map(f64::from_bits);
+            return (Vec3::new(x, y, z), SphericalCoord { lon: Radians(lon), lat: Radians(lat) });
+        }
+        let dir = self.objects[object].position(step as f64 * self.dt);
+        let centre = SphericalCoord::from_vector(dir).expect("object directions are unit");
+        // Threads racing to fill this cell store the same bits.
+        for (word, v) in words.iter().zip([dir.x, dir.y, dir.z, centre.lon.0]) {
+            word.store(v.to_bits(), Ordering::Relaxed);
+        }
+        words[4].store(centre.lat.0.to_bits(), Ordering::Release);
+        (dir, centre)
+    }
+
+    fn position(&self, step: usize, object: usize) -> Vec3 {
+        self.cell(step, object).0
+    }
+
+    fn advance_state(
+        &self,
+        params: &BehaviorParams,
+        rng: &mut SmallRng,
+        state: GazeState,
+        gaze: Vec3,
+        step: usize,
+        t: f64,
+    ) -> GazeState {
+        match state {
+            GazeState::Tracking { target, until } => {
+                // Spontaneous exploration: Poisson at `explore_rate` per
+                // second, one Bernoulli draw per sample.
+                let dt_prob = params.explore_rate / self.sample_rate;
+                if rng.gen_bool(dt_prob.clamp(0.0, 1.0)) {
+                    return GazeState::Exploring {
+                        dir: random_explore_dir(rng),
+                        until: t + rng
+                            .gen_range(params.explore_duration.0..params.explore_duration.1),
+                    };
+                }
+                if t >= until {
+                    let next = self.pick_next_object(params, rng, target, step);
+                    return GazeState::Acquiring { target: next };
+                }
+                GazeState::Tracking { target, until }
+            }
+            GazeState::Acquiring { target } => {
+                let obj = self.position(step, target);
+                if gaze.dot(obj).clamp(-1.0, 1.0).acos() < 0.05 {
+                    GazeState::Tracking { target, until: t + dwell(rng, params) }
+                } else {
+                    GazeState::Acquiring { target }
+                }
+            }
+            GazeState::Exploring { dir, until } => {
+                if t >= until {
+                    // Return to the object nearest the current gaze.
+                    let target = self.nearest_object(dir, step);
+                    GazeState::Acquiring { target }
+                } else {
+                    GazeState::Exploring { dir, until }
+                }
             }
         }
-        GazeState::Exploring { dir, until } => {
-            if t >= until {
-                // Return to the object nearest the current gaze.
-                let target = nearest_object(scene, dir, t);
-                GazeState::Acquiring { target }
-            } else {
-                GazeState::Exploring { dir, until }
-            }
+    }
+
+    fn pick_next_object(
+        &self,
+        params: &BehaviorParams,
+        rng: &mut SmallRng,
+        current: usize,
+        step: usize,
+    ) -> usize {
+        let n = self.objects.len();
+        if n == 1 {
+            return 0;
         }
+        if rng.gen_bool(params.nearby_switch_bias) {
+            // Nearest other object to the current one (stay within the group).
+            let here = self.position(step, current);
+            let mut best = current;
+            let mut best_d = f64::INFINITY;
+            for i in 0..n {
+                if i == current {
+                    continue;
+                }
+                let d = here.dot(self.position(step, i)).clamp(-1.0, 1.0).acos();
+                if d < best_d {
+                    best_d = d;
+                    best = i;
+                }
+            }
+            best
+        } else {
+            // Jump to a uniformly random other object.
+            let mut pick = rng.gen_range(0..n - 1);
+            if pick >= current {
+                pick += 1;
+            }
+            pick
+        }
+    }
+
+    fn nearest_object(&self, dir: Vec3, step: usize) -> usize {
+        // Ties go to the lowest index: `min_by` keeps the first minimum.
+        (0..self.objects.len())
+            .min_by(|&a, &b| {
+                let da = dir.dot(self.position(step, a));
+                let db = dir.dot(self.position(step, b));
+                db.partial_cmp(&da).expect("dot products are finite")
+            })
+            .expect("scene has objects")
     }
 }
 
@@ -189,57 +337,6 @@ fn dwell(rng: &mut SmallRng, params: &BehaviorParams) -> f64 {
     (params.dwell_log_mu + params.dwell_log_sigma * z).exp().clamp(0.4, 45.0)
 }
 
-fn pick_next_object(
-    scene: &Scene,
-    params: &BehaviorParams,
-    rng: &mut SmallRng,
-    current: usize,
-    t: f64,
-) -> usize {
-    let n = scene.objects().len();
-    if n == 1 {
-        return 0;
-    }
-    if rng.gen_bool(params.nearby_switch_bias) {
-        // Nearest other object to the current one (stay within the group).
-        let here = scene.objects()[current].position(t);
-        let mut best = current;
-        let mut best_d = f64::INFINITY;
-        for (i, obj) in scene.objects().iter().enumerate() {
-            if i == current {
-                continue;
-            }
-            let d = here.dot(obj.position(t)).clamp(-1.0, 1.0).acos();
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
-    } else {
-        // Jump to a uniformly random other object.
-        let mut pick = rng.gen_range(0..n - 1);
-        if pick >= current {
-            pick += 1;
-        }
-        pick
-    }
-}
-
-fn nearest_object(scene: &Scene, dir: Vec3, t: f64) -> usize {
-    scene
-        .objects()
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            let da = dir.dot(a.position(t));
-            let db = dir.dot(b.position(t));
-            db.partial_cmp(&da).expect("dot products are finite")
-        })
-        .map(|(i, _)| i)
-        .expect("scene has objects")
-}
-
 fn random_explore_dir(rng: &mut SmallRng) -> Vec3 {
     // Exploration favours the horizon band, like real viewers.
     let lon = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
@@ -247,14 +344,13 @@ fn random_explore_dir(rng: &mut SmallRng) -> Vec3 {
     SphericalCoord::new(Radians(lon), Radians(lat)).to_unit_vector()
 }
 
-fn jittered(dir: Vec3, amp: f64, phase: f64, t: f64) -> Vec3 {
+fn jittered(dir: Vec3, centre: SphericalCoord, amp: f64, phase: f64, t: f64) -> Vec3 {
     if amp == 0.0 {
         return dir;
     }
-    let s = SphericalCoord::from_vector(dir).expect("object directions are unit");
     SphericalCoord::new(
-        Radians(s.lon.0 + amp * (phase + 2.1 * t).sin()),
-        Radians(s.lat.0 + 0.6 * amp * (phase * 1.7 + 1.4 * t).cos()),
+        Radians(centre.lon.0 + amp * (phase + 2.1 * t).sin()),
+        Radians(centre.lat.0 + 0.6 * amp * (phase * 1.7 + 1.4 * t).cos()),
     )
     .to_unit_vector()
 }
@@ -268,6 +364,93 @@ fn gaze_to_pose(gaze: Vec3) -> EulerAngles {
 mod tests {
     use super::*;
     use evr_video::library::scene_for;
+    use evr_video::scene::Trajectory;
+
+    fn trace_bits(trace: &HeadTrace) -> Vec<[u64; 4]> {
+        let bits = |s: &PoseSample| [s.t, s.pose.yaw.0, s.pose.pitch.0, s.pose.roll.0];
+        trace.samples().iter().map(|s| bits(s).map(f64::to_bits)).collect()
+    }
+
+    #[test]
+    fn every_cell_is_its_trajectory_sample_bit_for_bit() {
+        let vec_bits = |v: Vec3| [v.x, v.y, v.z].map(f64::to_bits);
+        let (mut waypoints, mut orbits, mut wobbling) = (0, 0, 0);
+        for video in VideoId::ALL {
+            let scene = scene_for(video);
+            let tracks = ObjectTracks::new(&scene, scene.duration(), 30.0);
+            // Some cells filled by traces first, the rest on the read below.
+            for user in 0..3 {
+                tracks.generate(&params_for(video), user);
+            }
+            for (i, obj) in scene.objects().iter().enumerate() {
+                match obj.trajectory {
+                    Trajectory::Waypoints(_) => waypoints += 1,
+                    Trajectory::Orbit { .. } => orbits += 1,
+                    Trajectory::Static { wobble, .. } => wobbling += usize::from(wobble != 0.0),
+                }
+                for step in 0..=tracks.steps {
+                    let dir = obj.position(step as f64 * (1.0 / 30.0));
+                    let centre = SphericalCoord::from_vector(dir).unwrap();
+                    let cell = tracks.cell(step, i);
+                    assert_eq!(vec_bits(cell.0), vec_bits(dir), "{video:?} object {i} step {step}");
+                    assert_eq!(cell.1.lon.0.to_bits(), centre.lon.0.to_bits());
+                    assert_eq!(cell.1.lat.0.to_bits(), centre.lat.0.to_bits());
+                }
+            }
+        }
+        assert!(waypoints > 0 && orbits > 0 && wobbling > 0, "{waypoints}/{orbits}/{wobbling}");
+    }
+
+    #[test]
+    fn threads_racing_to_fill_one_table_generate_the_one_off_traces() {
+        let scene = scene_for(VideoId::Rhino);
+        let params = params_for(VideoId::Rhino);
+        let tracks = ObjectTracks::new(&scene, 20.0, 30.0);
+        let start = std::sync::Barrier::new(2);
+        let racers: Vec<Vec<HeadTrace>> = std::thread::scope(|scope| {
+            let race = || {
+                start.wait();
+                (0..59).map(|seed| tracks.generate(&params, seed)).collect()
+            };
+            let handles = [scope.spawn(race), scope.spawn(race)];
+            handles.map(|h| h.join().unwrap()).into()
+        });
+        for (seed, (a, b)) in racers[0].iter().zip(&racers[1]).enumerate() {
+            let one_off =
+                trace_bits(&generate_user_trace(&scene, &params, seed as u64, 20.0, 30.0));
+            assert_eq!(trace_bits(a), one_off, "seed {seed}, first thread");
+            assert_eq!(trace_bits(b), one_off, "seed {seed}, second thread");
+        }
+    }
+
+    #[test]
+    fn exploration_onsets_follow_the_rate_per_second_at_any_sample_rate() {
+        let scene = scene_for(VideoId::Rhino);
+        let params = params_for(VideoId::Rhino);
+        let seconds = 40_000.0;
+        for sample_rate in [10.0, 30.0, 60.0] {
+            let tracks = ObjectTracks::new(&scene, 1.0, sample_rate);
+            let mut rng = SmallRng::seed_from_u64(sample_rate as u64);
+            let tracking = GazeState::Tracking { target: 0, until: f64::INFINITY };
+            let steps = (seconds * sample_rate) as usize;
+            let onsets = (0..steps)
+                .filter(|_| {
+                    let next =
+                        tracks.advance_state(&params, &mut rng, tracking, Vec3::FORWARD, 0, 0.0);
+                    matches!(next, GazeState::Exploring { .. })
+                })
+                .count() as f64;
+            // Binomial: `steps` draws at `explore_rate / sample_rate` each.
+            let p = params.explore_rate / sample_rate;
+            let sigma = (steps as f64 * p * (1.0 - p)).sqrt();
+            assert!(
+                (onsets - steps as f64 * p).abs() < 5.0 * sigma,
+                "{sample_rate} Hz: {:.4} onsets/s for explore_rate {}",
+                onsets / seconds,
+                params.explore_rate
+            );
+        }
+    }
 
     #[test]
     fn trace_has_expected_length_and_monotone_time() {

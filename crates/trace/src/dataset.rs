@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use evr_video::library::{scene_for, VideoId};
 
-use crate::behavior::{generate_user_trace, params_for};
+use crate::behavior::{params_for, ObjectTracks};
 use crate::sample::HeadTrace;
 
 /// Number of users in the study, matching the paper's dataset.
@@ -52,12 +52,10 @@ impl UserStudy {
         assert!(users > 0, "study needs at least one user");
         let scene = scene_for(video);
         let params = params_for(video);
+        let tracks = ObjectTracks::new(&scene, scene.duration(), sample_rate);
+        // Seed users distinctly per (video, user).
         let traces = (0..users as u64)
-            .map(|u| {
-                // Seed users distinctly per (video, user).
-                let seed = u ^ ((video as u64) << 32);
-                generate_user_trace(&scene, &params, seed, scene.duration(), sample_rate)
-            })
+            .map(|u| tracks.generate(&params, u ^ ((video as u64) << 32)))
             .collect();
         UserStudy { video, traces, sample_rate }
     }

@@ -52,6 +52,8 @@ pub enum ReadTraceErrorKind {
     BadColumnCount(usize),
     /// A field failed to parse as a number.
     BadNumber(String),
+    /// A field parsed as NaN or an infinity.
+    NonFinite(String),
     /// Timestamps were not strictly increasing.
     NonMonotonicTime,
     /// The file contained no samples.
@@ -67,6 +69,9 @@ impl fmt::Display for ReadTraceError {
             }
             ReadTraceErrorKind::BadNumber(s) => {
                 write!(f, "line {}: not a number: {s:?}", self.line)
+            }
+            ReadTraceErrorKind::NonFinite(s) => {
+                write!(f, "line {}: not a finite number: {s:?}", self.line)
             }
             ReadTraceErrorKind::NonMonotonicTime => {
                 write!(f, "line {}: timestamps must be strictly increasing", self.line)
@@ -148,7 +153,8 @@ pub fn write_csv<W: Write>(
 /// # Errors
 ///
 /// Returns [`ReadTraceError`] with the offending line number for malformed
-/// input, non-monotonic timestamps, or an empty file.
+/// input, a NaN or infinite field, non-monotonic timestamps, or an empty
+/// file.
 pub fn read_csv<R: Read>(reader: R) -> Result<HeadTrace, ReadTraceError> {
     let reader = BufReader::new(reader);
     let mut samples: Vec<PoseSample> = Vec::new();
@@ -169,10 +175,14 @@ pub fn read_csv<R: Read>(reader: R) -> Result<HeadTrace, ReadTraceError> {
         let nums: Vec<f64> = fields
             .iter()
             .map(|f| {
-                f.parse::<f64>().map_err(|_| ReadTraceError {
-                    line: line_no,
-                    kind: ReadTraceErrorKind::BadNumber((*f).to_string()),
-                })
+                // `parse` accepts "nan" and "inf", which would poison every
+                // pose and time comparison downstream.
+                let kind = match f.parse::<f64>() {
+                    Ok(x) if x.is_finite() => return Ok(x),
+                    Ok(_) => ReadTraceErrorKind::NonFinite((*f).to_string()),
+                    Err(_) => ReadTraceErrorKind::BadNumber((*f).to_string()),
+                };
+                Err(ReadTraceError { line: line_no, kind })
             })
             .collect::<Result<_, _>>()?;
         let pose = match nums.len() {
@@ -285,6 +295,23 @@ mod tests {
         let err = read_csv("".as_bytes()).unwrap_err();
         assert!(matches!(err.kind, ReadTraceErrorKind::Empty));
         assert_eq!(err.line, 1, "zero-byte file reports line 1");
+    }
+
+    #[test]
+    fn non_finite_fields_are_rejected_with_their_line() {
+        for (data, line) in [
+            ("nan,0,0,0\n1.0,0,0,0\n", 1),
+            ("0.0,0,0,0\nnan,0,0,0\n2.0,0,0,0\n", 2),
+            ("nan,0,0,0\n", 1),
+            ("0.0,nan,0,0\n1.0,0,0,0\n", 1),
+            ("0.0,0,0,0\ninf,0,0,0\n", 2),
+            ("0.0,1,0,-inf,0\n", 1),
+        ] {
+            let err = read_csv(data.as_bytes()).unwrap_err();
+            assert_eq!(err.line, line, "{data:?}");
+            assert!(matches!(err.kind, ReadTraceErrorKind::NonFinite(_)), "{data:?}: {err}");
+            assert!(err.to_string().contains(&format!("line {line}")), "{err}");
+        }
     }
 
     #[test]

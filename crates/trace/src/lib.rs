@@ -35,6 +35,6 @@ pub mod dataset;
 pub mod io;
 pub mod sample;
 
-pub use behavior::{generate_user_trace, params_for, BehaviorParams};
+pub use behavior::{generate_user_trace, params_for, BehaviorParams, ObjectTracks};
 pub use dataset::UserStudy;
 pub use sample::{HeadTrace, PoseSample};
