@@ -10,9 +10,11 @@
 //! ```
 //!
 //! * **plan** samples the segment's link state and picks the FOV stream
-//!   (SAS paths only);
+//!   (SAS paths only) — or, on a tiled session, allocates the link's
+//!   byte budget across every tile's rungs;
 //! * **fetch** walks the degradation ladder (FOV video → full-quality
-//!   original → lower-bitrate rung → freeze) through a [`Transport`],
+//!   original → lower-bitrate rung → freeze, or per tile: allocated
+//!   rung → coarsest rung → frozen tile) through a [`Transport`],
 //!   which decides how requests reach the server and what can go wrong
 //!   on the way back ([`CleanTransport`] never fails; a
 //!   [`FaultedTransport`] runs every rung under the `evr-faults` retry
@@ -24,13 +26,12 @@
 //! * **account** charges the per-segment session costs (GPU context
 //!   power) into the [`EnergyLedger`].
 //!
-//! [`PlaybackSession::run`], [`PlaybackSession::run_tiled`] and
-//! [`PlaybackSession::run_resilient`] are thin configurations of this
-//! one pipeline; `tests/pipeline_parity.rs` pins their reports
-//! bit-identical to the pre-unification loops.
+//! [`PlaybackSession::run`] and [`PlaybackSession::run_resilient`] are
+//! thin configurations of this one pipeline; a session carrying a
+//! [`TiledRateCatalog`] plays tiled. `tests/pipeline_parity.rs` pins
+//! their reports bit-identical to the pre-unification loops.
 //!
 //! [`PlaybackSession::run`]: crate::session::PlaybackSession::run
-//! [`PlaybackSession::run_tiled`]: crate::session::PlaybackSession::run_tiled
 //! [`PlaybackSession::run_resilient`]: crate::session::PlaybackSession::run_resilient
 
 use std::sync::Arc;
@@ -43,7 +44,7 @@ use evr_projection::FovFrameMeta;
 use evr_pte::{FrameStats, GpuModel, Pte};
 use evr_sas::checker::{CheckOutcome, FovChecker};
 use evr_sas::ingest::FPS;
-use evr_sas::{PrerenderedFov, Request, Response, SasServer};
+use evr_sas::{PrerenderedFov, Request, Response, SasServer, TiledRateCatalog};
 use evr_trace::HeadTrace;
 use evr_video::codec::EncodedSegment;
 
@@ -206,10 +207,10 @@ pub trait Transport {
     fn low_rung_scale(&self) -> f64;
 
     /// Consults the serving front's admission control before the FOV
-    /// rung of segment `seg` (media time `media_t`, `stall_s` of
-    /// accumulated stalls pushing the wall clock). The default — and
-    /// the clean transport — always serves with zero queueing, so the
-    /// gate folds away entirely on the clean path.
+    /// rung (or the tile batch) of segment `seg` (media time `media_t`,
+    /// `stall_s` of accumulated stalls pushing the wall clock). The
+    /// default — and the clean transport — always serves with zero
+    /// queueing, so the gate folds away entirely on the clean path.
     fn front_gate(&mut self, _media_t: f64, _stall_s: f64, _seg: u32, _content: u64) -> FrontGate {
         FrontGate::Serve { queue_delay_s: 0.0 }
     }
@@ -534,7 +535,15 @@ impl FovPayload<'_> {
     }
 }
 
-/// Where a segment's content came from after the degradation ladder ran.
+/// What the plan stage chose for one segment.
+enum SegmentPlan<'s> {
+    /// Whole-frame playback: the FOV stream to request (SAS paths only).
+    Whole { chosen: Option<usize> },
+    /// Tiled playback: the rung allocated to every tile of `tiles`.
+    Tiles { tiles: &'s TiledRateCatalog, rungs: Vec<usize> },
+}
+
+/// Where a segment's content came from after the fetch stage ran.
 enum SegmentSource<'a> {
     /// The requested FOV video (the clean happy path).
     Fov {
@@ -544,6 +553,11 @@ enum SegmentSource<'a> {
     /// The original panorama at `byte_scale` of its full wire size;
     /// `degraded` marks the lower-bitrate rung.
     Original { byte_scale: f64, degraded: bool },
+    /// At least one tile of `tiles` arrived: `delivered[t]` is tile
+    /// `t`'s rung, `None` if it froze; `degraded` marks a segment served
+    /// below its allocation (shed batch, coarsest-rung retry, corrupt
+    /// re-fetch or a frozen tile).
+    Tiles { tiles: &'a TiledRateCatalog, delivered: Vec<Option<usize>>, degraded: bool },
     /// Nothing arrived: the last frame stays on screen.
     Freeze,
 }
@@ -599,6 +613,34 @@ impl RunState {
             faults: FaultSummary::default(),
         }
     }
+
+    /// The run state a [`Transport`] may touch while fetching.
+    fn io<'a>(&'a mut self, session: &'a PlaybackSession) -> StageIo<'a> {
+        StageIo {
+            ledger: &mut self.ledger,
+            faults: &mut self.faults,
+            device: &session.cfg.device,
+            observer: &session.observer,
+            metrics: &session.metrics,
+        }
+    }
+
+    /// A corrupt payload is detected by its leading intra decode of
+    /// `intra_bytes` over `pixels`: the transfer was paid for, and so is
+    /// that decode.
+    fn account_corrupt(&mut self, d: &DeviceParams, pixels: u64, intra_bytes: u64) {
+        self.faults.corrupt_segments += 1;
+        self.ledger.add(
+            Component::Compute,
+            Activity::Resilience,
+            d.decode_energy(pixels, intra_bytes),
+        );
+        self.ledger.add(
+            Component::Memory,
+            Activity::Resilience,
+            d.dram_energy(d.decode_dram_bytes(pixels)),
+        );
+    }
 }
 
 #[inline]
@@ -613,6 +655,10 @@ fn observe_stage(h: &evr_obs::Histogram, t0: Option<Instant>) {
 /// link) and the [`RenderBackend`] (GPU vs PTE fallback rendering).
 /// Monomorphised per combination, so the clean unobserved path keeps
 /// the tight codegen of the original hand-written loop.
+///
+/// Whole-frame and tiled playback share the loop and differ only in the
+/// stage bodies, chosen by whether the session carries a
+/// [`TiledRateCatalog`].
 pub(crate) struct SegmentPipeline<'s, T, R> {
     session: &'s PlaybackSession,
     server: &'s SasServer,
@@ -650,6 +696,16 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         let tl = session.observer.timeline();
         let timed = tl.is_enabled();
         let catalog = server.catalog();
+        let tiled = session.tiles.as_deref();
+        if let Some(tiles) = tiled {
+            assert_eq!(
+                tiles.segment_count(),
+                catalog.segment_count(),
+                "tiled rate catalog must cover the same segments"
+            );
+        }
+        let weights = tiled.map(|t| t.grid().tile_weights()).unwrap_or_default();
+        let safety = crate::abr::AbrPolicy::default().safety;
         let geom = Geometry::of(cfg);
         let mut st = RunState::new(cfg.sas.device_fov);
 
@@ -663,28 +719,57 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             let seg_duration = n as f64 / FPS;
             let orig_bytes = catalog.original_target_bytes(seg);
 
-            // plan: sample the segment's link, pick the FOV stream.
+            // plan: sample the segment's link; pick the FOV stream, or
+            // classify the tiles against the selection pose and allocate
+            // the segment's byte budget across their rungs.
             let t0 = observed.then(Instant::now);
             let ts = timed.then(|| tl.now_ns());
             let link =
                 self.transport.segment_link(&cfg.network, seg_start_t, st.faults.stall_time_s);
-            let chosen = if cfg.path.uses_sas() {
-                server.best_cluster(seg, selection_pose(cfg, self.trace, seg_start_t))
-            } else {
-                None
+            let plan = match tiled {
+                Some(tiles) => {
+                    let pose = selection_pose(cfg, self.trace, seg_start_t);
+                    let classes = tiles.grid().classify_tiles(
+                        pose,
+                        cfg.sas.device_fov,
+                        evr_sas::PERIPHERY_MARGIN,
+                    );
+                    let budget = (link.net.bandwidth_bps * seg_duration / 8.0 * safety) as u64;
+                    let rung_bytes = tiles.tile_rung_bytes(seg);
+                    let alloc =
+                        crate::abr::allocate_tile_rungs(&rung_bytes, &weights, &classes, budget);
+                    SegmentPlan::Tiles { tiles, rungs: alloc.rungs }
+                }
+                None if cfg.path.uses_sas() => SegmentPlan::Whole {
+                    chosen: server.best_cluster(seg, selection_pose(cfg, self.trace, seg_start_t)),
+                },
+                None => SegmentPlan::Whole { chosen: None },
             };
             observe_stage(&m.stage_plan, t0);
             if let Some(ts) = ts {
                 tl.record("plan", ctx, ts, tl.now_ns());
             }
 
-            // fetch: walk the degradation ladder until a rung delivers.
-            // `acquire` stamps the server request id into `ctx`, so the
+            // fetch: walk the degradation ladder (per tile, on a tiled
+            // session) until a rung delivers. `acquire` stamps the server request id into `ctx`, so the
             // fetch interval below carries it for the exemplar table.
             let t0 = observed.then(Instant::now);
             let ts = timed.then(|| tl.now_ns());
-            let source =
-                self.acquire(&mut st, &link, seg, seg_start_t, chosen, orig_bytes, &geom, &mut ctx);
+            let source = match plan {
+                SegmentPlan::Whole { chosen } => self.acquire(
+                    &mut st,
+                    &link,
+                    seg,
+                    seg_start_t,
+                    chosen,
+                    orig_bytes,
+                    &geom,
+                    &mut ctx,
+                ),
+                SegmentPlan::Tiles { tiles, rungs } => {
+                    self.acquire_tiles(&mut st, &link, seg, seg_start_t, tiles, rungs, &geom)
+                }
+            };
             observe_stage(&m.stage_fetch, t0);
             if let Some(ts) = ts {
                 tl.record("fetch", ctx, ts, tl.now_ns());
@@ -710,6 +795,9 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                 }
                 SegmentSource::Original { byte_scale, degraded } => {
                     self.play_original(&mut st, seg, original, byte_scale, degraded, &geom)
+                }
+                SegmentSource::Tiles { tiles, delivered, degraded } => {
+                    self.play_tiles(&mut st, seg, n, tiles, &delivered, degraded, &geom)
                 }
                 SegmentSource::Freeze => {
                     self.freeze(&mut st, seg, n);
@@ -743,10 +831,76 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         self.finish(st)
     }
 
-    /// The fetch stage: walks the degradation ladder — FOV video →
-    /// full-quality original → lower-bitrate rung → freeze — until a
-    /// rung delivers. On a [`CleanTransport`] the first applicable rung
-    /// always succeeds and the lower rungs fold away.
+    /// Consults the serving front's admission gate before segment
+    /// `seg`'s content request and accounts the verdict: queueing and
+    /// refusal latency stall playback (a shed response always costs
+    /// its latency), and shed or unavailable segments are counted and
+    /// marked. Clean transports always serve with zero queueing, so the
+    /// gate folds away on the clean path.
+    fn admit(&mut self, st: &mut RunState, seg: u32, seg_start_t: f64) -> FrontGate {
+        let session = self.session;
+        let obs = &session.observer;
+        let content = self.server.catalog().content_id();
+        let gate = self.transport.front_gate(seg_start_t, st.faults.stall_time_s, seg, content);
+        match gate {
+            FrontGate::Serve { queue_delay_s } => {
+                if queue_delay_s > 0.0 {
+                    st.io(session).account_stall(queue_delay_s);
+                }
+            }
+            FrontGate::Shed { latency_s } => {
+                st.io(session).account_stall(latency_s);
+                st.faults.shed_segments += 1;
+                if obs.is_enabled() {
+                    obs.mark(names::MARK_FRONT_SHED, -1, seg as i64, latency_s);
+                }
+            }
+            FrontGate::Unavailable { latency_s } => {
+                if latency_s > 0.0 {
+                    st.io(session).account_stall(latency_s);
+                }
+                st.faults.front_unavailable_segments += 1;
+                if obs.is_enabled() {
+                    obs.mark(names::MARK_FRONT_UNAVAILABLE, -1, seg as i64, latency_s);
+                }
+            }
+        }
+        gate
+    }
+
+    /// Delivers `bytes` of segment `seg`: read from storage on the
+    /// network-free path (never fails), otherwise fetched through the
+    /// transport and folded into the run's wire accounting. Returns
+    /// whether the payload arrived.
+    #[inline]
+    fn deliver(
+        &mut self,
+        st: &mut RunState,
+        link: &SegmentLink,
+        media_t: f64,
+        seg: u32,
+        bytes: u64,
+    ) -> bool {
+        let session = self.session;
+        if !session.cfg.path.uses_network() {
+            st.storage_read_bytes += bytes;
+            return true;
+        }
+        if !self.transport.fetch(&mut st.io(session), link, media_t, seg, bytes) {
+            return false;
+        }
+        st.bytes_received += bytes;
+        if T::PER_SEGMENT_WIRE {
+            st.wire_bytes_total += link.net.wire_bytes(bytes);
+        }
+        session.metrics.fetch_bytes.add(bytes);
+        true
+    }
+
+    /// The whole-frame fetch stage: walks the degradation ladder — FOV
+    /// video → full-quality original → lower-bitrate rung → freeze —
+    /// until a rung delivers. On a [`CleanTransport`] the first
+    /// applicable rung always succeeds and the lower rungs fold away.
     #[allow(clippy::too_many_arguments)]
     fn acquire(
         &mut self,
@@ -761,73 +915,13 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
     ) -> SegmentSource<'s> {
         let session = self.session;
         let server = self.server;
-        let cfg = &session.cfg;
         let obs = &session.observer;
-        let m = &session.metrics;
-        let observed = obs.is_enabled();
 
-        let mut source: Option<SegmentSource<'s>> = None;
-        // The serving front's admission gate sits before the FOV rung:
-        // a shed response skips straight to the low rung (the shed
-        // payload *is* the low-rung original), an unavailable shard
-        // descends the ladder normally. Clean transports always serve
-        // with zero queueing, so this folds away on the clean path.
-        let mut front_shed = false;
-        let fov_admitted = match chosen {
-            None => false,
-            Some(_) => {
-                let content = server.catalog().content_id();
-                match self.transport.front_gate(seg_start_t, st.faults.stall_time_s, seg, content) {
-                    FrontGate::Serve { queue_delay_s } => {
-                        if queue_delay_s > 0.0 {
-                            let mut io = StageIo {
-                                ledger: &mut st.ledger,
-                                faults: &mut st.faults,
-                                device: &cfg.device,
-                                observer: obs,
-                                metrics: m,
-                            };
-                            io.account_stall(queue_delay_s);
-                        }
-                        true
-                    }
-                    FrontGate::Shed { latency_s } => {
-                        let mut io = StageIo {
-                            ledger: &mut st.ledger,
-                            faults: &mut st.faults,
-                            device: &cfg.device,
-                            observer: obs,
-                            metrics: m,
-                        };
-                        io.account_stall(latency_s);
-                        st.faults.shed_segments += 1;
-                        if observed {
-                            obs.mark(names::MARK_FRONT_SHED, -1, seg as i64, latency_s);
-                        }
-                        front_shed = true;
-                        false
-                    }
-                    FrontGate::Unavailable { latency_s } => {
-                        if latency_s > 0.0 {
-                            let mut io = StageIo {
-                                ledger: &mut st.ledger,
-                                faults: &mut st.faults,
-                                device: &cfg.device,
-                                observer: obs,
-                                metrics: m,
-                            };
-                            io.account_stall(latency_s);
-                        }
-                        st.faults.front_unavailable_segments += 1;
-                        if observed {
-                            obs.mark(names::MARK_FRONT_UNAVAILABLE, -1, seg as i64, latency_s);
-                        }
-                        false
-                    }
-                }
-            }
-        };
-        if let (true, Some(cluster)) = (fov_admitted, chosen) {
+        // The front gate sits before the FOV rung: a shed response skips
+        // straight to the low rung (the shed payload *is* the low-rung
+        // original), an unavailable shard descends the ladder normally.
+        let gate = chosen.map(|_| self.admit(st, seg, seg_start_t));
+        if let (Some(FrontGate::Serve { .. }), Some(cluster)) = (gate, chosen) {
             // Store-backed servers hand out refcounted pre-renders (the
             // fleet-scale path: many sessions share one resident copy);
             // store-less servers lend the catalog's bytes directly. The
@@ -854,91 +948,91 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                 }
             };
             if let Some((payload, wire_bytes)) = fetched {
-                let mut io = StageIo {
-                    ledger: &mut st.ledger,
-                    faults: &mut st.faults,
-                    device: &cfg.device,
-                    observer: obs,
-                    metrics: m,
-                };
-                if self.transport.fetch(&mut io, link, seg_start_t, seg, wire_bytes) {
-                    st.bytes_received += wire_bytes;
-                    if T::PER_SEGMENT_WIRE {
-                        st.wire_bytes_total += link.net.wire_bytes(wire_bytes);
+                if self.deliver(st, link, seg_start_t, seg, wire_bytes) {
+                    if !self.transport.corrupts(seg) {
+                        return SegmentSource::Fov { payload };
                     }
-                    m.fetch_bytes.add(wire_bytes);
-                    if self.transport.corrupts(seg) {
-                        // The transfer was paid for; the leading intra
-                        // decode detects the corruption, then the ladder
-                        // descends.
-                        st.faults.corrupt_segments += 1;
-                        let d = &cfg.device;
-                        let (fov_seg, _) = payload.parts();
-                        let intra = frame_wire_bytes(&fov_seg.frames[0], geom.fov_scale);
-                        st.ledger.add(
-                            Component::Compute,
-                            Activity::Resilience,
-                            d.decode_energy(geom.fov_px, intra),
-                        );
-                        st.ledger.add(
-                            Component::Memory,
-                            Activity::Resilience,
-                            d.dram_energy(d.decode_dram_bytes(geom.fov_px)),
-                        );
-                    } else {
-                        source = Some(SegmentSource::Fov { payload });
-                    }
+                    // The ladder descends past a corrupt FOV video.
+                    let (fov_seg, _) = payload.parts();
+                    let intra = frame_wire_bytes(&fov_seg.frames[0], geom.fov_scale);
+                    st.account_corrupt(&session.cfg.device, geom.fov_px, intra);
                 }
             }
         }
         // A front shed skips the full-quality rung: the front already
         // answered with the low-rung original, so asking it for the
         // full original would defeat the load shedding.
-        if source.is_none() && !front_shed {
-            if cfg.path.uses_network() {
-                let mut io = StageIo {
-                    ledger: &mut st.ledger,
-                    faults: &mut st.faults,
-                    device: &cfg.device,
-                    observer: obs,
-                    metrics: m,
-                };
-                if self.transport.fetch(&mut io, link, seg_start_t, seg, orig_bytes) {
-                    st.bytes_received += orig_bytes;
-                    if T::PER_SEGMENT_WIRE {
-                        st.wire_bytes_total += link.net.wire_bytes(orig_bytes);
-                    }
-                    m.fetch_bytes.add(orig_bytes);
-                    source = Some(SegmentSource::Original { byte_scale: 1.0, degraded: false });
-                }
-            } else {
-                st.storage_read_bytes += orig_bytes;
-                source = Some(SegmentSource::Original { byte_scale: 1.0, degraded: false });
-            }
+        let front_shed = matches!(gate, Some(FrontGate::Shed { .. }));
+        if !front_shed && self.deliver(st, link, seg_start_t, seg, orig_bytes) {
+            return SegmentSource::Original { byte_scale: 1.0, degraded: false };
         }
-        if source.is_none() {
-            let low_scale = self.transport.low_rung_scale();
-            let low_bytes = (orig_bytes as f64 * low_scale).round() as u64;
-            if observed {
-                obs.mark(names::MARK_DEGRADE, -1, seg as i64, 2.0);
-            }
-            let mut io = StageIo {
-                ledger: &mut st.ledger,
-                faults: &mut st.faults,
-                device: &cfg.device,
-                observer: obs,
-                metrics: m,
-            };
-            if self.transport.fetch(&mut io, link, seg_start_t, seg, low_bytes) {
-                st.bytes_received += low_bytes;
-                if T::PER_SEGMENT_WIRE {
-                    st.wire_bytes_total += link.net.wire_bytes(low_bytes);
-                }
-                m.fetch_bytes.add(low_bytes);
-                source = Some(SegmentSource::Original { byte_scale: low_scale, degraded: true });
-            }
+        let low_scale = self.transport.low_rung_scale();
+        let low_bytes = (orig_bytes as f64 * low_scale).round() as u64;
+        if obs.is_enabled() {
+            obs.mark(names::MARK_DEGRADE, -1, seg as i64, 2.0);
         }
-        source.unwrap_or(SegmentSource::Freeze)
+        if self.deliver(st, link, seg_start_t, seg, low_bytes) {
+            return SegmentSource::Original { byte_scale: low_scale, degraded: true };
+        }
+        SegmentSource::Freeze
+    }
+
+    /// The tiled fetch stage. The front gate covers the whole tile batch
+    /// (a shed batch is answered at the coarsest rung of every tile —
+    /// the tile analogue of the shed low-rung original); then each tile
+    /// walks its own two-rung ladder under the transport's retry policy.
+    /// A tile whose allocated rung fails retries at the coarsest rung
+    /// (that tile degrades); a tile whose coarsest rung also fails
+    /// freezes (its last texture repeats). Partial tile loss never
+    /// freezes the whole frame; losing every tile does.
+    #[allow(clippy::too_many_arguments)]
+    fn acquire_tiles(
+        &mut self,
+        st: &mut RunState,
+        link: &SegmentLink,
+        seg: u32,
+        seg_start_t: f64,
+        tiles: &'s TiledRateCatalog,
+        mut rungs: Vec<usize>,
+        geom: &Geometry,
+    ) -> SegmentSource<'s> {
+        let session = self.session;
+        let obs = &session.observer;
+        let shed = matches!(self.admit(st, seg, seg_start_t), FrontGate::Shed { .. });
+        if shed {
+            rungs.fill(0);
+        }
+        let mut degraded = shed;
+        let mut corruption_checked = false;
+        let mut delivered: Vec<Option<usize>> = Vec::with_capacity(rungs.len());
+        for (t, &want) in rungs.iter().enumerate() {
+            let wire = |r| tiles.rung(seg, t, r).wire_bytes;
+            let mut got = self.deliver(st, link, seg_start_t, seg, wire(want)).then_some(want);
+            if got.is_none() && want > 0 {
+                if obs.is_enabled() {
+                    obs.mark(names::MARK_DEGRADE, -1, seg as i64, 2.0);
+                }
+                got = self.deliver(st, link, seg_start_t, seg, wire(0)).then_some(0);
+                degraded |= got.is_some();
+            }
+            // The first delivered tile's leading intra decode detects a
+            // corrupt batch; that tile then re-fetches its coarsest rung.
+            if let (Some(r), false) = (got, corruption_checked) {
+                corruption_checked = true;
+                if self.transport.corrupts(seg) {
+                    let intra = tiles.rung(seg, t, r).frame_bytes[0];
+                    st.account_corrupt(&session.cfg.device, geom.src_px, intra);
+                    got = self.deliver(st, link, seg_start_t, seg, wire(0)).then_some(0);
+                    degraded |= got.is_some();
+                }
+            }
+            delivered.push(got);
+        }
+        if delivered.iter().all(Option::is_none) {
+            return SegmentSource::Freeze;
+        }
+        let degraded = degraded || delivered.contains(&None);
+        SegmentSource::Tiles { tiles, delivered, degraded }
     }
 
     /// Plays a delivered FOV segment: per frame, FOV-check hit → direct
@@ -1155,6 +1249,49 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         gpu_used
     }
 
+    /// Plays a tiled segment: full-resolution decode of the delivered
+    /// tiles' bytes, then full PT on every frame (tiling never avoids
+    /// on-device PT). Frozen tiles contribute no bytes.
+    #[allow(clippy::too_many_arguments)]
+    fn play_tiles(
+        &self,
+        st: &mut RunState,
+        seg: u32,
+        n: u64,
+        tiles: &TiledRateCatalog,
+        delivered: &[Option<usize>],
+        degraded: bool,
+        geom: &Geometry,
+    ) -> bool {
+        let session = self.session;
+        let m = &session.metrics;
+        let mut gpu_used = false;
+        for f in 0..n as usize {
+            let bytes: u64 = delivered
+                .iter()
+                .enumerate()
+                .filter_map(|(t, d)| d.map(|r| tiles.rung(seg, t, r).frame_bytes[f]))
+                .sum();
+            account_decode(&session.cfg.device, &mut st.ledger, geom.src_px, bytes);
+            gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
+            if m.enabled {
+                self.backend.note_metrics(m);
+            }
+            st.fallback_frames += 1;
+            st.frames_total += 1;
+            m.frames.inc();
+            m.fallback_frames.inc();
+        }
+        if degraded {
+            st.faults.degraded_frames += n;
+            st.faults.degraded_segments += 1;
+            if m.enabled {
+                m.degraded_frames.add(n);
+            }
+        }
+        gpu_used
+    }
+
     /// Every rung failed: the display repeats the last image for the
     /// whole segment — no decode, no PT.
     fn freeze(&self, st: &mut RunState, seg: u32, n: u64) {
@@ -1196,7 +1333,15 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             st.storage_read_bytes
         };
         let duration_s = st.frames_total as f64 / FPS;
-        let sas_scale = if cfg.path.uses_sas() { 1.0 } else { 0.0 };
+        let sas_scale = match session.tiles.as_deref() {
+            // Multi-stream tile management costs a share of SAS's
+            // client-control energy that grows with the tile count; a
+            // single-tile grid degenerates to plain baseline playback
+            // and pays nothing (which pins the 1×1 parity test).
+            Some(tiles) => 0.5 * (1.0 - 1.0 / tiles.grid().len() as f64),
+            None if cfg.path.uses_sas() => 1.0,
+            None => 0.0,
+        };
         account_session_tail(
             cfg,
             &session.observer,
@@ -1218,449 +1363,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             duration_s,
             faults: st.faults,
         }
-    }
-}
-
-/// Tiled view-guided streaming through the same staged pipeline: the
-/// fetch stage prices the pose-dependent tile selection, and every
-/// frame renders through the configured backend (tiling never avoids
-/// on-device PT).
-pub(crate) fn run_tiled<R: RenderBackend>(
-    session: &PlaybackSession,
-    server: &SasServer,
-    tiled: &evr_sas::TiledCatalog,
-    trace: &HeadTrace,
-    backend: R,
-) -> PlaybackReport {
-    let cfg = &session.cfg;
-    let obs = &session.observer;
-    let m = &session.metrics;
-    let observed = obs.is_enabled();
-    let tl = obs.timeline();
-    let timed = tl.is_enabled();
-    let catalog = server.catalog();
-    assert_eq!(
-        tiled.segment_count(),
-        catalog.segment_count(),
-        "tiled catalog must cover the same segments"
-    );
-    let src_px = cfg.sas.target_src.0 as u64 * cfg.sas.target_src.1 as u64;
-    let slot = 1.0 / FPS;
-
-    let mut ledger = EnergyLedger::new();
-    let mut frames_total = 0u64;
-    let mut bytes_received = 0u64;
-    for seg in 0..catalog.segment_count() {
-        let _seg_span = observed.then(|| obs.span(names::SPAN_SEGMENT, -1, seg as i64));
-        let ctx = TraceCtx::anonymous().with_segment(seg as i64);
-        m.segments.inc();
-        let original = catalog.original_segment(seg);
-        let n = original.frames.len() as u64;
-        let seg_start_t = original.start_index as f64 / FPS;
-
-        // plan + fetch: price the in-view/out-of-view tile split at the
-        // segment boundary pose.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        let pose = trace.pose_at(seg_start_t);
-        let seg_bytes = tiled.segment_bytes(seg, pose, cfg.sas.device_fov);
-        bytes_received += seg_bytes;
-        m.fetch_bytes.add(seg_bytes);
-        observe_stage(&m.stage_fetch, t0);
-        if let Some(ts) = ts {
-            tl.record("fetch", ctx, ts, tl.now_ns());
-        }
-
-        // decode/render: full-resolution decode of fewer bits, then
-        // full PT on every frame.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        let mut gpu_used = false;
-        for _ in 0..n {
-            account_decode(&cfg.device, &mut ledger, src_px, seg_bytes / n);
-            gpu_used |= backend.render(&mut ledger, slot);
-            if m.enabled {
-                backend.note_metrics(m);
-            }
-            frames_total += 1;
-            m.frames.inc();
-            m.fallback_frames.inc();
-        }
-        observe_stage(&m.stage_render, t0);
-        if let Some(ts) = ts {
-            tl.record("render", ctx, ts, tl.now_ns());
-        }
-
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        if gpu_used {
-            ledger.add(
-                Component::Compute,
-                Activity::ProjectiveTransform,
-                cfg.gpu.session_energy(n as f64 / FPS),
-            );
-        }
-        observe_stage(&m.stage_account, t0);
-        if let Some(ts) = ts {
-            tl.record("account", ctx, ts, tl.now_ns());
-        }
-    }
-
-    let duration_s = frames_total as f64 / FPS;
-    // Tile selection / multi-stream management: about half of SAS's
-    // client-control cost (no per-frame FOV checking).
-    account_session_tail(
-        cfg,
-        obs,
-        &mut ledger,
-        duration_s,
-        Some(bytes_received),
-        bytes_received,
-        0.5,
-    );
-
-    PlaybackReport {
-        ledger,
-        frames_total,
-        fov_hits: 0,
-        fov_misses: 0,
-        fallback_frames: frames_total,
-        rebuffer_events: 0,
-        rebuffer_time_s: 0.0,
-        bytes_received,
-        duration_s,
-        faults: FaultSummary::default(),
-    }
-}
-
-/// Fetches one tile payload of `wire` bytes through the transport,
-/// folding the bytes into the run's wire/storage accounting on
-/// delivery. The network-free path reads from storage and never fails.
-#[allow(clippy::too_many_arguments)]
-fn fetch_tile<T: Transport>(
-    transport: &mut T,
-    st: &mut RunState,
-    cfg: &SessionConfig,
-    obs: &Observer,
-    m: &SessionMetrics,
-    link: &SegmentLink,
-    media_t: f64,
-    seg: u32,
-    wire: u64,
-) -> bool {
-    if !cfg.path.uses_network() {
-        st.storage_read_bytes += wire;
-        return true;
-    }
-    let mut io = StageIo {
-        ledger: &mut st.ledger,
-        faults: &mut st.faults,
-        device: &cfg.device,
-        observer: obs,
-        metrics: m,
-    };
-    if transport.fetch(&mut io, link, media_t, seg, wire) {
-        st.bytes_received += wire;
-        if T::PER_SEGMENT_WIRE {
-            st.wire_bytes_total += link.net.wire_bytes(wire);
-        }
-        m.fetch_bytes.add(wire);
-        true
-    } else {
-        false
-    }
-}
-
-/// Per-tile multi-rate streaming — the playback loop behind the
-/// first-class `T`/`T+H` variants.
-///
-/// Per segment: classify every tile against the (possibly predicted)
-/// pose, allocate the link's byte budget across encoding rungs with the
-/// spherically-weighted allocator
-/// ([`crate::abr::allocate_tile_rungs`]), consult the serving front's
-/// admission gate once for the whole tile batch, then fetch each tile
-/// through the [`Transport`]'s retry machinery. A tile whose chosen
-/// rung fails retries once at the coarsest rung (that tile degrades); a
-/// tile whose coarsest rung also fails freezes (its last texture
-/// repeats) — partial tile loss never freezes the whole frame. With a
-/// 1×1 grid and an ample link this path is byte-identical to plain
-/// baseline playback (`tests/tiled_variants.rs` pins it).
-pub(crate) fn run_tiled_multirate<T: Transport, R: RenderBackend>(
-    session: &PlaybackSession,
-    server: &SasServer,
-    tiles: &evr_sas::TiledRateCatalog,
-    trace: &HeadTrace,
-    mut transport: T,
-    backend: R,
-) -> PlaybackReport {
-    let cfg = &session.cfg;
-    let obs = &session.observer;
-    let m = &session.metrics;
-    let observed = obs.is_enabled();
-    let tl = obs.timeline();
-    let timed = tl.is_enabled();
-    let catalog = server.catalog();
-    assert_eq!(
-        tiles.segment_count(),
-        catalog.segment_count(),
-        "tiled rate catalog must cover the same segments"
-    );
-    let grid = tiles.grid();
-    let weights = grid.tile_weights();
-    let tile_count = grid.len();
-    let safety = crate::abr::AbrPolicy::default().safety;
-    let geom = Geometry::of(cfg);
-    let mut st = RunState::new(cfg.sas.device_fov);
-
-    for seg in 0..catalog.segment_count() {
-        let _seg_span = observed.then(|| obs.span(names::SPAN_SEGMENT, -1, seg as i64));
-        let ctx = TraceCtx::anonymous().with_segment(seg as i64);
-        m.segments.inc();
-        let original = catalog.original_segment(seg);
-        let n = original.frames.len() as u64;
-        let seg_start_t = original.start_index as f64 / FPS;
-        let seg_duration = n as f64 / FPS;
-
-        // plan: sample the link, classify tiles against the selection
-        // pose, allocate the segment's byte budget across rungs.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        let link = transport.segment_link(&cfg.network, seg_start_t, st.faults.stall_time_s);
-        let pose = selection_pose(cfg, trace, seg_start_t);
-        let classes = grid.classify_tiles(pose, cfg.sas.device_fov, evr_sas::PERIPHERY_MARGIN);
-        let budget = (link.net.bandwidth_bps * seg_duration / 8.0 * safety) as u64;
-        let rung_bytes = tiles.tile_rung_bytes(seg);
-        let mut alloc = crate::abr::allocate_tile_rungs(&rung_bytes, &weights, &classes, budget);
-        observe_stage(&m.stage_plan, t0);
-        if let Some(ts) = ts {
-            tl.record("plan", ctx, ts, tl.now_ns());
-        }
-
-        // fetch: the serving front's admission gate covers the whole
-        // tile batch (a shed batch is answered at the coarsest rung of
-        // every tile — the tile analogue of the shed low-rung
-        // original), then each tile walks its own two-rung ladder.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        let mut shed = false;
-        match transport.front_gate(seg_start_t, st.faults.stall_time_s, seg, catalog.content_id()) {
-            FrontGate::Serve { queue_delay_s } => {
-                if queue_delay_s > 0.0 {
-                    let mut io = StageIo {
-                        ledger: &mut st.ledger,
-                        faults: &mut st.faults,
-                        device: &cfg.device,
-                        observer: obs,
-                        metrics: m,
-                    };
-                    io.account_stall(queue_delay_s);
-                }
-            }
-            FrontGate::Shed { latency_s } => {
-                let mut io = StageIo {
-                    ledger: &mut st.ledger,
-                    faults: &mut st.faults,
-                    device: &cfg.device,
-                    observer: obs,
-                    metrics: m,
-                };
-                io.account_stall(latency_s);
-                st.faults.shed_segments += 1;
-                if observed {
-                    obs.mark(names::MARK_FRONT_SHED, -1, seg as i64, latency_s);
-                }
-                shed = true;
-                for r in alloc.rungs.iter_mut() {
-                    *r = 0;
-                }
-            }
-            FrontGate::Unavailable { latency_s } => {
-                if latency_s > 0.0 {
-                    let mut io = StageIo {
-                        ledger: &mut st.ledger,
-                        faults: &mut st.faults,
-                        device: &cfg.device,
-                        observer: obs,
-                        metrics: m,
-                    };
-                    io.account_stall(latency_s);
-                }
-                st.faults.front_unavailable_segments += 1;
-                if observed {
-                    obs.mark(names::MARK_FRONT_UNAVAILABLE, -1, seg as i64, latency_s);
-                }
-            }
-        }
-
-        // Any degradation below the allocation — shed batch, coarsest-
-        // rung retry, corrupt re-fetch — marks the segment degraded.
-        let mut any_degraded = shed;
-        let mut corruption_checked = false;
-        let mut delivered: Vec<Option<usize>> = Vec::with_capacity(tile_count);
-        for t in 0..tile_count {
-            let want = alloc.rungs[t];
-            let wire = tiles.rung(seg, t, want).wire_bytes;
-            let mut got =
-                fetch_tile(&mut transport, &mut st, cfg, obs, m, &link, seg_start_t, seg, wire)
-                    .then_some(want);
-            if got.is_none() && want > 0 {
-                // Coarsest-rung retry: the tile degrades, not the frame.
-                if observed {
-                    obs.mark(names::MARK_DEGRADE, -1, seg as i64, 2.0);
-                }
-                let low = tiles.rung(seg, t, 0).wire_bytes;
-                if fetch_tile(&mut transport, &mut st, cfg, obs, m, &link, seg_start_t, seg, low) {
-                    got = Some(0);
-                    any_degraded = true;
-                }
-            }
-            // The first delivered tile's leading intra decode detects a
-            // corrupt batch: the transfer was paid for, the decode
-            // energy is charged, and the tile re-fetches its coarsest
-            // rung.
-            if let Some(r) = got {
-                if !corruption_checked {
-                    corruption_checked = true;
-                    if transport.corrupts(seg) {
-                        st.faults.corrupt_segments += 1;
-                        let d = &cfg.device;
-                        let intra = tiles.rung(seg, t, r).frame_bytes[0];
-                        st.ledger.add(
-                            Component::Compute,
-                            Activity::Resilience,
-                            d.decode_energy(geom.src_px, intra),
-                        );
-                        st.ledger.add(
-                            Component::Memory,
-                            Activity::Resilience,
-                            d.dram_energy(d.decode_dram_bytes(geom.src_px)),
-                        );
-                        let low = tiles.rung(seg, t, 0).wire_bytes;
-                        got = if fetch_tile(
-                            &mut transport,
-                            &mut st,
-                            cfg,
-                            obs,
-                            m,
-                            &link,
-                            seg_start_t,
-                            seg,
-                            low,
-                        ) {
-                            any_degraded = true;
-                            Some(0)
-                        } else {
-                            None
-                        };
-                    }
-                }
-            }
-            delivered.push(got);
-        }
-        observe_stage(&m.stage_fetch, t0);
-        if let Some(ts) = ts {
-            tl.record("fetch", ctx, ts, tl.now_ns());
-        }
-
-        // decode/render: full-resolution decode of the delivered tiles'
-        // bytes, then full PT on every frame (tiling never avoids
-        // on-device PT). Frozen tiles contribute no bytes; a segment
-        // with *no* delivered tile freezes outright.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        let mut gpu_used = false;
-        if delivered.iter().all(|d| d.is_none()) {
-            st.faults.frozen_frames += n;
-            st.faults.degraded_segments += 1;
-            st.frames_total += n;
-            if observed {
-                m.frozen_frames.add(n);
-                m.frames.add(n);
-                obs.mark(names::MARK_DEGRADE, -1, seg as i64, 3.0);
-            }
-        } else {
-            let frozen_tiles = delivered.iter().filter(|d| d.is_none()).count();
-            for f in 0..n as usize {
-                let bytes: u64 = delivered
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(t, d)| d.map(|r| tiles.rung(seg, t, r).frame_bytes[f]))
-                    .sum();
-                account_decode(&cfg.device, &mut st.ledger, geom.src_px, bytes);
-                gpu_used |= backend.render(&mut st.ledger, geom.slot);
-                if m.enabled {
-                    backend.note_metrics(m);
-                }
-                st.fallback_frames += 1;
-                st.frames_total += 1;
-                m.frames.inc();
-                m.fallback_frames.inc();
-            }
-            if any_degraded || frozen_tiles > 0 {
-                st.faults.degraded_frames += n;
-                st.faults.degraded_segments += 1;
-                if observed {
-                    m.degraded_frames.add(n);
-                }
-            }
-        }
-        observe_stage(&m.stage_render, t0);
-        if let Some(ts) = ts {
-            tl.record("render", ctx, ts, tl.now_ns());
-        }
-
-        // account: GPU context power for any segment the GPU ran in.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        if gpu_used {
-            st.ledger.add(
-                Component::Compute,
-                Activity::ProjectiveTransform,
-                cfg.gpu.session_energy(seg_duration),
-            );
-        }
-        observe_stage(&m.stage_account, t0);
-        if let Some(ts) = ts {
-            tl.record("account", ctx, ts, tl.now_ns());
-        }
-    }
-
-    let duration_s = st.frames_total as f64 / FPS;
-    let wire_bytes = if !cfg.path.uses_network() {
-        None
-    } else if T::PER_SEGMENT_WIRE {
-        Some(st.wire_bytes_total)
-    } else {
-        Some(cfg.network.wire_bytes(st.bytes_received))
-    };
-    let storage_bytes =
-        if cfg.path.uses_network() { st.bytes_received } else { st.storage_read_bytes };
-    // Multi-stream tile management costs a share of SAS's client-control
-    // energy that grows with the tile count; a single-tile grid
-    // degenerates to plain baseline playback and pays nothing (which
-    // pins the 1×1 parity test).
-    let sas_scale = 0.5 * (1.0 - 1.0 / tile_count as f64);
-    account_session_tail(
-        cfg,
-        obs,
-        &mut st.ledger,
-        duration_s,
-        wire_bytes,
-        storage_bytes,
-        sas_scale,
-    );
-
-    PlaybackReport {
-        ledger: st.ledger,
-        frames_total: st.frames_total,
-        fov_hits: 0,
-        fov_misses: 0,
-        fallback_frames: st.fallback_frames,
-        rebuffer_events: st.rebuffer_events,
-        rebuffer_time_s: st.rebuffer_time_s,
-        bytes_received: st.bytes_received,
-        duration_s,
-        faults: st.faults,
     }
 }
 

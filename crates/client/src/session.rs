@@ -6,10 +6,10 @@
 //! direct display) → display, while tagging every joule into an
 //! [`EnergyLedger`].
 //!
-//! The control flow itself lives in [`crate::pipeline`]: `run`,
-//! [`PlaybackSession::run_tiled`] and [`PlaybackSession::run_resilient`]
-//! are thin configurations of the same staged segment pipeline,
-//! differing only in the [`Transport`](crate::pipeline::Transport) and
+//! The control flow itself lives in [`crate::pipeline`]: `run` and
+//! [`PlaybackSession::run_resilient`] are thin configurations of the
+//! same staged segment pipeline, differing only in the
+//! [`Transport`](crate::pipeline::Transport) and
 //! [`RenderBackend`](crate::pipeline::RenderBackend) they plug in.
 
 use std::sync::Arc;
@@ -302,8 +302,8 @@ pub struct PlaybackSession {
     pub(crate) observer: Observer,
     pub(crate) metrics: SessionMetrics,
     /// Per-tile multi-rate catalog: when attached, clean and resilient
-    /// runs play through the tiled multi-rate pipeline (the `T`/`T+H`
-    /// variants) instead of the whole-frame ladder.
+    /// runs play tiled (the `T`/`T+H` variants) instead of through the
+    /// whole-frame ladder.
     pub(crate) tiles: Option<Arc<TiledRateCatalog>>,
 }
 
@@ -326,9 +326,8 @@ impl PlaybackSession {
 
     /// Attaches a per-tile multi-rate catalog: every subsequent
     /// [`PlaybackSession::run`]/[`PlaybackSession::run_resilient`]
-    /// replays through the tiled multi-rate pipeline, fetching the
-    /// spherically-weighted per-tile rung selection instead of the
-    /// whole-frame degradation ladder.
+    /// plays tiled, fetching the spherically-weighted per-tile rung
+    /// selection instead of walking the whole-frame degradation ladder.
     pub fn with_tiles(mut self, tiles: Arc<TiledRateCatalog>) -> Self {
         self.tiles = Some(tiles);
         self
@@ -372,38 +371,7 @@ impl PlaybackSession {
         trace: &HeadTrace,
         ctx: TraceCtx,
     ) -> PlaybackReport {
-        if let Some(tiles) = self.tiles.clone() {
-            return self.run_tiled_pipeline(server, &tiles, trace, CleanTransport);
-        }
         self.run_pipeline(server, trace, CleanTransport, ctx)
-    }
-
-    /// Replays `trace` against tile-based view-guided streaming (the
-    /// related-work baseline of paper §2/§9): per segment, in-view tiles
-    /// stream at high quality and the rest at low quality, cutting
-    /// bandwidth — but every frame still needs full on-device projective
-    /// transformation with the configured renderer.
-    ///
-    /// The `server`'s catalog supplies frame structure and timing; wire
-    /// and decode byte counts come from `tiled`.
-    pub fn run_tiled(
-        &self,
-        server: &SasServer,
-        tiled: &evr_sas::TiledCatalog,
-        trace: &HeadTrace,
-    ) -> PlaybackReport {
-        match self.cfg.renderer {
-            Renderer::Gpu => {
-                crate::pipeline::run_tiled(self, server, tiled, trace, GpuBackend::new(&self.cfg))
-            }
-            Renderer::Pte => crate::pipeline::run_tiled(
-                self,
-                server,
-                tiled,
-                trace,
-                PteBackend::new(&self.cfg, self.pte_frame),
-            ),
-        }
     }
 
     /// Replays `trace` against `server`'s video under injected faults:
@@ -447,39 +415,7 @@ impl PlaybackSession {
         if setup.is_clean() || !self.cfg.path.uses_network() {
             return self.run_traced(server, trace, ctx);
         }
-        if let Some(tiles) = self.tiles.clone() {
-            return self.run_tiled_pipeline(server, &tiles, trace, FaultedTransport::new(setup));
-        }
         self.run_pipeline(server, trace, FaultedTransport::new(setup), ctx)
-    }
-
-    /// Dispatches the tiled multi-rate pipeline for the configured
-    /// renderer.
-    fn run_tiled_pipeline<T: Transport>(
-        &self,
-        server: &SasServer,
-        tiles: &TiledRateCatalog,
-        trace: &HeadTrace,
-        transport: T,
-    ) -> PlaybackReport {
-        match self.cfg.renderer {
-            Renderer::Gpu => crate::pipeline::run_tiled_multirate(
-                self,
-                server,
-                tiles,
-                trace,
-                transport,
-                GpuBackend::new(&self.cfg),
-            ),
-            Renderer::Pte => crate::pipeline::run_tiled_multirate(
-                self,
-                server,
-                tiles,
-                trace,
-                transport,
-                PteBackend::new(&self.cfg, self.pte_frame),
-            ),
-        }
     }
 
     /// Dispatches the staged pipeline for the configured renderer.

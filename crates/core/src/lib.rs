@@ -35,7 +35,6 @@ pub mod figures;
 pub mod fleet;
 pub mod report;
 pub mod system;
-pub mod tiled;
 
 pub use experiment::{
     run_variant, run_variant_resilient, write_run_report, AggregateReport, ExperimentConfig,

@@ -50,12 +50,11 @@ pub struct SasConfig {
     pub target_src: (u32, u32),
     /// Paper-scale FOV-video resolution.
     pub target_fov: (u32, u32),
-    /// Tile grid for the tiled delivery mode (`T`/`T+H` variants and the
-    /// tiled baseline). Must divide `analysis_src` into 8-aligned tiles.
+    /// Tile grid for the tiled delivery mode (`T`/`T+H` variants). Must
+    /// divide `analysis_src` into 8-aligned tiles.
     pub tile_grid: TileGrid,
-    /// Quantiser of the tiled low-quality layer; `0` means *auto* —
-    /// twice the original's quantiser, clamped to the codec's 50 cap
-    /// (the historical `compare_tiled` hardcode, now configurable).
+    /// Quantiser of the coarsest tiled rung; `0` means *auto* — twice
+    /// the original's quantiser, clamped to the codec's 50 cap.
     pub tiled_low_quantizer: u8,
 }
 

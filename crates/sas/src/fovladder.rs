@@ -81,7 +81,7 @@ pub fn populate_fov_ladder(
     let streams: Vec<(u32, usize)> = (0..catalog.segment_count())
         .flat_map(|s| catalog.clusters_in_segment(s).into_iter().map(move |c| (s, c)))
         .collect();
-    let rows = crate::par::fan_out(streams.len() as u64, workers, |i| {
+    let rows = evr_sched::run_chunked(streams.len() as u64, workers, 0, |i| {
         let (segment, cluster) = streams[i as usize];
         let stream = catalog.fov_stream(segment, cluster).expect("indexed stream");
         let (data, meta) = catalog.read_fov(stream).expect("readable stream");

@@ -26,7 +26,7 @@
 //! fanned out via the same chunked-scheduling helper as ingest and
 //! merged back in input order). The report is therefore byte-identical
 //! for any worker count — the same contract as `FleetRunner` and
-//! `par::fan_out`, argued in DESIGN.md §14.
+//! `evr_sched::run_chunked`, argued in DESIGN.md §14.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,7 +35,6 @@ use parking_lot::RwLock;
 
 use evr_faults::{BreakerState, CircuitBreaker, FrontProfile, ServerFaultPlan};
 
-use crate::par;
 use crate::prerender::PrerenderedFov;
 use crate::server::{SasError, SasServer};
 use crate::tiles::TileRung;
@@ -464,9 +463,10 @@ impl SasFront {
     /// Serves a whole batch of requests: a serial admission pass in
     /// input order, then the admitted FOV builds — deduplicated per
     /// `(segment, cluster)` so identical concurrent fetches coalesce
-    /// into one — executed across `workers` threads with the ingest
-    /// fan-out helper and merged back in input order. Byte-identical
-    /// output for any `workers` value; only wall-clock changes.
+    /// into one — executed across `workers` threads with
+    /// `evr_sched::run_chunked` and merged back in input order.
+    /// Byte-identical output for any `workers` value; only wall-clock
+    /// changes.
     pub fn serve_batch(&self, requests: &[FrontRequest], workers: usize) -> BatchReport {
         self.metrics.requests.add(requests.len() as u64);
 
@@ -495,7 +495,7 @@ impl SasFront {
         // payload byte-identical.
         let tl = &self.metrics.timeline;
         let built: Vec<Result<(Arc<PrerenderedFov>, u64), SasError>> =
-            par::fan_out(unique.len() as u64, workers, |i| {
+            evr_sched::run_chunked(unique.len() as u64, workers, 0, |i| {
                 let (segment, cluster) = unique[i as usize];
                 if tl.is_enabled() {
                     let t0 = tl.now_ns();
@@ -598,7 +598,7 @@ impl SasFront {
 
         let tl = &self.metrics.timeline;
         let built: Vec<Result<TileRung, SasError>> =
-            par::fan_out(unique.len() as u64, workers, |i| {
+            evr_sched::run_chunked(unique.len() as u64, workers, 0, |i| {
                 let (segment, tile, rung) = unique[i as usize];
                 if tl.is_enabled() {
                     let t0 = tl.now_ns();

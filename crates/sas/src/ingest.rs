@@ -387,13 +387,13 @@ pub fn ingest_video_with(
     // and appended to the logs in segment order — byte-identical for
     // any worker count.
     let start = std::time::Instant::now();
-    let workers = crate::par::resolve_workers(options.workers, segment_count);
+    let workers = evr_sched::resolve_workers(options.workers, segment_count);
     // On a timed observer every segment is also recorded as an
     // `ingest_segment` timeline interval on its worker's lane, turning
     // the fan-out into a per-thread Gantt chart.
     let tl = options.observer.timeline();
     let results: Vec<SegmentResult> = if tl.is_enabled() {
-        crate::par::fan_out(segment_count, workers, |seg| {
+        evr_sched::run_chunked(segment_count, workers, 0, |seg| {
             let t0 = tl.now_ns();
             let result = ingest_segment(&ctx, seg);
             let tctx = evr_obs::TraceCtx::anonymous().with_segment(seg as i64);
@@ -401,7 +401,7 @@ pub fn ingest_video_with(
             result
         })
     } else {
-        crate::par::fan_out(segment_count, workers, |seg| ingest_segment(&ctx, seg))
+        evr_sched::run_chunked(segment_count, workers, 0, |seg| ingest_segment(&ctx, seg))
     };
 
     for (seg, result) in results.into_iter().enumerate() {

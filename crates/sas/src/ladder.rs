@@ -160,11 +160,11 @@ pub fn ingest_ladder_with(
 
     // Every segment row is a pure function of `(scene, config, seg)`, so
     // the rung encodings fan out through the deterministic chunked
-    // scheduler of `crate::par` — byte-identical to the serial loop for
+    // scheduler of `evr_sched` — byte-identical to the serial loop for
     // any worker count. Delta costs ride along: the last rung is the top
     // (finest) one, and each lower rung is delta-encoded against it,
     // falling back to its full cost whenever the delta is not smaller.
-    let rows = crate::par::fan_out(segment_count, workers, |seg| {
+    let rows = evr_sched::run_chunked(segment_count, workers, 0, |seg| {
         let start = seg * seg_len;
         let end = (start + seg_len).min(total_frames);
         let sources: Vec<ImageBuffer> = (start..end)

@@ -7,21 +7,16 @@
 //! content and "the power-hungry PT operation is still a necessary step
 //! on the VR device".
 //!
-//! This module implements tiling for real, at two levels of fidelity:
-//!
-//! * the sealed-off **baseline** ([`TiledCatalog`], two quality layers,
-//!   binary in/out-of-view split) that `evr-core::tiled` compares against
-//!   the paper's variants, and
-//! * the first-class **delivery mode** behind the `T`/`T+H` variants:
-//!   [`TiledRateCatalog`] holds a quantiser ladder per tile (MPEG-DASH-SRD
-//!   style), [`TileGrid::classify_tiles`] splits tiles into
-//!   visible/peripheral/out-of-view, and [`TileGrid::tile_weights`]
-//!   provides the S-PSNR-style spherical weights the client's per-tile
-//!   rate allocator optimises against.
+//! This module implements tiling for real, as the delivery mode behind
+//! the `T`/`T+H` variants: [`TiledRateCatalog`] holds a quantiser ladder
+//! per tile (MPEG-DASH-SRD style), [`TileGrid::classify_tiles`] splits
+//! tiles into visible/peripheral/out-of-view, and
+//! [`TileGrid::tile_weights`] provides the S-PSNR-style spherical
+//! weights the client's per-tile rate allocator optimises against.
 
 use serde::{Deserialize, Serialize};
 
-use evr_math::{Degrees, EulerAngles, Radians, SphericalCoord};
+use evr_math::{Degrees, EulerAngles, Radians};
 use evr_projection::{FovSpec, ImageBuffer, PixelSource, Rgb};
 use evr_video::codec::{CodecConfig, EncodedSegment, Encoder};
 use evr_video::scene::Scene;
@@ -71,13 +66,6 @@ impl TileGrid {
     /// Whether the grid is degenerate.
     pub fn is_empty(&self) -> bool {
         self.cols == 0 || self.rows == 0
-    }
-
-    /// The sphere direction at the centre of tile `(col, row)`.
-    pub fn tile_center(&self, col: u32, row: u32) -> SphericalCoord {
-        let lon = ((col as f64 + 0.5) / self.cols as f64 - 0.5) * std::f64::consts::TAU;
-        let lat = (0.5 - (row as f64 + 0.5) / self.rows as f64) * std::f64::consts::PI;
-        SphericalCoord::new(Radians(lon), Radians(lat))
     }
 
     /// The angular extents of tile `(col, row)` as
@@ -132,28 +120,6 @@ impl TileGrid {
         })
     }
 
-    /// The legacy centre-in-FOV + quarter-tile-margin visibility
-    /// heuristic. It undercounts wide polar tiles (a pole-facing pose
-    /// misses most of the polar row), but the sealed-off tiled baseline
-    /// ([`TiledCatalog::segment_bytes`]) keeps using it so the pinned
-    /// energy-comparison numbers stay byte-identical. New code should
-    /// use [`TileGrid::visible_tiles`].
-    pub fn visible_tiles_center_margin(&self, pose: EulerAngles, fov: FovSpec) -> Vec<bool> {
-        let half_h = fov.h_radians().0 / 2.0 + std::f64::consts::FRAC_PI_2 / self.cols as f64;
-        let half_v = fov.v_radians().0 / 2.0 + std::f64::consts::FRAC_PI_4 / self.rows as f64;
-        let mut out = Vec::with_capacity(self.len());
-        for row in 0..self.rows {
-            for col in 0..self.cols {
-                let c = self.tile_center(col, row);
-                let d_yaw = pose.yaw.angular_distance(c.lon);
-                let d_pitch = pose.pitch.angular_distance(c.lat);
-                let lat_scale = c.lat.0.cos().abs().max(0.5);
-                out.push(d_yaw.0 * lat_scale <= half_h && d_pitch.0 <= half_v);
-            }
-        }
-        out
-    }
-
     /// Classifies every tile for rate allocation: [`TileClass::Visible`]
     /// if it intersects `fov`, [`TileClass::Peripheral`] if it
     /// intersects `fov` expanded by `margin`, [`TileClass::OutOfView`]
@@ -201,58 +167,6 @@ impl TileGrid {
     }
 }
 
-/// One tile's two quality layers for one segment (target-scale bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TileBytes {
-    /// High-quality layer wire size.
-    pub high: u64,
-    /// Low-quality layer wire size.
-    pub low: u64,
-}
-
-/// Per-segment tile sizes for a whole video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TiledCatalog {
-    grid: TileGrid,
-    /// `segments[s][tile]` sizes.
-    segments: Vec<Vec<TileBytes>>,
-}
-
-impl TiledCatalog {
-    /// The grid in use.
-    pub fn grid(&self) -> TileGrid {
-        self.grid
-    }
-
-    /// Number of segments.
-    pub fn segment_count(&self) -> u32 {
-        self.segments.len() as u32
-    }
-
-    /// Wire bytes to stream segment `seg` for a viewer at `pose`:
-    /// visible tiles at high quality, the rest at low quality.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg` is out of range.
-    pub fn segment_bytes(&self, seg: u32, pose: EulerAngles, fov: FovSpec) -> u64 {
-        // Deliberately the legacy heuristic: this baseline's numbers are
-        // pinned by the `tiled/*` golden fingerprints.
-        let visible = self.grid.visible_tiles_center_margin(pose, fov);
-        self.segments[seg as usize]
-            .iter()
-            .zip(&visible)
-            .map(|(t, &v)| if v { t.high } else { t.low })
-            .sum()
-    }
-
-    /// Wire bytes if every tile streamed at high quality (≈ the untiled
-    /// original, modulo the per-tile coding overhead).
-    pub fn segment_bytes_all_high(&self, seg: u32) -> u64 {
-        self.segments[seg as usize].iter().map(|t| t.high).sum()
-    }
-}
-
 /// A view of one tile of a larger image (zero-copy crop).
 struct TileView<'a> {
     src: &'a ImageBuffer,
@@ -272,104 +186,6 @@ impl PixelSource for TileView<'_> {
     fn pixel(&self, x: u32, y: u32) -> Rgb {
         self.src.get(self.x0 + x, self.y0 + y)
     }
-}
-
-/// Ingests a video for tiled view-guided streaming: per segment, every
-/// tile is independently encoded at the configured quantiser (high) and
-/// at `low_quantizer` with 2× spatial downsampling (low).
-///
-/// Byte sizes are reported at the target scale of `config`.
-///
-/// # Panics
-///
-/// Panics if the analysis frame does not divide evenly into the grid.
-pub fn ingest_tiled(
-    scene: &Scene,
-    config: &SasConfig,
-    grid: TileGrid,
-    low_quantizer: u8,
-    duration_s: f64,
-) -> TiledCatalog {
-    ingest_tiled_with(scene, config, grid, low_quantizer, duration_s, 0)
-}
-
-/// [`ingest_tiled`] with an explicit worker count (`0` = one per core;
-/// clamped to `1..=64` like every fan-out).
-pub fn ingest_tiled_with(
-    scene: &Scene,
-    config: &SasConfig,
-    grid: TileGrid,
-    low_quantizer: u8,
-    duration_s: f64,
-    workers: usize,
-) -> TiledCatalog {
-    let (src_w, src_h) = config.analysis_src;
-    assert!(
-        src_w.is_multiple_of(grid.cols) && src_h.is_multiple_of(grid.rows),
-        "analysis frame {src_w}x{src_h} must divide into the {}x{} grid",
-        grid.cols,
-        grid.rows
-    );
-    let tile_w = src_w / grid.cols;
-    let tile_h = src_h / grid.rows;
-    // Tiles must align to the codec's 8×8 transform grid, or block
-    // padding inflates every tile and distorts the byte comparison.
-    assert!(
-        tile_w.is_multiple_of(8) && tile_h.is_multiple_of(8),
-        "tiles of {tile_w}x{tile_h} are not 8-aligned; choose a finer analysis raster"
-    );
-    let duration = duration_s.min(scene.duration());
-    let total_frames = (duration * FPS).floor() as u64;
-    let seg_len = config.segment_frames as u64;
-    let segment_count = total_frames.div_ceil(seg_len);
-    let scale = config.src_byte_scale();
-
-    // Each segment's tile matrix is a pure function of
-    // `(scene, config, seg)`; fan out through the deterministic chunked
-    // scheduler of `crate::par` — byte-identical to the serial loop.
-    let segments = crate::par::fan_out(segment_count, workers, |seg| {
-        let start = seg * seg_len;
-        let end = (start + seg_len).min(total_frames);
-        let sources: Vec<ImageBuffer> = (start..end)
-            .map(|i| {
-                scene.render_image(i as f64 / FPS, evr_projection::Projection::Erp, src_w, src_h)
-            })
-            .collect();
-
-        let mut tiles = Vec::with_capacity(grid.len());
-        for row in 0..grid.rows {
-            for col in 0..grid.cols {
-                let crop = |img: &ImageBuffer| {
-                    let view = TileView {
-                        src: img,
-                        x0: col * tile_w,
-                        y0: row * tile_h,
-                        w: tile_w,
-                        h: tile_h,
-                    };
-                    ImageBuffer::from_fn(tile_w, tile_h, |x, y| view.pixel(x, y))
-                };
-                let encode = |imgs: &[ImageBuffer], q: u8| -> EncodedSegment {
-                    let mut enc = Encoder::new(CodecConfig::new(config.segment_frames, q));
-                    enc.force_intra();
-                    EncodedSegment {
-                        start_index: start,
-                        frames: imgs.iter().map(|i| enc.encode_frame(i)).collect(),
-                    }
-                };
-                let highs: Vec<ImageBuffer> = sources.iter().map(crop).collect();
-                let high = encode(&highs, config.codec.quantizer).scaled_bytes(scale);
-                // Low layer: 2× downsampled pixels (quarter the data) at a
-                // coarser quantiser.
-                let lows: Vec<ImageBuffer> =
-                    highs.iter().map(evr_projection::pixel::downsample2x).collect();
-                let low = encode(&lows, low_quantizer).scaled_bytes(scale / 4.0);
-                tiles.push(TileBytes { high, low });
-            }
-        }
-        tiles
-    });
-    TiledCatalog { grid, segments }
 }
 
 /// One tile at one quality rung for one segment. Byte sizes are at the
@@ -464,8 +280,8 @@ impl TiledRateCatalog {
 /// tile of `config.tile_grid` is independently encoded at each rung of
 /// [`SasConfig::tiled_rung_quantizers`]. The top rung is the
 /// full-resolution crop at the production quantiser; every lower rung is
-/// additionally 2× spatially downsampled (quarter the pixel data, like
-/// the low layer of the legacy two-layer catalog), so DASH-SRD-style
+/// additionally 2× spatially downsampled (quarter the pixel data), so
+/// DASH-SRD-style
 /// rungs trade resolution *and* quantisation — per-tile quantiser steps
 /// alone cannot beat the coder's per-tile entropy floor.
 ///
@@ -514,7 +330,7 @@ pub fn ingest_tiled_rates_with(
     let segment_count = total_frames.div_ceil(seg_len);
     let scale = config.src_byte_scale();
 
-    let segments = crate::par::fan_out(segment_count, workers, |seg| {
+    let segments = evr_sched::run_chunked(segment_count, workers, 0, |seg| {
         let start = seg * seg_len;
         let end = (start + seg_len).min(total_frames);
         let sources: Vec<ImageBuffer> = (start..end)
@@ -603,21 +419,33 @@ mod tests {
     use super::*;
     use evr_video::library::{scene_for, VideoId};
 
-    fn catalog() -> TiledCatalog {
+    /// The Rhino catalog on an 8×4 grid of 16×16 tiles.
+    fn catalog() -> TiledRateCatalog {
         let mut cfg = SasConfig::tiny_for_tests();
-        cfg.analysis_src = (128, 64); // 8×4 grid of 16×16 tiles
-        ingest_tiled(&scene_for(VideoId::Rhino), &cfg, TileGrid::default(), 30, 1.0)
+        cfg.analysis_src = (128, 64);
+        cfg.tile_grid = TileGrid::default();
+        ingest_tiled_rates(&scene_for(VideoId::Rhino), &cfg, 1.0)
+    }
+
+    /// Wire bytes of segment `seg` for a viewer at `pose`: visible tiles
+    /// at the top rung, the rest at the coarsest.
+    fn view_guided_bytes(cat: &TiledRateCatalog, seg: u32, pose: EulerAngles) -> u64 {
+        let top = cat.rung_count() - 1;
+        let visible = cat.grid().visible_tiles(pose, FovSpec::hdk2());
+        let rung = |t: usize| if visible[t] { top } else { 0 };
+        (0..visible.len()).map(|t| cat.rung(seg, t, rung(t)).wire_bytes).sum()
     }
 
     #[test]
     fn grid_geometry() {
         let g = TileGrid::default();
         assert_eq!(g.len(), 32);
-        // Centre of tile (4, 2) for an 8×4 grid is just right/below of the
-        // frame centre.
-        let c = g.tile_center(4, 2);
-        assert!(c.lon.0 > 0.0 && c.lon.0 < 0.5);
-        assert!(c.lat.0 < 0.0 && c.lat.0 > -0.8);
+        // Tile (4, 2) of an 8×4 grid spans the 45° right of the frame
+        // centre and the 45° band just below the equator.
+        let (lon_lo, lon_hi, lat_lo, lat_hi) = g.tile_extents(4, 2);
+        let quarter = std::f64::consts::FRAC_PI_4;
+        assert!(lon_lo.abs() < 1e-12 && (lon_hi - quarter).abs() < 1e-12);
+        assert!(lat_hi.abs() < 1e-12 && (lat_lo + quarter).abs() < 1e-12);
     }
 
     #[test]
@@ -639,9 +467,10 @@ mod tests {
     #[test]
     fn view_guided_bytes_below_all_high() {
         let cat = catalog();
+        let top = cat.rung_count() - 1;
         for seg in 0..cat.segment_count() {
-            let guided = cat.segment_bytes(seg, EulerAngles::default(), FovSpec::hdk2());
-            let all = cat.segment_bytes_all_high(seg);
+            let guided = view_guided_bytes(&cat, seg, EulerAngles::default());
+            let all: u64 = cat.tile_rung_bytes(seg).iter().map(|r| r[top]).sum();
             assert!(guided < all, "segment {seg}: {guided} vs {all}");
         }
     }
@@ -649,8 +478,8 @@ mod tests {
     #[test]
     fn looking_elsewhere_changes_the_selection() {
         let cat = catalog();
-        let a = cat.segment_bytes(0, EulerAngles::default(), FovSpec::hdk2());
-        let b = cat.segment_bytes(0, EulerAngles::from_degrees(180.0, 0.0, 0.0), FovSpec::hdk2());
+        let a = view_guided_bytes(&cat, 0, EulerAngles::default());
+        let b = view_guided_bytes(&cat, 0, EulerAngles::from_degrees(180.0, 0.0, 0.0));
         // Different views select different tile sets; sizes differ unless
         // the content is perfectly symmetric.
         assert_ne!(a, b);
@@ -661,7 +490,8 @@ mod tests {
     fn misaligned_grid_panics() {
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.analysis_src = (100, 48);
-        let _ = ingest_tiled(&scene_for(VideoId::Rs), &cfg, TileGrid::default(), 30, 0.5);
+        cfg.tile_grid = TileGrid::default();
+        let _ = ingest_tiled_rates(&scene_for(VideoId::Rs), &cfg, 0.5);
     }
 
     #[test]
@@ -669,25 +499,22 @@ mod tests {
     fn unaligned_tiles_panic() {
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.analysis_src = (96, 48); // 12×12 tiles: divides, but pads the DCT
-        let _ = ingest_tiled(&scene_for(VideoId::Rs), &cfg, TileGrid::default(), 30, 0.5);
+        cfg.tile_grid = TileGrid::default();
+        let _ = ingest_tiled_rates(&scene_for(VideoId::Rs), &cfg, 0.5);
     }
 
     #[test]
     fn pole_facing_pose_sees_full_polar_row() {
-        // Regression for the centre+quarter-tile heuristic: looking
-        // straight up, every tile of the polar row contains the gaze
-        // point (they all meet at the pole), yet the legacy test missed
-        // most of them because their *centres* sit at 67.5° latitude,
-        // far from the gaze in raw yaw distance.
+        // Looking straight up, every tile of the polar row contains the
+        // gaze point (they all meet at the pole), even though their
+        // *centres* sit at 67.5° latitude, far from the gaze in raw yaw
+        // distance — a centre-based test would miss most of them.
         let g = TileGrid::default();
         let up = EulerAngles::from_degrees(0.0, 90.0, 0.0);
-        let fixed = g.visible_tiles(up, FovSpec::hdk2());
+        let visible = g.visible_tiles(up, FovSpec::hdk2());
         for col in 0..g.cols {
-            assert!(fixed[col as usize], "polar tile {col} invisible when looking at the pole");
+            assert!(visible[col as usize], "polar tile {col} invisible when looking at the pole");
         }
-        let legacy = g.visible_tiles_center_margin(up, FovSpec::hdk2());
-        let n = legacy.iter().take(g.cols as usize).filter(|v| **v).count();
-        assert!(n < g.cols as usize, "legacy heuristic unexpectedly fixed ({n} visible)");
     }
 
     #[test]
@@ -737,12 +564,9 @@ mod tests {
 
     #[test]
     fn multirate_catalog_shape_and_rung_ordering() {
-        let mut cfg = SasConfig::tiny_for_tests();
-        cfg.analysis_src = (128, 64);
-        cfg.tile_grid = TileGrid::default();
-        let cat = ingest_tiled_rates(&scene_for(VideoId::Rhino), &cfg, 1.0);
+        let cat = catalog();
         assert_eq!(cat.grid(), TileGrid::default());
-        assert_eq!(cat.rung_count(), cfg.tiled_rung_quantizers().len());
+        assert_eq!(cat.rung_count(), SasConfig::tiny_for_tests().tiled_rung_quantizers().len());
         assert!(cat.segment_count() > 0);
         for seg in 0..cat.segment_count() {
             let matrix = cat.tile_rung_bytes(seg);
@@ -764,10 +588,7 @@ mod tests {
 
     #[test]
     fn multirate_delta_bytes_bounded_and_reference_rungs_stay_full() {
-        let mut cfg = SasConfig::tiny_for_tests();
-        cfg.analysis_src = (128, 64);
-        cfg.tile_grid = TileGrid::default();
-        let cat = ingest_tiled_rates(&scene_for(VideoId::Rhino), &cfg, 1.0);
+        let cat = catalog();
         let rungs = cat.rung_count();
         assert!(rungs >= 3, "tiny config should produce a 3-rung ladder");
         let mut any_delta_win = false;

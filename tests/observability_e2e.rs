@@ -177,11 +177,21 @@ fn timeline_attributes_stages_and_correlates_sas_requests() {
     let mut system = EvrSystem::build(VideoId::Rhino, SasConfig::tiny_for_tests(), 1.0);
     system.instrument(&obs);
     let _ = system.run_user_in(UseCase::OnlineStreaming, Variant::SPlusH, 5);
+    // The tiled variants play through the same loop, clean and faulted.
+    let drop = evr_faults::FaultSetup::seeded(7).with_plan(
+        evr_faults::FaultPlan::none().with(evr_faults::FaultEvent::RequestDrop { segment: 1 }),
+    );
+    for variant in Variant::TILED {
+        let _ = system.run_user_in(UseCase::OnlineStreaming, variant, 5);
+        let _ = system.run_user_resilient(UseCase::OnlineStreaming, variant, 5, &drop);
+    }
 
     let events = timeline.events();
-    assert!(!events.is_empty(), "timeline captured the run");
+    let runs = 1 + 2 * Variant::TILED.len();
+    let segments = system.server().catalog().segment_count() as usize;
     for stage in ["plan", "fetch", "render", "account"] {
-        assert!(events.iter().any(|e| e.stage == stage), "stage {stage} recorded");
+        let n = events.iter().filter(|e| e.stage == stage).count();
+        assert_eq!(n, runs * segments, "stage {stage} recorded once per segment and run");
     }
     for e in &events {
         assert!(e.end_ns >= e.start_ns, "interval is well-formed: {e:?}");
