@@ -29,7 +29,8 @@ use evr_bench::header;
 use evr_faults::FrontProfile;
 use evr_obs::{Observer, Timeline, DEFAULT_TIMELINE_CAPACITY};
 use evr_sas::{
-    ingest_video, BatchReport, FovPrerenderStore, FrontRequest, SasConfig, SasFront, SasServer,
+    ingest_video, BatchReport, FovPrerenderStore, FrontRequest, Request, SasCatalog, SasConfig,
+    SasFront, SasServer,
 };
 use evr_video::library::{scene_for, VideoId};
 
@@ -93,8 +94,7 @@ const REFERENCE_SHARDS: u32 = 4;
 /// capacity of the reference profile, spread over every live
 /// `(segment, cluster)` key with a deterministic LCG shuffle so shards
 /// see interleaved (not batched) traffic.
-fn storm(server: &SasServer, args: &ServeArgs) -> Vec<FrontRequest> {
-    let catalog = server.catalog();
+fn storm(catalog: &SasCatalog, args: &ServeArgs) -> Vec<FrontRequest> {
     let keys: Vec<(u32, usize)> = (0..catalog.segment_count())
         .flat_map(|s| {
             catalog.clusters_in_segment(s).iter().map(move |&c| (s, c)).collect::<Vec<_>>()
@@ -109,7 +109,8 @@ fn storm(server: &SasServer, args: &ServeArgs) -> Vec<FrontRequest> {
         .map(|i| {
             lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let (segment, cluster) = keys[(lcg >> 33) as usize % keys.len()];
-            FrontRequest { user: i as u64, segment, cluster, arrival_s: i as f64 * dt }
+            let request = Request::Fov { segment, cluster };
+            FrontRequest { user: i as u64, request, arrival_s: i as f64 * dt }
         })
         .collect()
 }
@@ -117,7 +118,7 @@ fn storm(server: &SasServer, args: &ServeArgs) -> Vec<FrontRequest> {
 /// A fresh front over a clone of the ingested catalog with an empty
 /// pre-render store — admission state is stateful by design, so every
 /// measured run starts cold.
-fn fresh_front(catalog: &evr_sas::SasCatalog, shards: u32, seed: u64) -> SasFront {
+fn fresh_front(catalog: &SasCatalog, shards: u32, seed: u64) -> SasFront {
     let server = SasServer::with_store(catalog.clone(), FovPrerenderStore::new());
     SasFront::new(server, FrontProfile { shards, ..FrontProfile::default() }, seed)
 }
@@ -148,7 +149,7 @@ struct ShardResult {
 const TIMING_REPS: usize = 5;
 
 fn run_shard_case(
-    catalog: &evr_sas::SasCatalog,
+    catalog: &SasCatalog,
     args: &ServeArgs,
     requests: &[FrontRequest],
     shards: u32,
@@ -181,11 +182,7 @@ fn run_shard_case(
 /// report must be byte-identical for 1, 2 and 8 workers (fresh front
 /// per run — determinism is across worker counts, not across runs of a
 /// stateful front).
-fn parity_check(
-    catalog: &evr_sas::SasCatalog,
-    args: &ServeArgs,
-    requests: &[FrontRequest],
-) -> bool {
+fn parity_check(catalog: &SasCatalog, args: &ServeArgs, requests: &[FrontRequest]) -> bool {
     let reports: Vec<BatchReport> = [1usize, 2, 8]
         .iter()
         .map(|&w| fresh_front(catalog, REFERENCE_SHARDS, args.seed).serve_batch(requests, w))
@@ -245,8 +242,7 @@ fn main() {
     );
 
     let catalog = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0);
-    let server = SasServer::new(catalog.clone());
-    let requests = storm(&server, &args);
+    let requests = storm(&catalog, &args);
 
     let parity_ok = parity_check(&catalog, &args, &requests);
     println!("  parity (1/2/8 workers): {}", if parity_ok { "ok" } else { "FAIL" });

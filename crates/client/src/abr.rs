@@ -267,7 +267,7 @@ const PERIPHERAL_VALUE: f64 = 0.35;
 /// greedily by quality value per marginal byte: a tile's value is its
 /// spherical solid-angle weight ([`evr_sas::TileGrid::tile_weights`])
 /// times a viewport factor (visible `1.0`, peripheral
-/// [`PERIPHERAL_VALUE`], out-of-view never upgrades), and each step
+/// `PERIPHERAL_VALUE`, out-of-view never upgrades), and each step
 /// picks the affordable upgrade with the best `value / marginal-bytes`
 /// ratio (ties to the lowest tile index). Visible tiles may climb to the
 /// top rung, peripheral tiles to the middle of the ladder.

@@ -44,7 +44,7 @@ use evr_projection::FovFrameMeta;
 use evr_pte::{FrameStats, GpuModel, Pte};
 use evr_sas::checker::{CheckOutcome, FovChecker};
 use evr_sas::ingest::FPS;
-use evr_sas::{PrerenderedFov, Request, Response, SasServer, TiledRateCatalog};
+use evr_sas::{PrerenderedFov, SasServer, TiledRateCatalog};
 use evr_trace::HeadTrace;
 use evr_video::codec::EncodedSegment;
 
@@ -507,34 +507,6 @@ impl RenderBackend for FovPassthrough {
     fn note_metrics(&self, _m: &SessionMetrics) {}
 }
 
-/// A delivered FOV payload: borrowed straight from the catalog logs, or
-/// an owned, refcounted pre-render out of the server's shared
-/// [`evr_sas::FovPrerenderStore`]. The bytes are identical either way
-/// (the store is populated from the same render), so the decode/render
-/// stage is oblivious to the provenance.
-enum FovPayload<'a> {
-    /// Served by [`SasServer::try_handle`]: borrows the catalog.
-    Borrowed {
-        /// The encoded FOV stream.
-        fov_seg: &'a EncodedSegment,
-        /// Per-frame orientation metadata.
-        meta: &'a [FovFrameMeta],
-    },
-    /// Served by [`SasServer::fetch_fov`] out of the pre-render store.
-    Stored(Arc<PrerenderedFov>),
-}
-
-impl FovPayload<'_> {
-    /// The encoded stream and its orientation metadata, wherever they
-    /// live.
-    fn parts(&self) -> (&EncodedSegment, &[FovFrameMeta]) {
-        match self {
-            FovPayload::Borrowed { fov_seg, meta } => (fov_seg, meta),
-            FovPayload::Stored(fov) => (&fov.data, fov.meta.as_slice()),
-        }
-    }
-}
-
 /// What the plan stage chose for one segment.
 enum SegmentPlan<'s> {
     /// Whole-frame playback: the FOV stream to request (SAS paths only).
@@ -547,8 +519,8 @@ enum SegmentPlan<'s> {
 enum SegmentSource<'a> {
     /// The requested FOV video (the clean happy path).
     Fov {
-        /// The delivered payload (catalog borrow or store pre-render).
-        payload: FovPayload<'a>,
+        /// The delivered pre-render, shared out of the server's store.
+        payload: Arc<PrerenderedFov>,
     },
     /// The original panorama at `byte_scale` of its full wire size;
     /// `degraded` marks the lower-bitrate rung.
@@ -779,20 +751,17 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             let t0 = observed.then(Instant::now);
             let ts = timed.then(|| tl.now_ns());
             let gpu_used = match source {
-                SegmentSource::Fov { payload } => {
-                    let (fov_seg, meta) = payload.parts();
-                    self.play_fov(
-                        &mut st,
-                        &link,
-                        seg,
-                        seg_start_t,
-                        original,
-                        orig_bytes,
-                        fov_seg,
-                        meta,
-                        &geom,
-                    )
-                }
+                SegmentSource::Fov { payload } => self.play_fov(
+                    &mut st,
+                    &link,
+                    seg,
+                    seg_start_t,
+                    original,
+                    orig_bytes,
+                    &payload.data,
+                    &payload.meta,
+                    &geom,
+                ),
                 SegmentSource::Original { byte_scale, degraded } => {
                     self.play_original(&mut st, seg, original, byte_scale, degraded, &geom)
                 }
@@ -922,39 +891,28 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         // original), an unavailable shard descends the ladder normally.
         let gate = chosen.map(|_| self.admit(st, seg, seg_start_t));
         if let (Some(FrontGate::Serve { .. }), Some(cluster)) = (gate, chosen) {
-            // Store-backed servers hand out refcounted pre-renders (the
-            // fleet-scale path: many sessions share one resident copy);
-            // store-less servers lend the catalog's bytes directly. The
-            // payload bytes are identical, so the rest of the ladder and
-            // the report are too.
-            let fetched: Option<(FovPayload<'s>, u64)> = if server.has_store() {
-                // Request-scoped tracing: on timed runs the request id
-                // ties this client's fetch interval to the server-side
-                // `sas_fetch_fov` interval it caused.
-                let tl = obs.timeline();
-                if tl.is_enabled() {
-                    ctx.request = tl.next_request_id();
-                }
-                server
-                    .fetch_fov_traced(seg, cluster, *ctx)
-                    .ok()
-                    .map(|(p, w)| (FovPayload::Stored(p), w))
+            // The server hands out refcounted pre-renders out of its
+            // store: many sessions share one resident copy. Request-scoped
+            // tracing: on timed runs the fetch is recorded as a
+            // `sas_fetch_fov` interval whose request id also stamps this
+            // segment's fetch-stage interval, so the two correlate.
+            let tl = obs.timeline();
+            let fetched = if tl.is_enabled() {
+                ctx.request = tl.next_request_id();
+                let t0 = tl.now_ns();
+                let result = server.fetch_fov(seg, cluster);
+                tl.record(names::TIMELINE_SAS_FETCH, *ctx, t0, tl.now_ns());
+                result
             } else {
-                match server.try_handle(Request::FovVideo { segment: seg, cluster }) {
-                    Ok(Response::FovVideo { segment: fov_seg, meta, wire_bytes }) => {
-                        Some((FovPayload::Borrowed { fov_seg, meta }, wire_bytes))
-                    }
-                    _ => None,
-                }
+                server.fetch_fov(seg, cluster)
             };
-            if let Some((payload, wire_bytes)) = fetched {
+            if let Ok((payload, wire_bytes)) = fetched {
                 if self.deliver(st, link, seg_start_t, seg, wire_bytes) {
                     if !self.transport.corrupts(seg) {
                         return SegmentSource::Fov { payload };
                     }
                     // The ladder descends past a corrupt FOV video.
-                    let (fov_seg, _) = payload.parts();
-                    let intra = frame_wire_bytes(&fov_seg.frames[0], geom.fov_scale);
+                    let intra = frame_wire_bytes(&payload.data.frames[0], geom.fov_scale);
                     st.account_corrupt(&session.cfg.device, geom.fov_px, intra);
                 }
             }

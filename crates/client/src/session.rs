@@ -8,9 +8,8 @@
 //!
 //! The control flow itself lives in [`crate::pipeline`]: `run` and
 //! [`PlaybackSession::run_resilient`] are thin configurations of the
-//! same staged segment pipeline, differing only in the
-//! [`Transport`](crate::pipeline::Transport) and
-//! [`RenderBackend`](crate::pipeline::RenderBackend) they plug in.
+//! same staged segment pipeline, differing only in the [`Transport`]
+//! and [`RenderBackend`](crate::pipeline::RenderBackend) they plug in.
 
 use std::sync::Arc;
 

@@ -82,10 +82,12 @@ pub mod names {
 
     // SAS server (evr-sas).
     pub const SAS_FOV_REQUESTS: &str = "evr_sas_fov_requests_total";
+    /// Original-segment requests to the server. Reads 0: clients read
+    /// originals straight from the catalog, so no server fetch counts
+    /// here; `perfbench` still adds it into `server.calls`.
     pub const SAS_ORIGINAL_REQUESTS: &str = "evr_sas_original_requests_total";
     pub const SAS_NOT_FOUND: &str = "evr_sas_not_found_total";
     pub const SAS_FOV_BYTES: &str = "evr_sas_fov_bytes_total";
-    pub const SAS_ORIGINAL_BYTES: &str = "evr_sas_original_bytes_total";
     pub const SAS_STORE_SEGMENTS: &str = "evr_sas_store_segments";
 
     // Shared FOV pre-render store (evr-sas). Hits/misses/evictions are
@@ -155,7 +157,9 @@ pub mod names {
     pub const OBS_TIMELINE_DROPPED: &str = "evr_obs_timeline_events_dropped_total";
 
     // Timeline stage names (crate::timeline). The pipeline stages reuse
-    // the same labels as their `evr_pipeline_stage_seconds_*` histograms.
+    // the same labels as their `evr_pipeline_stage_seconds_*` histograms;
+    // the client's fetch stage records `sas_fetch_fov` around each FOV
+    // fetch it sends the server.
     pub const TIMELINE_USER: &str = "user";
     pub const TIMELINE_SAS_FETCH: &str = "sas_fetch_fov";
     pub const TIMELINE_INGEST_SEGMENT: &str = "ingest_segment";

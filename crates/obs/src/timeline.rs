@@ -1,6 +1,6 @@
 //! Per-worker timeline profiler: who ran what, when, and for whom.
 //!
-//! The aggregate histograms in [`crate::metrics`] answer "how long does
+//! The aggregate histograms ([`crate::Histogram`]) answer "how long does
 //! a stage take on average" but cannot explain *flat scaling*: a fleet
 //! that speeds up 1.0x with 8 workers looks identical to a healthy one
 //! in every histogram. The [`Timeline`] answers the question the

@@ -256,7 +256,7 @@ mod tests {
         let scene = evr_video::library::scene_for(evr_video::library::VideoId::Rs);
         let cfg = SasConfig { tile_grid: TileGrid::default(), ..SasConfig::tiny_for_tests() };
         assert!(matches!(
-            crate::ingest::try_ingest_video(&scene, &cfg, 0.5),
+            crate::ingest::ingest_video_with(&scene, &cfg, 0.5, &crate::IngestOptions::default()),
             Err(crate::ingest::IngestError::InvalidConfig(_))
         ));
     }

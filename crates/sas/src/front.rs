@@ -11,8 +11,8 @@
 //! a dead shard. [`SasFront`] adds exactly that layer on top of an
 //! existing server, and doubles as the injection point for the
 //! server-side fault vocabulary in `evr-faults`
-//! ([`ServerFaultEvent`]: shard outages, slow shards, store eviction
-//! storms).
+//! ([`ServerFaultEvent`](evr_faults::ServerFaultEvent): shard outages,
+//! slow shards, store eviction storms).
 //!
 //! # Determinism
 //!
@@ -20,13 +20,13 @@
 //! clock `next_free_s`; a request arriving at `t` sees a backlog of
 //! `next_free_s - t`, and admission/shedding are pure functions of that
 //! backlog and the fault plan. [`SasFront::serve_batch`] splits a batch
-//! into a **serial admission pass** (arrival order, calling thread —
-//! the only place shared mutable state is touched) and a **parallel
-//! execution pass** over the admitted keys (pure catalog/store reads,
-//! fanned out via the same chunked-scheduling helper as ingest and
-//! merged back in input order). The report is therefore byte-identical
-//! for any worker count — the same contract as `FleetRunner` and
-//! `evr_sched::run_chunked`, argued in DESIGN.md §14.
+//! of FOV and tile [`Request`]s into a **serial admission pass** (arrival
+//! order, calling thread — the only place shared mutable state is
+//! touched) and a **parallel execution pass** over the admitted requests
+//! (pure catalog/store reads, fanned out via the same chunked-scheduling
+//! helper as ingest and merged back in input order). The report is
+//! therefore byte-identical for any worker count — the same contract as
+//! `FleetRunner` and `evr_sched::run_chunked`, argued in DESIGN.md §14.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,94 +39,58 @@ use crate::prerender::PrerenderedFov;
 use crate::server::{SasError, SasServer};
 use crate::tiles::TileRung;
 
+/// What a client asks the front for. A tile is one more representation
+/// of a segment (as in DASH-SRD), so both kinds are keyed on their
+/// segment and share sharding, admission, shedding and coalescing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Request {
+    /// The top-rung FOV video of `cluster` for `segment`
+    /// ([`SasServer::fetch_fov`]).
+    Fov {
+        /// Temporal segment index.
+        segment: u32,
+        /// Cluster index within the segment.
+        cluster: usize,
+    },
+    /// One tile of `segment` at one quality rung
+    /// ([`SasServer::fetch_tile`]); the `T`/`T+H` delivery modes.
+    Tile {
+        /// Temporal segment index.
+        segment: u32,
+        /// Tile index within the grid (row-major).
+        tile: usize,
+        /// Quality-rung index (coarsest first).
+        rung: usize,
+    },
+}
+
+impl Request {
+    /// The segment the request is routed and admitted on.
+    fn segment(&self) -> u32 {
+        match *self {
+            Request::Fov { segment, .. } | Request::Tile { segment, .. } => segment,
+        }
+    }
+}
+
 /// One client request as the front sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontRequest {
     /// Requesting user (report labelling only — routing ignores it).
     pub user: u64,
-    /// Temporal segment index.
-    pub segment: u32,
-    /// Cluster index within the segment.
-    pub cluster: usize,
+    /// What is asked for.
+    pub request: Request,
     /// Simulated arrival time, seconds.
     pub arrival_s: f64,
 }
 
-/// One tile request as the front sees it (the `T`/`T+H` delivery
-/// modes). Tile requests are keyed on their segment exactly like FOV
-/// requests, so sharding, admission control, shedding and coalescing
-/// apply unchanged.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TileRequest {
-    /// Requesting user (report labelling only — routing ignores it).
-    pub user: u64,
-    /// Temporal segment index.
-    pub segment: u32,
-    /// Tile index within the grid (row-major).
-    pub tile: usize,
-    /// Quality-rung index (coarsest first).
-    pub rung: usize,
-    /// Simulated arrival time, seconds.
-    pub arrival_s: f64,
-}
-
-/// What one [`TileRequest`] in a batch ultimately received.
+/// A served response body.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TileDisposition {
-    /// The requested tile encoding.
-    Served {
-        /// The tile's byte accounting at the requested rung.
-        payload: TileRung,
-        /// Total simulated latency (queue + service), seconds.
-        latency_s: f64,
-        /// Whether this request reused another in-flight build of the
-        /// same `(segment, tile, rung)` key.
-        coalesced: bool,
-    },
-    /// Shed to the coarsest rung of the same tile.
-    Shed {
-        /// Why the request was shed.
-        reason: ShedReason,
-        /// Wire size of the shed (coarsest-rung) response, bytes.
-        wire_bytes: u64,
-        /// Simulated latency of the shed response, seconds.
-        latency_s: f64,
-    },
-    /// Shard outage or open breaker.
-    Unavailable,
-    /// The segment/tile/rung does not exist (client error, not load).
-    NotFound {
-        /// The catalog's verdict.
-        error: SasError,
-    },
-}
-
-/// Outcome of one [`TileRequest`] in a batch, in input order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TileBatchOutcome {
-    /// The request this outcome answers.
-    pub request: TileRequest,
-    /// What it received.
-    pub disposition: TileDisposition,
-}
-
-/// Deterministic summary of one [`SasFront::serve_tile_batch`] call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TileBatchReport {
-    /// Per-request outcomes, in input order.
-    pub outcomes: Vec<TileBatchOutcome>,
-    /// Requests served at their requested rung.
-    pub served: u64,
-    /// Requests shed to the coarsest rung.
-    pub shed: u64,
-    /// Requests refused entirely (outage / open breaker).
-    pub unavailable: u64,
-    /// Requests for tiles that do not exist.
-    pub not_found: u64,
-    /// Served requests that reused another request's build.
-    pub coalesced: u64,
-    /// Deepest per-shard queue observed during admission.
-    pub peak_queue_depth: u32,
+pub enum Payload {
+    /// The pre-rendered FOV stream of a [`Request::Fov`].
+    Fov(Arc<PrerenderedFov>),
+    /// The tile encoding's byte accounting of a [`Request::Tile`].
+    Tile(TileRung),
 }
 
 /// Why the front refused to queue a request.
@@ -153,7 +117,7 @@ pub enum Admission {
         /// Simulated service time (degradations included), seconds.
         service_s: f64,
     },
-    /// Refused under load; the front answers with the low-rung original
+    /// Refused under load; the front answers with a low-rung response
     /// instead (cheap, constant cost — never unbounded queueing).
     Shed {
         /// Owning shard.
@@ -173,30 +137,32 @@ pub enum Admission {
 /// What one request in a batch ultimately received.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Disposition {
-    /// The requested FOV stream.
+    /// The requested FOV stream or tile.
     Served {
-        /// The pre-rendered payload.
-        payload: Arc<PrerenderedFov>,
+        /// The response body.
+        payload: Payload,
         /// Wire size at target (paper) scale, bytes.
         wire_bytes: u64,
         /// Total simulated latency (queue + service), seconds.
         latency_s: f64,
         /// Whether this request reused another in-flight build of the
-        /// same key instead of executing its own.
+        /// same [`Request`] instead of executing its own.
         coalesced: bool,
     },
-    /// Shed to the low-rung original.
+    /// Shed to the low-rung original (FOV) or the coarsest rung of the
+    /// same tile.
     Shed {
         /// Why the request was shed.
         reason: ShedReason,
-        /// Wire size of the low-rung original response, bytes.
+        /// Wire size of the shed response, bytes.
         wire_bytes: u64,
         /// Simulated latency of the shed response, seconds.
         latency_s: f64,
     },
     /// Shard outage or open breaker.
     Unavailable,
-    /// The segment/cluster does not exist (client error, not load).
+    /// The requested stream or tile does not exist (client error, not
+    /// load).
     NotFound {
         /// The catalog's verdict.
         error: SasError,
@@ -217,13 +183,13 @@ pub struct BatchOutcome {
 pub struct BatchReport {
     /// Per-request outcomes, in input order.
     pub outcomes: Vec<BatchOutcome>,
-    /// Requests served with their FOV stream.
+    /// Requests served with their FOV stream or tile.
     pub served: u64,
-    /// Requests shed to the low-rung original.
+    /// Requests shed to a low-rung response.
     pub shed: u64,
     /// Requests refused entirely (outage / open breaker).
     pub unavailable: u64,
-    /// Requests for streams that do not exist.
+    /// Requests for streams or tiles that do not exist.
     pub not_found: u64,
     /// Served requests that reused another request's build.
     pub coalesced: u64,
@@ -281,7 +247,7 @@ struct ShardLane {
 pub struct ShardStats {
     /// Requests admitted and served.
     pub served: u64,
-    /// Requests shed to the low-rung original.
+    /// Requests shed to a low-rung response.
     pub shed: u64,
     /// Requests refused (outage / open breaker).
     pub unavailable: u64,
@@ -460,56 +426,68 @@ impl SasFront {
         Admission::Serve { shard, queue_delay_s: backlog_s, service_s }
     }
 
-    /// Serves a whole batch of requests: a serial admission pass in
-    /// input order, then the admitted FOV builds — deduplicated per
-    /// `(segment, cluster)` so identical concurrent fetches coalesce
-    /// into one — executed across `workers` threads with
-    /// `evr_sched::run_chunked` and merged back in input order.
-    /// Byte-identical output for any `workers` value; only wall-clock
-    /// changes.
+    /// Serves a whole batch of FOV and tile requests: a serial admission
+    /// pass in input order, then the admitted fetches — deduplicated per
+    /// [`Request`] so identical concurrent fetches coalesce into one —
+    /// executed across `workers` threads with `evr_sched::run_chunked`
+    /// and merged back in input order. Byte-identical output for any
+    /// `workers` value; only wall-clock changes.
+    ///
+    /// A shed FOV request is answered with the low-rung original, a shed
+    /// tile request with the coarsest rung of the same tile.
     pub fn serve_batch(&self, requests: &[FrontRequest], workers: usize) -> BatchReport {
         self.metrics.requests.add(requests.len() as u64);
 
         // Phase 1 (serial, calling thread): admission in input order —
         // the only phase that touches shared mutable shard state.
         let admissions: Vec<Admission> =
-            requests.iter().map(|r| self.admit(r.segment, r.arrival_s)).collect();
+            requests.iter().map(|r| self.admit(r.request.segment(), r.arrival_s)).collect();
 
-        // Unique admitted keys, in first-appearance order (stable under
-        // any worker count because it derives from input order alone).
-        let mut unique: Vec<(u32, usize)> = Vec::new();
-        let mut key_index: HashMap<(u32, usize), usize> = HashMap::new();
+        // Unique admitted requests, in first-appearance order (stable
+        // under any worker count because it derives from input order
+        // alone).
+        let mut unique: Vec<Request> = Vec::new();
+        let mut key_index: HashMap<Request, usize> = HashMap::new();
         for (req, adm) in requests.iter().zip(&admissions) {
             if matches!(adm, Admission::Serve { .. }) {
-                let key = (req.segment, req.cluster);
-                key_index.entry(key).or_insert_with(|| {
-                    unique.push(key);
+                key_index.entry(req.request).or_insert_with(|| {
+                    unique.push(req.request);
                     unique.len() - 1
                 });
             }
         }
 
         // Phase 2 (parallel, pure): one catalog/store read per unique
-        // key. `fetch_fov` is a pure function of the key — shared state
-        // is only the store, and first-insert-wins keeps every worker's
-        // payload byte-identical.
+        // request. Each fetch is a pure function of its request — shared
+        // state is only the store, and first-insert-wins keeps every
+        // worker's payload byte-identical.
+        let fetch = |request: Request| match request {
+            Request::Fov { segment, cluster } => {
+                self.server.fetch_fov(segment, cluster).map(|(p, wire)| (Payload::Fov(p), wire))
+            }
+            Request::Tile { segment, tile, rung } => {
+                self.server.fetch_tile(segment, tile, rung).map(|r| {
+                    let wire = r.wire_bytes;
+                    (Payload::Tile(r), wire)
+                })
+            }
+        };
         let tl = &self.metrics.timeline;
-        let built: Vec<Result<(Arc<PrerenderedFov>, u64), SasError>> =
+        let built: Vec<Result<(Payload, u64), SasError>> =
             evr_sched::run_chunked(unique.len() as u64, workers, 0, |i| {
-                let (segment, cluster) = unique[i as usize];
-                if tl.is_enabled() {
-                    let t0 = tl.now_ns();
-                    let result = self.server.fetch_fov(segment, cluster);
-                    tl.record(
-                        evr_obs::names::TIMELINE_FRONT_SERVE,
-                        evr_obs::TraceCtx::anonymous().with_segment(i64::from(segment)),
-                        t0,
-                        tl.now_ns(),
-                    );
-                    result
-                } else {
-                    self.server.fetch_fov(segment, cluster)
+                let request = unique[i as usize];
+                if !tl.is_enabled() {
+                    return fetch(request);
                 }
+                let t0 = tl.now_ns();
+                let result = fetch(request);
+                tl.record(
+                    evr_obs::names::TIMELINE_FRONT_SERVE,
+                    evr_obs::TraceCtx::anonymous().with_segment(i64::from(request.segment())),
+                    t0,
+                    tl.now_ns(),
+                );
+                result
             });
 
         // Phase 3 (serial): reassemble outcomes in input order.
@@ -522,20 +500,20 @@ impl SasFront {
             coalesced: 0,
             peak_queue_depth: self.peak_queue_depth(),
         };
-        let mut first_use: HashMap<(u32, usize), ()> = HashMap::new();
+        let mut used = vec![false; unique.len()];
         for (req, adm) in requests.iter().zip(&admissions) {
             let disposition = match *adm {
                 Admission::Serve { queue_delay_s, service_s, .. } => {
-                    let key = (req.segment, req.cluster);
-                    match &built[key_index[&key]] {
+                    let index = key_index[&req.request];
+                    match &built[index] {
                         Ok((payload, wire_bytes)) => {
-                            let coalesced = first_use.insert(key, ()).is_some();
+                            let coalesced = std::mem::replace(&mut used[index], true);
                             if coalesced {
                                 report.coalesced += 1;
                             }
                             report.served += 1;
                             Disposition::Served {
-                                payload: Arc::clone(payload),
+                                payload: payload.clone(),
                                 wire_bytes: *wire_bytes,
                                 latency_s: queue_delay_s + service_s,
                                 coalesced,
@@ -551,7 +529,7 @@ impl SasFront {
                     report.shed += 1;
                     Disposition::Shed {
                         reason,
-                        wire_bytes: self.shed_wire_bytes(req.segment),
+                        wire_bytes: self.shed_wire_bytes(req.request),
                         latency_s,
                     }
                 }
@@ -570,128 +548,25 @@ impl SasFront {
         report
     }
 
-    /// Serves a batch of tile requests with the same three-phase scheme
-    /// as [`SasFront::serve_batch`]: serial admission in input order,
-    /// parallel execution over unique `(segment, tile, rung)` keys, and
-    /// serial reassembly. Byte-identical output for any `workers` value.
-    ///
-    /// Shed responses degrade to the *coarsest rung of the same tile*
-    /// (scaled by the profile's `shed_byte_scale`) rather than the full
-    /// low-rung original — the tiled analogue of the FOV shed path.
-    pub fn serve_tile_batch(&self, requests: &[TileRequest], workers: usize) -> TileBatchReport {
-        self.metrics.requests.add(requests.len() as u64);
-
-        let admissions: Vec<Admission> =
-            requests.iter().map(|r| self.admit(r.segment, r.arrival_s)).collect();
-
-        let mut unique: Vec<(u32, usize, usize)> = Vec::new();
-        let mut key_index: HashMap<(u32, usize, usize), usize> = HashMap::new();
-        for (req, adm) in requests.iter().zip(&admissions) {
-            if matches!(adm, Admission::Serve { .. }) {
-                let key = (req.segment, req.tile, req.rung);
-                key_index.entry(key).or_insert_with(|| {
-                    unique.push(key);
-                    unique.len() - 1
-                });
+    /// Wire bytes of the shed response to `request`, scaled by the
+    /// profile's `shed_byte_scale`: the segment's full original for an
+    /// FOV request, the coarsest rung of the tile for a tile request;
+    /// zero if the segment or tile does not exist.
+    fn shed_wire_bytes(&self, request: Request) -> u64 {
+        let full = match request {
+            Request::Fov { segment, .. } => {
+                let catalog = self.server.catalog();
+                let Some(data) = catalog.try_original_segment(segment) else { return 0 };
+                data.scaled_bytes(catalog.config().src_byte_scale())
             }
-        }
-
-        let tl = &self.metrics.timeline;
-        let built: Vec<Result<TileRung, SasError>> =
-            evr_sched::run_chunked(unique.len() as u64, workers, 0, |i| {
-                let (segment, tile, rung) = unique[i as usize];
-                if tl.is_enabled() {
-                    let t0 = tl.now_ns();
-                    let result = self.server.fetch_tile(segment, tile, rung);
-                    tl.record(
-                        evr_obs::names::TIMELINE_FRONT_SERVE,
-                        evr_obs::TraceCtx::anonymous().with_segment(i64::from(segment)),
-                        t0,
-                        tl.now_ns(),
-                    );
-                    result
-                } else {
-                    self.server.fetch_tile(segment, tile, rung)
+            Request::Tile { segment, tile, .. } => {
+                let Some(tiles) = self.server.tiles() else { return 0 };
+                if segment >= tiles.segment_count() || tile >= tiles.grid().len() {
+                    return 0;
                 }
-            });
-
-        let mut report = TileBatchReport {
-            outcomes: Vec::with_capacity(requests.len()),
-            served: 0,
-            shed: 0,
-            unavailable: 0,
-            not_found: 0,
-            coalesced: 0,
-            peak_queue_depth: self.peak_queue_depth(),
+                tiles.rung(segment, tile, 0).wire_bytes
+            }
         };
-        let mut first_use: HashMap<(u32, usize, usize), ()> = HashMap::new();
-        for (req, adm) in requests.iter().zip(&admissions) {
-            let disposition = match *adm {
-                Admission::Serve { queue_delay_s, service_s, .. } => {
-                    let key = (req.segment, req.tile, req.rung);
-                    match &built[key_index[&key]] {
-                        Ok(payload) => {
-                            let coalesced = first_use.insert(key, ()).is_some();
-                            if coalesced {
-                                report.coalesced += 1;
-                            }
-                            report.served += 1;
-                            TileDisposition::Served {
-                                payload: payload.clone(),
-                                latency_s: queue_delay_s + service_s,
-                                coalesced,
-                            }
-                        }
-                        Err(error) => {
-                            report.not_found += 1;
-                            TileDisposition::NotFound { error: *error }
-                        }
-                    }
-                }
-                Admission::Shed { reason, latency_s, .. } => {
-                    report.shed += 1;
-                    TileDisposition::Shed {
-                        reason,
-                        wire_bytes: self.shed_tile_wire_bytes(req.segment, req.tile),
-                        latency_s,
-                    }
-                }
-                Admission::Unavailable { .. } => {
-                    report.unavailable += 1;
-                    TileDisposition::Unavailable
-                }
-            };
-            report.outcomes.push(TileBatchOutcome { request: *req, disposition });
-        }
-
-        self.metrics.served.add(report.served);
-        self.metrics.shed.add(report.shed);
-        self.metrics.unavailable.add(report.unavailable);
-        self.metrics.coalesced.add(report.coalesced);
-        report
-    }
-
-    /// Wire bytes of a shed tile response: the coarsest rung of the
-    /// tile scaled by the profile's `shed_byte_scale`, zero if the tile
-    /// does not exist.
-    fn shed_tile_wire_bytes(&self, segment: u32, tile: usize) -> u64 {
-        let Some(tiles) = self.server.tiles() else { return 0 };
-        if segment >= tiles.segment_count() || tile >= tiles.grid().len() {
-            return 0;
-        }
-        let coarse = tiles.rung(segment, tile, 0).wire_bytes;
-        (coarse as f64 * self.plan.profile().shed_byte_scale).round() as u64
-    }
-
-    /// Wire bytes of the shed (low-rung original) response for
-    /// `segment` — the full original scaled by the profile's
-    /// `shed_byte_scale`, zero if the segment does not exist.
-    fn shed_wire_bytes(&self, segment: u32) -> u64 {
-        let catalog = self.server.catalog();
-        let Some(data) = catalog.try_original_segment(segment) else {
-            return 0;
-        };
-        let full = data.scaled_bytes(catalog.config().src_byte_scale());
         (full as f64 * self.plan.profile().shed_byte_scale).round() as u64
     }
 
@@ -737,7 +612,8 @@ mod tests {
         (0..n)
             .map(|i| {
                 let (segment, cluster) = segments[i % segments.len()];
-                FrontRequest { user: i as u64, segment, cluster, arrival_s: i as f64 * dt }
+                let request = Request::Fov { segment, cluster };
+                FrontRequest { user: i as u64, request, arrival_s: i as f64 * dt }
             })
             .collect()
     }
@@ -801,9 +677,9 @@ mod tests {
         let catalog = front.server().catalog();
         let cluster = catalog.clusters_in_segment(0)[0];
         // Four users ask for the same key well under capacity.
-        let requests: Vec<FrontRequest> = (0..4)
-            .map(|i| FrontRequest { user: i, segment: 0, cluster, arrival_s: i as f64 * 0.1 })
-            .collect();
+        let request = Request::Fov { segment: 0, cluster };
+        let requests: Vec<FrontRequest> =
+            (0..4).map(|i| FrontRequest { user: i, request, arrival_s: i as f64 * 0.1 }).collect();
         let report = front.serve_batch(&requests, 4);
         assert_eq!(report.served, 4);
         assert_eq!(report.coalesced, 3, "one build, three reuses");
@@ -811,7 +687,7 @@ mod tests {
             .outcomes
             .iter()
             .map(|o| match &o.disposition {
-                Disposition::Served { payload, .. } => Arc::clone(payload),
+                Disposition::Served { payload: Payload::Fov(p), .. } => Arc::clone(p),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
@@ -925,27 +801,47 @@ mod tests {
         s
     }
 
+    /// [`storm`] with every third request turned into a tile request
+    /// (cycling over three segments, every tile and every rung).
+    fn mixed_storm(
+        server: &SasServer,
+        p: &FrontProfile,
+        factor: f64,
+        n: usize,
+    ) -> Vec<FrontRequest> {
+        let tiles = server.tiles().expect("tiled server");
+        let (grid_len, rungs) = (tiles.grid().len(), tiles.rung_count());
+        let fov = storm(server, p, factor, n);
+        fov.into_iter()
+            .enumerate()
+            .map(|(i, r)| {
+                if i % 3 != 0 {
+                    return r;
+                }
+                let k = i / 3;
+                let request =
+                    Request::Tile { segment: (k % 3) as u32, tile: k % grid_len, rung: k % rungs };
+                FrontRequest { request, ..r }
+            })
+            .collect()
+    }
+
     #[test]
     fn tile_batches_serve_and_coalesce_like_fov_batches() {
         let front = SasFront::new(tiled_server(), profile(), 7);
         let rungs = front.server().tiles().unwrap().rung_count();
         // Four users want the same tile at the same rung, well under
         // capacity: one build, three coalesced reuses.
-        let requests: Vec<TileRequest> = (0..4)
-            .map(|i| TileRequest {
-                user: i,
-                segment: 0,
-                tile: 1,
-                rung: rungs - 1,
-                arrival_s: i as f64 * 0.1,
-            })
-            .collect();
-        let report = front.serve_tile_batch(&requests, 4);
+        let request = Request::Tile { segment: 0, tile: 1, rung: rungs - 1 };
+        let requests: Vec<FrontRequest> =
+            (0..4).map(|i| FrontRequest { user: i, request, arrival_s: i as f64 * 0.1 }).collect();
+        let report = front.serve_batch(&requests, 4);
         assert_eq!(report.served, 4);
         assert_eq!(report.coalesced, 3);
         assert!(report.outcomes.iter().all(|o| matches!(
             &o.disposition,
-            TileDisposition::Served { payload, .. } if payload.wire_bytes > 0
+            Disposition::Served { payload: Payload::Tile(t), wire_bytes, .. }
+                if t.wire_bytes > 0 && *wire_bytes == t.wire_bytes
         )));
     }
 
@@ -956,20 +852,18 @@ mod tests {
         let grid_len = tiles.tiles().unwrap().grid().len();
         let capacity_rps = p.shard_capacity_rps() * f64::from(p.shards);
         let dt = 1.0 / (capacity_rps * 4.0);
-        let requests: Vec<TileRequest> = (0..512)
-            .map(|i| TileRequest {
+        let requests: Vec<FrontRequest> = (0..512)
+            .map(|i| FrontRequest {
                 user: i as u64,
-                segment: (i % 3) as u32,
-                tile: i % grid_len,
-                rung: 0,
+                request: Request::Tile { segment: (i % 3) as u32, tile: i % grid_len, rung: 0 },
                 arrival_s: i as f64 * dt,
             })
             .collect();
-        let reports: Vec<TileBatchReport> = [1usize, 2, 8]
+        let reports: Vec<BatchReport> = [1usize, 2, 8]
             .iter()
             .map(|&workers| {
                 let front = SasFront::new(tiled_server(), p, 7);
-                front.serve_tile_batch(&requests, workers)
+                front.serve_batch(&requests, workers)
             })
             .collect();
         assert_eq!(reports[0], reports[1], "1 vs 2 workers");
@@ -977,7 +871,7 @@ mod tests {
         let r = &reports[0];
         assert!(r.shed > 0 && r.served > 0);
         for o in &r.outcomes {
-            if let TileDisposition::Shed { wire_bytes, .. } = &o.disposition {
+            if let Disposition::Shed { wire_bytes, .. } = &o.disposition {
                 assert!(*wire_bytes > 0, "shed tiles still answer with the coarsest rung");
             }
         }
@@ -986,19 +880,83 @@ mod tests {
     #[test]
     fn tile_requests_without_a_catalog_are_not_found() {
         let front = SasFront::new(test_server(), profile(), 7);
-        let requests = vec![TileRequest { user: 0, segment: 0, tile: 0, rung: 0, arrival_s: 0.0 }];
-        let report = front.serve_tile_batch(&requests, 1);
+        let request = Request::Tile { segment: 0, tile: 0, rung: 0 };
+        let report = front.serve_batch(&[FrontRequest { user: 0, request, arrival_s: 0.0 }], 1);
         assert_eq!(report.not_found, 1);
         assert!(matches!(
             report.outcomes[0].disposition,
-            TileDisposition::NotFound { error: SasError::UnknownTile { segment: 0, tile: 0 } }
+            Disposition::NotFound { error: SasError::UnknownTile { segment: 0, tile: 0 } }
         ));
+    }
+
+    #[test]
+    fn mixed_batches_are_worker_invariant_and_match_direct_fetches() {
+        let p = profile();
+        let requests = mixed_storm(&tiled_server(), &p, 4.0, 512);
+        let reports: Vec<BatchReport> = [1usize, 2, 8]
+            .iter()
+            .map(|&workers| SasFront::new(tiled_server(), p, 7).serve_batch(&requests, workers))
+            .collect();
+        assert_eq!(reports[0], reports[1], "1 vs 2 workers");
+        assert_eq!(reports[0], reports[2], "1 vs 8 workers");
+
+        let r = &reports[0];
+        let direct = tiled_server();
+        // A shed FOV request gets the low-rung original, a shed tile the
+        // coarsest rung of that tile.
+        let scaled = |bytes: u64| (bytes as f64 * p.shed_byte_scale).round() as u64;
+        let mut shed = (0, 0);
+        for o in &r.outcomes {
+            let Disposition::Shed { wire_bytes, .. } = o.disposition else { continue };
+            match o.request.request {
+                Request::Fov { segment, .. } => {
+                    assert_eq!(wire_bytes, scaled(direct.catalog().original_target_bytes(segment)));
+                    shed.0 += 1;
+                }
+                Request::Tile { segment, tile, .. } => {
+                    let coarsest = direct.tiles().unwrap().rung(segment, tile, 0).wire_bytes;
+                    assert_eq!(wire_bytes, scaled(coarsest));
+                    shed.1 += 1;
+                }
+            }
+        }
+        assert!(shed.0 > 0 && shed.1 > 0, "4x overload sheds both kinds: {shed:?}");
+
+        let mut seen = std::collections::HashSet::new();
+        let (mut fov, mut tile) = (0, 0);
+        for o in &r.outcomes {
+            let Disposition::Served { payload, wire_bytes, coalesced, .. } = &o.disposition else {
+                continue;
+            };
+            // Coalescing is per request: the first serve of a `Request`
+            // builds, every later serve of an equal one reuses it.
+            assert_eq!(*coalesced, !seen.insert(o.request.request), "{:?}", o.request);
+            match (o.request.request, payload) {
+                (Request::Fov { segment, cluster }, Payload::Fov(got)) => {
+                    let (want, want_wire) = direct.fetch_fov(segment, cluster).expect("listed");
+                    assert_eq!(**got, *want);
+                    assert_eq!(*wire_bytes, want_wire);
+                    fov += 1;
+                }
+                (Request::Tile { segment, tile: t, rung }, Payload::Tile(got)) => {
+                    let want = direct.fetch_tile(segment, t, rung).expect("in range");
+                    assert_eq!(*got, want);
+                    assert_eq!(*wire_bytes, want.wire_bytes);
+                    tile += 1;
+                }
+                (request, payload) => panic!("{request:?} served with {payload:?}"),
+            }
+        }
+        assert_eq!(fov + tile, r.served);
+        assert!(fov > 0 && tile > 0, "both kinds served: {fov} FOV, {tile} tile");
+        assert_eq!(r.coalesced, r.served - seen.len() as u64);
     }
 
     #[test]
     fn not_found_requests_do_not_count_as_shed() {
         let front = SasFront::new(test_server(), profile(), 7);
-        let requests = vec![FrontRequest { user: 0, segment: 999, cluster: 0, arrival_s: 0.0 }];
+        let request = Request::Fov { segment: 999, cluster: 0 };
+        let requests = vec![FrontRequest { user: 0, request, arrival_s: 0.0 }];
         let report = front.serve_batch(&requests, 1);
         assert_eq!(report.not_found, 1);
         assert_eq!(report.shed, 0);

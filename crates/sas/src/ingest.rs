@@ -146,7 +146,7 @@ impl SasCatalog {
 
     /// Clusters with materialised FOV videos in `segment`.
     pub fn clusters_in_segment(&self, segment: u32) -> Vec<usize> {
-        self.index.range((segment, 0)..(segment + 1, 0)).map(|((_, c), _)| *c).collect()
+        self.index.range((segment, 0)..=(segment, usize::MAX)).map(|((_, c), _)| *c).collect()
     }
 
     /// The content fingerprint this catalog was ingested under — the
@@ -244,7 +244,7 @@ impl SasCatalog {
         out.index.clear();
         for seg in 0..self.segment_count() {
             let mut streams: Vec<&FovStream> =
-                self.index.range((seg, 0)..(seg + 1, 0)).map(|(_, s)| s).collect();
+                self.index.range((seg, 0)..=(seg, usize::MAX)).map(|(_, s)| s).collect();
             streams.sort_by_key(|s| std::cmp::Reverse(s.members));
             let total: u32 = streams.iter().map(|s| s.members).sum();
             let budget = (utilization * total as f64).ceil() as u32;
@@ -292,25 +292,11 @@ impl SasCatalog {
 /// # Panics
 ///
 /// Panics if the configuration fails [`SasConfig::validate`] or the
-/// duration covers no complete frame — use [`try_ingest_video`] or
-/// [`ingest_video_with`] for fallible ingestion.
+/// duration covers no complete frame — use [`ingest_video_with`] for
+/// fallible ingestion.
 pub fn ingest_video(scene: &Scene, config: &SasConfig, duration_s: f64) -> SasCatalog {
     ingest_video_with(scene, config, duration_s, &IngestOptions::default())
         .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`ingest_video`] with default options.
-///
-/// # Errors
-///
-/// Returns [`IngestError`] on an invalid configuration or a duration
-/// covering no complete frame.
-pub fn try_ingest_video(
-    scene: &Scene,
-    config: &SasConfig,
-    duration_s: f64,
-) -> Result<SasCatalog, IngestError> {
-    ingest_video_with(scene, config, duration_s, &IngestOptions::default())
 }
 
 /// Runs the full ingestion pipeline with explicit [`IngestOptions`].
@@ -694,9 +680,15 @@ mod tests {
         let scene = scene_for(VideoId::Rs);
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.smoothing = 2.0;
-        assert!(matches!(try_ingest_video(&scene, &cfg, 1.0), Err(IngestError::InvalidConfig(_))));
+        assert!(matches!(
+            ingest_video_with(&scene, &cfg, 1.0, &IngestOptions::default()),
+            Err(IngestError::InvalidConfig(_))
+        ));
         let cfg = SasConfig::tiny_for_tests();
-        assert_eq!(try_ingest_video(&scene, &cfg, 0.001), Err(IngestError::NoFrames));
+        assert_eq!(
+            ingest_video_with(&scene, &cfg, 0.001, &IngestOptions::default()),
+            Err(IngestError::NoFrames)
+        );
     }
 
     #[test]
@@ -737,7 +729,7 @@ mod tests {
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.detector.miss_rate = 1.0; // every real object dropped...
         cfg.detector.spurious_rate = 0.0; // ...and no spurious boxes either
-        let c = try_ingest_video(&scene, &cfg, 1.0).unwrap();
+        let c = ingest_video_with(&scene, &cfg, 1.0, &IngestOptions::default()).unwrap();
         assert!(c.segment_count() > 0);
         for seg in 0..c.segment_count() {
             assert!(c.clusters_in_segment(seg).is_empty());
@@ -752,7 +744,7 @@ mod tests {
         let scene = scene_for(VideoId::Rs);
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.detector.localization_noise = f64::NAN; // NaN through perturbation
-        let c = try_ingest_video(&scene, &cfg, 1.0).unwrap();
+        let c = ingest_video_with(&scene, &cfg, 1.0, &IngestOptions::default()).unwrap();
         assert!(c.segment_count() > 0);
         for seg in 0..c.segment_count() {
             assert!(c.clusters_in_segment(seg).is_empty(), "segment {seg} kept a FOV stream");
@@ -765,7 +757,13 @@ mod tests {
     fn single_frame_segment_ingests_and_serves() {
         // 9 frames at 8 per segment → the last segment holds one frame.
         let scene = scene_for(VideoId::Rs);
-        let c = try_ingest_video(&scene, &SasConfig::tiny_for_tests(), 9.0 / 30.0).unwrap();
+        let c = ingest_video_with(
+            &scene,
+            &SasConfig::tiny_for_tests(),
+            9.0 / 30.0,
+            &IngestOptions::default(),
+        )
+        .unwrap();
         assert_eq!(c.segment_count(), 2);
         assert_eq!(c.original_segment(1).frames.len(), 1);
         for cluster in c.clusters_in_segment(1) {
@@ -783,7 +781,7 @@ mod tests {
         let scene = scene_for(VideoId::Rs);
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.max_clusters = 16;
-        let c = try_ingest_video(&scene, &cfg, 1.0).unwrap();
+        let c = ingest_video_with(&scene, &cfg, 1.0, &IngestOptions::default()).unwrap();
         assert!(c.degraded_segments().is_empty());
         assert!(!c.clusters_in_segment(0).is_empty());
     }

@@ -12,8 +12,12 @@
 //! 2. **Store** ([`store`]) — a log-structured store holding FOV videos
 //!    with their per-frame orientation metadata in a separate metadata
 //!    log (§5.3, "SAS Store").
-//! 3. **Serving** ([`server`]) — two request types: FOV-video requests
-//!    (at segment starts) and original-segment requests (on FOV misses).
+//! 3. **Serving** ([`server`], [`front`]) — FOV-video requests (at
+//!    segment starts, at any ladder rung or as an upgrade) and tile
+//!    requests, each answered by one typed fetch out of the server's
+//!    pre-render store; the original segment of an FOV miss is read
+//!    straight from the catalog. The sharded front batches both request
+//!    kinds through one admission path.
 //! 4. **Client checking** ([`checker`]) — the client-side FOV checker
 //!    comparing the IMU pose against each FOV frame's metadata (§5.4).
 //!
@@ -54,16 +58,15 @@ pub use checker::FovChecker;
 pub use config::SasConfig;
 pub use fovladder::{fov_rung_quantizers, populate_fov_ladder, FovLadderStats};
 pub use front::{
-    Admission, BatchOutcome, BatchReport, Disposition, FrontRequest, SasFront, ShardStats,
-    ShedReason, TileBatchOutcome, TileBatchReport, TileDisposition, TileRequest,
+    Admission, BatchOutcome, BatchReport, Disposition, FrontRequest, Payload, Request, SasFront,
+    ShardStats, ShedReason,
 };
 pub use ingest::{
-    ingest_video, ingest_video_with, try_ingest_video, FovStream, IngestError, IngestOptions,
-    SasCatalog,
+    ingest_video, ingest_video_with, FovStream, IngestError, IngestOptions, SasCatalog,
 };
 pub use ladder::{ingest_ladder, ingest_ladder_with, LadderCatalog};
 pub use prerender::{FovPrerenderStore, PrerenderKey, PrerenderedFov, StoreStats};
-pub use server::{FovUpgrade, Request, Response, SasError, SasServer};
+pub use server::{FovUpgrade, SasError, SasServer};
 pub use store::LogStore;
 pub use tiles::{
     ingest_tiled_rates, ingest_tiled_rates_with, TileClass, TileGrid, TileRung, TiledRateCatalog,

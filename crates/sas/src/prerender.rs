@@ -12,7 +12,7 @@
 //!
 //! * ingest inserts (or reuses) each cluster's pre-render, so repeated
 //!   ingests of the same content skip the render+encode entirely;
-//! * a serving [`crate::SasServer`] with an attached store publishes
+//! * a serving [`crate::SasServer`] (each owns a store) publishes
 //!   segments on first request and hands out `Arc` clones after that.
 //!
 //! The design mirrors `evr-projection`'s `SamplingMapCache` (the LUT

@@ -5,6 +5,15 @@
 //! video segment when the client decides what object cluster the user is
 //! most likely interested in", and original-video requests made on an
 //! FOV miss, served as whole segments.
+//!
+//! Every server owns a [`FovPrerenderStore`] and answers through four
+//! typed fetches: [`SasServer::fetch_fov`] (the top rung),
+//! [`SasServer::fetch_fov_rung`] (a lower rung),
+//! [`SasServer::fetch_fov_upgrade`] (top rung for a client holding a
+//! lower one) and [`SasServer::fetch_tile`] (one tile at one rung of the
+//! tiled-rate catalog). The original segment of an FOV miss is a whole
+//! catalog record ([`SasCatalog::try_original_segment`]) and needs no
+//! server-side work.
 
 use std::sync::Arc;
 
@@ -12,54 +21,12 @@ use serde::{Deserialize, Serialize};
 
 use evr_math::EulerAngles;
 use evr_projection::FovFrameMeta;
-use evr_video::codec::EncodedSegment;
 use evr_video::delta::{transcode_segment, DeltaSegment, SegmentRepr};
 
 use crate::fovladder::fov_rung_quantizers;
 use crate::ingest::SasCatalog;
 use crate::prerender::{FovPrerenderStore, PrerenderKey, PrerenderedFov};
 use crate::tiles::{TileRung, TiledRateCatalog};
-
-/// A client request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Request {
-    /// The FOV video of `cluster` for `segment`.
-    FovVideo {
-        /// Temporal segment index.
-        segment: u32,
-        /// Cluster index.
-        cluster: usize,
-    },
-    /// The original segment (FOV-miss fallback).
-    Original {
-        /// Temporal segment index.
-        segment: u32,
-    },
-}
-
-/// A server response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response<'a> {
-    /// A pre-rendered FOV segment with its orientation metadata.
-    FovVideo {
-        /// The encoded stream (analysis scale).
-        segment: &'a EncodedSegment,
-        /// Per-frame orientation metadata.
-        meta: &'a [FovFrameMeta],
-        /// Wire size at target (paper) scale, bytes.
-        wire_bytes: u64,
-    },
-    /// An original segment.
-    Original {
-        /// The encoded stream (analysis scale).
-        segment: &'a EncodedSegment,
-        /// Wire size at target (paper) scale, bytes.
-        wire_bytes: u64,
-    },
-    /// The requested stream does not exist (no such segment, or the
-    /// cluster was not materialised under the utilisation budget).
-    NotFound,
-}
 
 /// What [`SasServer::fetch_fov_upgrade`] moves on the wire: the top FOV
 /// rung, expressed for a client that already holds a lower rung of the
@@ -104,8 +71,8 @@ pub enum SasError {
         cluster: usize,
     },
     /// The quantiser is not a rung of the FOV ladder
-    /// ([`fov_rung_quantizers`](crate::fov_rung_quantizers)), so no such
-    /// representation of the stream exists.
+    /// ([`fov_rung_quantizers`]), so no such representation of the
+    /// stream exists.
     UnknownRung {
         /// The requested segment.
         segment: u32,
@@ -155,20 +122,15 @@ impl std::error::Error for SasError {}
 #[derive(Debug, Clone, Default)]
 struct ServerMetrics {
     fov_requests: evr_obs::Counter,
-    original_requests: evr_obs::Counter,
     not_found: evr_obs::Counter,
     fov_bytes: evr_obs::Counter,
-    original_bytes: evr_obs::Counter,
-    /// The observer's timeline, for server-side request intervals
-    /// ([`SasServer::fetch_fov_traced`]); no-op unless one is attached.
-    timeline: evr_obs::Timeline,
 }
 
 /// The SAS server for one ingested video.
 #[derive(Debug, Clone)]
 pub struct SasServer {
     catalog: SasCatalog,
-    store: Option<FovPrerenderStore>,
+    store: FovPrerenderStore,
     tiles: Option<Arc<TiledRateCatalog>>,
     metrics: ServerMetrics,
 }
@@ -182,21 +144,17 @@ impl PartialEq for SasServer {
 }
 
 impl SasServer {
-    /// Wraps an ingested catalog.
+    /// Wraps an ingested catalog with a private pre-render store of the
+    /// default budget.
     pub fn new(catalog: SasCatalog) -> Self {
-        SasServer { catalog, store: None, tiles: None, metrics: ServerMetrics::default() }
+        Self::with_store(catalog, FovPrerenderStore::new())
     }
 
-    /// Wraps an ingested catalog with a shared pre-render store attached;
-    /// [`SasServer::fetch_fov`] serves out of the store, re-inserting
-    /// from the catalog on a miss.
+    /// Wraps an ingested catalog with a shared pre-render store; the
+    /// fetches serve out of the store, re-inserting from the catalog on a
+    /// miss.
     pub fn with_store(catalog: SasCatalog, store: FovPrerenderStore) -> Self {
-        SasServer { catalog, store: Some(store), tiles: None, metrics: ServerMetrics::default() }
-    }
-
-    /// Attaches (or replaces) the shared pre-render store.
-    pub fn attach_store(&mut self, store: FovPrerenderStore) {
-        self.store = Some(store);
+        SasServer { catalog, store, tiles: None, metrics: ServerMetrics::default() }
     }
 
     /// Attaches (or replaces) the multi-rate tiled catalog, enabling
@@ -238,69 +196,36 @@ impl SasServer {
         Ok(r.clone())
     }
 
-    /// Whether a pre-render store is attached — clients use this to
-    /// choose between [`SasServer::fetch_fov`] and the borrow-based
-    /// [`SasServer::try_handle`].
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
-    }
-
-    /// Serves the FOV video of `(segment, cluster)` out of the shared
-    /// pre-render store as an owned, refcounted payload, together with
-    /// its wire size at target (paper) scale.
+    /// Serves the FOV video of `(segment, cluster)` out of the pre-render
+    /// store as an owned, refcounted payload, together with its wire size
+    /// at target (paper) scale.
     ///
     /// On a store miss (evicted, or never pre-rendered because ingest ran
     /// store-less) the stream is read back from the catalog and
     /// re-inserted, so a popular segment is resident again after its
-    /// first request. The payload bytes are identical to what
-    /// [`SasServer::try_handle`] would borrow from the catalog.
+    /// first request. The payload bytes are the catalog's either way.
     pub fn fetch_fov(
         &self,
         segment: u32,
         cluster: usize,
     ) -> Result<(Arc<PrerenderedFov>, u64), SasError> {
         self.metrics.fov_requests.inc();
-        if segment >= self.catalog.segment_count() {
-            self.metrics.not_found.inc();
-            return Err(SasError::UnknownSegment { segment });
-        }
-        let Some(stream) = self.catalog.fov_stream(segment, cluster) else {
-            self.metrics.not_found.inc();
-            return Err(SasError::UnknownCluster { segment, cluster });
-        };
-        let store = self.store.as_ref().ok_or(SasError::Unavailable)?;
-        let key = PrerenderKey {
-            content: self.catalog.content_id(),
-            segment,
-            cluster,
-            rung: self.catalog.config().fov_quantizer,
-        };
-        if let Some(hit) = store.get(&key) {
-            let wire_bytes = hit.data.scaled_bytes(self.catalog.config().fov_byte_scale());
-            self.metrics.fov_bytes.add(wire_bytes);
-            return Ok((hit, wire_bytes));
-        }
-        let Some((data, meta)) = self.catalog.read_fov(stream) else {
-            self.metrics.not_found.inc();
-            return Err(SasError::CorruptStream { segment, cluster });
-        };
-        let payload = store.insert(key, PrerenderedFov { data: data.clone(), meta: meta.to_vec() });
-        let wire_bytes = self.catalog.fov_target_bytes(stream);
+        let payload =
+            self.top_payload(segment, cluster).inspect_err(|_| self.metrics.not_found.inc())?;
+        Ok(self.served(payload))
+    }
+
+    /// Counts a served payload's wire size (target scale) and returns it
+    /// alongside.
+    fn served(&self, payload: Arc<PrerenderedFov>) -> (Arc<PrerenderedFov>, u64) {
+        let wire_bytes = payload.data.scaled_bytes(self.catalog.config().fov_byte_scale());
         self.metrics.fov_bytes.add(wire_bytes);
-        Ok((payload, wire_bytes))
+        (payload, wire_bytes)
     }
 
     /// The store key of `(segment, cluster)` at `quantizer`.
     fn fov_key(&self, segment: u32, cluster: usize, quantizer: u8) -> PrerenderKey {
         PrerenderKey { content: self.catalog.content_id(), segment, cluster, rung: quantizer }
-    }
-
-    /// Counts a typed lookup failure in the not-found metric (store
-    /// absence is a server configuration problem, not a lookup miss).
-    fn note_lookup_error(&self, error: &SasError) {
-        if !matches!(error, SasError::Unavailable) {
-            self.metrics.not_found.inc();
-        }
     }
 
     /// Refuses a quantiser outside the FOV ladder before any transcode
@@ -316,8 +241,8 @@ impl SasServer {
     }
 
     /// The resident top-rung payload of `(segment, cluster)`, read back
-    /// from the catalog and re-inserted on a store miss. Shared by the
-    /// rung and upgrade paths; carries no request metrics of its own.
+    /// from the catalog and re-inserted on a store miss. Shared by every
+    /// FOV fetch; carries no request metrics of its own.
     fn top_payload(&self, segment: u32, cluster: usize) -> Result<Arc<PrerenderedFov>, SasError> {
         if segment >= self.catalog.segment_count() {
             return Err(SasError::UnknownSegment { segment });
@@ -325,15 +250,14 @@ impl SasServer {
         let Some(stream) = self.catalog.fov_stream(segment, cluster) else {
             return Err(SasError::UnknownCluster { segment, cluster });
         };
-        let store = self.store.as_ref().ok_or(SasError::Unavailable)?;
         let key = self.fov_key(segment, cluster, self.catalog.config().fov_quantizer);
-        if let Some(hit) = store.get(&key) {
+        if let Some(hit) = self.store.get(&key) {
             return Ok(hit);
         }
         let Some((data, meta)) = self.catalog.read_fov(stream) else {
             return Err(SasError::CorruptStream { segment, cluster });
         };
-        Ok(store.insert(key, PrerenderedFov { data: data.clone(), meta: meta.to_vec() }))
+        Ok(self.store.insert(key, PrerenderedFov { data: data.clone(), meta: meta.to_vec() }))
     }
 
     /// The payload of `(segment, cluster)` at rung `quantizer` —
@@ -349,9 +273,8 @@ impl SasServer {
         if quantizer == top_quantizer {
             return self.top_payload(segment, cluster);
         }
-        let store = self.store.as_ref().ok_or(SasError::Unavailable)?;
         let key = self.fov_key(segment, cluster, quantizer);
-        if let Some(hit) = store.get(&key) {
+        if let Some(hit) = self.store.get(&key) {
             return Ok(hit);
         }
         let top = self.top_payload(segment, cluster)?;
@@ -362,7 +285,7 @@ impl SasServer {
         // The transcode is deterministic, so if another thread raced the
         // same key the resident entry holds the same bytes.
         let top_key = self.fov_key(segment, cluster, top_quantizer);
-        store.insert_delta(key, (*payload).clone(), top_key);
+        self.store.insert_delta(key, (*payload).clone(), top_key);
         Ok(payload)
     }
 
@@ -386,10 +309,8 @@ impl SasServer {
         let payload = self
             .check_rung(segment, cluster, quantizer)
             .and_then(|()| self.rung_payload(segment, cluster, quantizer))
-            .inspect_err(|e| self.note_lookup_error(e))?;
-        let wire_bytes = payload.data.scaled_bytes(self.catalog.config().fov_byte_scale());
-        self.metrics.fov_bytes.add(wire_bytes);
-        Ok((payload, wire_bytes))
+            .inspect_err(|_| self.metrics.not_found.inc())?;
+        Ok(self.served(payload))
     }
 
     /// Upgrades a client holding the `reference_quantizer` rung of
@@ -412,7 +333,7 @@ impl SasServer {
         let top = self
             .check_rung(segment, cluster, reference_quantizer)
             .and_then(|()| self.top_payload(segment, cluster))
-            .inspect_err(|e| self.note_lookup_error(e))?;
+            .inspect_err(|_| self.metrics.not_found.inc())?;
         let scale = self.catalog.config().fov_byte_scale();
         let full_wire = top.data.scaled_bytes(scale);
         // Like the ladder's fallback rule, the winner is decided at the
@@ -444,30 +365,6 @@ impl SasServer {
         Ok(upgrade)
     }
 
-    /// [`SasServer::fetch_fov`] plus request-scoped tracing: on a timed
-    /// observer the serve is recorded as a `sas_fetch_fov` timeline
-    /// interval carrying the caller's [`TraceCtx`] (including the
-    /// request id the client assigned), so the client's fetch stage and
-    /// the server work it caused correlate in the trace. Untimed
-    /// servers pay one branch.
-    ///
-    /// [`TraceCtx`]: evr_obs::TraceCtx
-    pub fn fetch_fov_traced(
-        &self,
-        segment: u32,
-        cluster: usize,
-        ctx: evr_obs::TraceCtx,
-    ) -> Result<(Arc<PrerenderedFov>, u64), SasError> {
-        let tl = &self.metrics.timeline;
-        if !tl.is_enabled() {
-            return self.fetch_fov(segment, cluster);
-        }
-        let t0 = tl.now_ns();
-        let result = self.fetch_fov(segment, cluster);
-        tl.record(evr_obs::names::TIMELINE_SAS_FETCH, ctx, t0, tl.now_ns());
-        result
-    }
-
     /// Routes request/response counters into `observer` (`evr_sas_*`
     /// names) and publishes the store's segment count as a gauge. A
     /// no-op observer detaches the counters again.
@@ -475,61 +372,16 @@ impl SasServer {
         use evr_obs::names;
         self.metrics = ServerMetrics {
             fov_requests: observer.counter(names::SAS_FOV_REQUESTS),
-            original_requests: observer.counter(names::SAS_ORIGINAL_REQUESTS),
             not_found: observer.counter(names::SAS_NOT_FOUND),
             fov_bytes: observer.counter(names::SAS_FOV_BYTES),
-            original_bytes: observer.counter(names::SAS_ORIGINAL_BYTES),
-            timeline: observer.timeline().clone(),
         };
         observer.gauge(names::SAS_STORE_SEGMENTS).set(self.catalog.segment_count() as f64);
-        if let Some(store) = &self.store {
-            store.mirror(observer);
-        }
+        self.store.mirror(observer);
     }
 
     /// The underlying catalog.
     pub fn catalog(&self) -> &SasCatalog {
         &self.catalog
-    }
-
-    /// Handles one request, reporting failures as typed errors.
-    pub fn try_handle(&self, request: Request) -> Result<Response<'_>, SasError> {
-        match request {
-            Request::FovVideo { segment, cluster } => {
-                self.metrics.fov_requests.inc();
-                if segment >= self.catalog.segment_count() {
-                    self.metrics.not_found.inc();
-                    return Err(SasError::UnknownSegment { segment });
-                }
-                let Some(stream) = self.catalog.fov_stream(segment, cluster) else {
-                    self.metrics.not_found.inc();
-                    return Err(SasError::UnknownCluster { segment, cluster });
-                };
-                let Some((data, meta)) = self.catalog.read_fov(stream) else {
-                    self.metrics.not_found.inc();
-                    return Err(SasError::CorruptStream { segment, cluster });
-                };
-                let wire_bytes = self.catalog.fov_target_bytes(stream);
-                self.metrics.fov_bytes.add(wire_bytes);
-                Ok(Response::FovVideo { segment: data, meta, wire_bytes })
-            }
-            Request::Original { segment } => {
-                self.metrics.original_requests.inc();
-                let Some(data) = self.catalog.try_original_segment(segment) else {
-                    self.metrics.not_found.inc();
-                    return Err(SasError::UnknownSegment { segment });
-                };
-                let wire_bytes = data.scaled_bytes(self.catalog.config().src_byte_scale());
-                self.metrics.original_bytes.add(wire_bytes);
-                Ok(Response::Original { segment: data, wire_bytes })
-            }
-        }
-    }
-
-    /// Handles one request, folding every error into
-    /// [`Response::NotFound`] (the pre-[`SasError`] wire behaviour).
-    pub fn handle(&self, request: Request) -> Response<'_> {
-        self.try_handle(request).unwrap_or(Response::NotFound)
     }
 
     /// Picks the cluster whose FOV video best covers a user looking at
@@ -575,51 +427,34 @@ mod tests {
     fn serves_fov_videos() {
         let s = server(VideoId::Rhino);
         let cluster = s.catalog().clusters_in_segment(0)[0];
-        match s.handle(Request::FovVideo { segment: 0, cluster }) {
-            Response::FovVideo { segment, meta, wire_bytes } => {
-                assert_eq!(segment.frames.len(), meta.len());
-                assert!(wire_bytes > 0);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        let (payload, wire_bytes) = s.fetch_fov(0, cluster).expect("listed stream");
+        assert_eq!(payload.data.frames.len(), payload.meta.len());
+        assert!(wire_bytes > 0);
     }
 
     #[test]
     fn serves_original_on_request() {
         let s = server(VideoId::Rhino);
-        match s.handle(Request::Original { segment: 1 }) {
-            Response::Original { segment, wire_bytes } => {
-                assert_eq!(segment.start_index, 8);
-                assert!(wire_bytes > 0);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        let original = s.catalog().try_original_segment(1).expect("segment 1 exists");
+        assert_eq!(original.start_index, 8);
+        assert!(s.catalog().original_target_bytes(1) > 0);
     }
 
     #[test]
     fn unknown_streams_are_not_found() {
         let s = server(VideoId::Rs);
-        assert_eq!(s.handle(Request::FovVideo { segment: 0, cluster: 99 }), Response::NotFound);
-        assert_eq!(s.handle(Request::Original { segment: 999 }), Response::NotFound);
+        assert_eq!(s.fetch_fov(0, 99), Err(SasError::UnknownCluster { segment: 0, cluster: 99 }));
+        assert!(s.catalog().try_original_segment(999).is_none());
     }
 
     #[test]
     fn try_handle_distinguishes_failure_modes() {
         let s = server(VideoId::Rs);
-        assert_eq!(
-            s.try_handle(Request::FovVideo { segment: 0, cluster: 99 }),
-            Err(SasError::UnknownCluster { segment: 0, cluster: 99 })
-        );
-        assert_eq!(
-            s.try_handle(Request::FovVideo { segment: 999, cluster: 0 }),
-            Err(SasError::UnknownSegment { segment: 999 })
-        );
-        assert_eq!(
-            s.try_handle(Request::Original { segment: 999 }),
-            Err(SasError::UnknownSegment { segment: 999 })
-        );
+        assert_eq!(s.fetch_fov(0, 99), Err(SasError::UnknownCluster { segment: 0, cluster: 99 }));
+        assert_eq!(s.fetch_fov(999, 0), Err(SasError::UnknownSegment { segment: 999 }));
+        assert_eq!(s.fetch_fov(u32::MAX, 0), Err(SasError::UnknownSegment { segment: u32::MAX }));
         let cluster = s.catalog().clusters_in_segment(0)[0];
-        assert!(s.try_handle(Request::FovVideo { segment: 0, cluster }).is_ok());
+        assert!(s.fetch_fov(0, cluster).is_ok());
         assert_eq!(SasError::Unavailable.to_string(), "server unavailable");
         assert_eq!(
             SasError::UnknownCluster { segment: 1, cluster: 2 }.to_string(),
@@ -633,14 +468,8 @@ mod tests {
         // target-scale bytes than the full panoramic segment.
         let s = server(VideoId::Rhino);
         let cluster = s.catalog().clusters_in_segment(0)[0];
-        let fov_bytes = match s.handle(Request::FovVideo { segment: 0, cluster }) {
-            Response::FovVideo { wire_bytes, .. } => wire_bytes,
-            _ => unreachable!(),
-        };
-        let orig_bytes = match s.handle(Request::Original { segment: 0 }) {
-            Response::Original { wire_bytes, .. } => wire_bytes,
-            _ => unreachable!(),
-        };
+        let (_, fov_bytes) = s.fetch_fov(0, cluster).expect("listed stream");
+        let orig_bytes = s.catalog().original_target_bytes(0);
         assert!(fov_bytes < orig_bytes, "fov {fov_bytes} orig {orig_bytes}");
     }
 
@@ -662,28 +491,15 @@ mod tests {
         let mut s = server(VideoId::Rhino);
         s.set_observer(&obs);
         let cluster = s.catalog().clusters_in_segment(0)[0];
-        let fov_wire = match s.handle(Request::FovVideo { segment: 0, cluster }) {
-            Response::FovVideo { wire_bytes, .. } => wire_bytes,
-            other => panic!("unexpected response {other:?}"),
-        };
-        let _ = s.handle(Request::Original { segment: 0 });
-        let _ = s.handle(Request::FovVideo { segment: 0, cluster: 99 });
-        let _ = s.handle(Request::Original { segment: 999 });
+        let (_, fov_wire) = s.fetch_fov(0, cluster).expect("listed stream");
+        let _ = s.fetch_fov(0, 99);
+        let _ = s.fetch_fov(999, 0);
         use evr_obs::names;
-        assert_eq!(obs.counter(names::SAS_FOV_REQUESTS).get(), 2);
-        assert_eq!(obs.counter(names::SAS_ORIGINAL_REQUESTS).get(), 2);
+        assert_eq!(obs.counter(names::SAS_FOV_REQUESTS).get(), 3);
+        assert_eq!(obs.counter(names::SAS_ORIGINAL_REQUESTS).get(), 0);
         assert_eq!(obs.counter(names::SAS_NOT_FOUND).get(), 2);
         assert_eq!(obs.counter(names::SAS_FOV_BYTES).get(), fov_wire);
-        assert!(obs.counter(names::SAS_ORIGINAL_BYTES).get() > 0);
         assert_eq!(obs.gauge(names::SAS_STORE_SEGMENTS).get(), s.catalog().segment_count() as f64);
-    }
-
-    #[test]
-    fn fetch_fov_without_a_store_is_unavailable() {
-        let s = server(VideoId::Rhino);
-        assert!(!s.has_store());
-        let cluster = s.catalog().clusters_in_segment(0)[0];
-        assert_eq!(s.fetch_fov(0, cluster), Err(SasError::Unavailable));
     }
 
     #[test]
@@ -691,7 +507,6 @@ mod tests {
         let catalog = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0);
         let store = crate::prerender::FovPrerenderStore::new();
         let s = SasServer::with_store(catalog, store.clone());
-        assert!(s.has_store());
         let cluster = s.catalog().clusters_in_segment(0)[0];
 
         // Cold: the store was not populated at ingest, so the first
@@ -706,15 +521,12 @@ mod tests {
         assert!(Arc::ptr_eq(&cold, &warm));
         assert_eq!(cold_wire, warm_wire);
 
-        // Store-backed bytes are identical to the borrow-based path.
-        match s.try_handle(Request::FovVideo { segment: 0, cluster }).expect("handle") {
-            Response::FovVideo { segment, meta, wire_bytes } => {
-                assert_eq!(segment, &cold.data);
-                assert_eq!(meta, cold.meta.as_slice());
-                assert_eq!(wire_bytes, cold_wire);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        // Store-backed bytes are the catalog's own.
+        let stream = s.catalog().fov_stream(0, cluster).expect("listed");
+        let (data, meta) = s.catalog().read_fov(stream).expect("readable");
+        assert_eq!(data, &cold.data);
+        assert_eq!(meta, cold.meta.as_slice());
+        assert_eq!(s.catalog().fov_target_bytes(stream), cold_wire);
     }
 
     #[test]
@@ -783,9 +595,6 @@ mod tests {
     #[test]
     fn fetch_fov_rung_reports_typed_errors() {
         let s = server(VideoId::Rs);
-        assert_eq!(s.fetch_fov_rung(0, 0, 30), Err(SasError::Unavailable), "no store attached");
-        let catalog = ingest_video(&scene_for(VideoId::Rs), &SasConfig::tiny_for_tests(), 1.0);
-        let s = SasServer::with_store(catalog, crate::prerender::FovPrerenderStore::new());
         assert_eq!(
             s.fetch_fov_rung(0, 99, 30),
             Err(SasError::UnknownCluster { segment: 0, cluster: 99 })
@@ -885,5 +694,14 @@ mod tests {
         cfg.object_utilization = 0.0;
         let s = SasServer::new(ingest_video(&scene, &cfg, 1.0));
         assert_eq!(s.best_cluster(0, evr_math::EulerAngles::default()), None);
+    }
+
+    #[test]
+    fn the_last_segment_index_has_no_clusters() {
+        // The per-segment index range must not compute `segment + 1`,
+        // which overflows here.
+        let s = server(VideoId::Rhino);
+        assert!(s.catalog().clusters_in_segment(u32::MAX).is_empty());
+        assert_eq!(s.best_cluster(u32::MAX, evr_math::EulerAngles::default()), None);
     }
 }

@@ -2,6 +2,7 @@
 //! including property-based checks over random request streams.
 
 use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
@@ -9,8 +10,8 @@ use evr_client::session::{ContentPath, PlaybackSession, Renderer, SessionConfig}
 use evr_math::EulerAngles;
 use evr_sas::{
     fov_rung_quantizers, ingest_tiled_rates_with, ingest_video, ingest_video_with,
-    populate_fov_ladder, FovPrerenderStore, IngestOptions, Request, Response, SasCatalog,
-    SasConfig, SasServer,
+    populate_fov_ladder, FovPrerenderStore, IngestOptions, SasCatalog, SasConfig, SasError,
+    SasServer,
 };
 use evr_video::library::{scene_for, VideoId};
 use evr_video::DeltaSegment;
@@ -66,9 +67,8 @@ fn best_cluster_always_resolves_to_servable_stream() {
         for yaw in [-150.0, -60.0, 0.0, 45.0, 120.0] {
             let pose = EulerAngles::from_degrees(yaw, -10.0, 0.0);
             if let Some(c) = s.best_cluster(seg, pose) {
-                match s.handle(Request::FovVideo { segment: seg, cluster: c }) {
-                    Response::FovVideo { .. } => {}
-                    other => panic!("best_cluster returned unservable stream: {other:?}"),
+                if let Err(e) = s.fetch_fov(seg, c) {
+                    panic!("best_cluster returned unservable stream: {e}");
                 }
             }
         }
@@ -77,11 +77,12 @@ fn best_cluster_always_resolves_to_servable_stream() {
 
 #[test]
 fn store_backed_serving_is_byte_identical_to_storeless() {
-    // The same catalog behind a store-less server and a store-backed one
-    // must produce bit-identical playback reports: the store changes
-    // residency and sharing, never content.
+    // A one-byte store keeps only its newest pre-render, so fetches
+    // re-read the catalog as a store-less server did. It must produce
+    // bit-identical playback reports to a cold and then warm default
+    // store: the store changes residency and sharing, never content.
     let catalog = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 2.0);
-    let storeless = SasServer::new(catalog.clone());
+    let rereading = SasServer::with_store(catalog.clone(), FovPrerenderStore::with_budget(1));
     let stored = SasServer::with_store(catalog, FovPrerenderStore::new());
     let session = PlaybackSession::new(SessionConfig::new(
         ContentPath::OnlineSas,
@@ -91,7 +92,7 @@ fn store_backed_serving_is_byte_identical_to_storeless() {
     let sys = evr_core::EvrSystem::build(VideoId::Rhino, SasConfig::tiny_for_tests(), 2.0);
     for user in 0..3 {
         let trace = sys.user_trace(user);
-        let a = session.run(&storeless, &trace);
+        let a = session.run(&rereading, &trace);
         let b = session.run(&stored, &trace);
         assert_eq!(a, b, "user {user}: store-backed report diverged");
         // Re-running against the warm store stays identical too.
@@ -199,29 +200,99 @@ fn ingest_outputs_match_golden_digest() {
     assert_eq!(got, want, "ingest output drifted from the golden digests");
 }
 
+/// The store-backed [`server`] with the tiled-rate catalog attached,
+/// built once and shared by every property case (its store warms up
+/// across cases).
+fn tiled_server() -> &'static SasServer {
+    static SERVER: OnceLock<SasServer> = OnceLock::new();
+    SERVER.get_or_init(|| {
+        let cfg = SasConfig::tiny_for_tests();
+        let mut s = server();
+        s.attach_tiles(Arc::new(ingest_tiled_rates_with(&scene_for(VideoId::Rhino), &cfg, 2.0, 2)));
+        s
+    })
+}
+
+/// A failed fetch must name a lookup failure; `Unavailable` belongs to
+/// the transport, never to a server that owns its store.
+fn check_error(e: SasError) -> Result<(), TestCaseError> {
+    prop_assert!(e != SasError::Unavailable, "server reported {e}");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
     fn prop_random_request_streams_never_crash(
-        requests in proptest::collection::vec((0u32..12, 0usize..8, any::<bool>()), 1..40)
+        requests in proptest::collection::vec(
+            (0u32..13, 0u8..5, 0usize..8, 0usize..64, any::<bool>()),
+            1..40,
+        )
     ) {
-        let s = server();
-        for (segment, cluster, original) in requests {
-            let req = if original {
-                Request::Original { segment }
-            } else {
-                Request::FovVideo { segment, cluster }
-            };
-            match s.handle(req) {
-                Response::FovVideo { segment, meta, wire_bytes } => {
-                    prop_assert_eq!(segment.frames.len(), meta.len());
-                    prop_assert!(wire_bytes > 0);
+        let s = tiled_server();
+        let catalog = s.catalog();
+        let tiles = s.tiles().expect("tiles attached");
+        // Every ladder rung, plus quantisers just outside it.
+        let mut quantizers = fov_rung_quantizers(catalog.config());
+        quantizers.extend([0, 51]);
+        for (seg, op, cluster, pick, delta_wire) in requests {
+            // Segments past the end, up to the last representable index.
+            let segment = if seg == 12 { u32::MAX } else { seg };
+            let q = quantizers[pick % quantizers.len()];
+            match op {
+                0 => match s.fetch_fov(segment, cluster) {
+                    Ok((fov, wire_bytes)) => {
+                        prop_assert_eq!(fov.data.frames.len(), fov.meta.len());
+                        prop_assert!(wire_bytes > 0);
+                    }
+                    Err(e) => check_error(e)?,
+                },
+                1 => match s.fetch_fov_rung(segment, cluster, q) {
+                    Ok((fov, wire_bytes)) => {
+                        prop_assert_eq!(fov.data.frames.len(), fov.meta.len());
+                        prop_assert!(wire_bytes > 0);
+                    }
+                    Err(e) => check_error(e)?,
+                },
+                2 => {
+                    let rung = s.fetch_fov_rung(segment, cluster, q);
+                    let upgrade = s.fetch_fov_upgrade(segment, cluster, q, delta_wire);
+                    match (rung, upgrade) {
+                        (Ok((held, _)), Ok(up)) => {
+                            let (top, _) = s.fetch_fov(segment, cluster).expect("upgradable");
+                            prop_assert_eq!(up.meta.len(), top.data.frames.len());
+                            prop_assert!(up.wire_bytes > 0);
+                            prop_assert!(delta_wire || !up.repr.is_delta());
+                            prop_assert!(up.repr.reconstruct(Some(&held.data)) == top.data,
+                                "upgrade of ({}, {}) from q{} does not rebuild the top rung",
+                                segment, cluster, q);
+                        }
+                        (Err(a), Err(b)) => {
+                            prop_assert_eq!(a, b);
+                            check_error(a)?;
+                        }
+                        (rung, upgrade) => prop_assert!(false,
+                            "rung {:?} and upgrade {:?} disagree", rung.err(), upgrade.err()),
+                    }
                 }
-                Response::Original { segment, wire_bytes } => {
-                    prop_assert!(!segment.frames.is_empty());
-                    prop_assert!(wire_bytes > 0);
+                3 => {
+                    let tile = pick % (tiles.grid().len() + 2);
+                    let rung = cluster % (tiles.rung_count() + 1);
+                    match s.fetch_tile(segment, tile, rung) {
+                        Ok(r) => {
+                            let frames = catalog.original_segment(segment).frames.len();
+                            prop_assert_eq!(r.frame_bytes.len(), frames);
+                            prop_assert!(r.wire_bytes > 0);
+                        }
+                        Err(e) => check_error(e)?,
+                    }
                 }
-                Response::NotFound => {}
+                _ => {
+                    let pose = EulerAngles::from_degrees(pick as f64 * 5.625 - 180.0, -10.0, 0.0);
+                    if let Some(c) = s.best_cluster(segment, pose) {
+                        prop_assert!(s.fetch_fov(segment, c).is_ok());
+                    }
+                }
             }
         }
     }
