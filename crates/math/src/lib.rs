@@ -9,6 +9,8 @@
 //! * [`mat`] — 3×3 rotation matrices ([`Mat3`]) mirroring the two sparse
 //!   rotation matrices used by the PTE's *perspective update* stage.
 //! * [`quat`] — unit quaternions for composing and interpolating head poses.
+//! * [`round`] — `f64` → `i16`/`u8` rounding equal to `f64::round` plus a
+//!   clamp, without the libm call, for the codec and rendering kernels.
 //! * [`sphere`] — spherical ↔ Cartesian conversions and great-circle
 //!   geometry used by the FOV checker and the behaviour model.
 //! * [`fixed`] — a runtime-parameterised signed fixed-point engine
@@ -31,6 +33,7 @@ pub mod error;
 pub mod fixed;
 pub mod mat;
 pub mod quat;
+pub mod round;
 pub mod sphere;
 pub mod vec;
 

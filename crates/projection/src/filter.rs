@@ -10,7 +10,9 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use crate::pixel::{PixelSource, Rgb};
+use evr_math::round::round_to_u8;
+
+use crate::pixel::{ImageBuffer, PixelSource, Rgb};
 
 /// Pixel-reconstruction filters supported by the PTU.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -110,22 +112,61 @@ pub fn sample(src: &impl PixelSource, u: f64, v: f64, filter: FilterMode, edge: 
                 let (xb, yb) = edge.resolve(x0 + 1, y0 + 1, w, h);
                 (xa, ya, xb, yb)
             };
-            let p00 = src.pixel(xa, ya);
-            let p10 = src.pixel(xb, ya);
-            let p01 = src.pixel(xa, yb);
-            let p11 = src.pixel(xb, yb);
-            let blend = |c00: u8, c10: u8, c01: u8, c11: u8| -> u8 {
-                let top = c00 as f64 * (1.0 - fx) + c10 as f64 * fx;
-                let bot = c01 as f64 * (1.0 - fx) + c11 as f64 * fx;
-                (top * (1.0 - fy) + bot * fy).round().clamp(0.0, 255.0) as u8
-            };
-            Rgb::new(
-                blend(p00.r, p10.r, p01.r, p11.r),
-                blend(p00.g, p10.g, p01.g, p11.g),
-                blend(p00.b, p10.b, p01.b, p11.b),
-            )
+            let taps = [src.pixel(xa, ya), src.pixel(xb, ya), src.pixel(xa, yb), src.pixel(xb, yb)];
+            bilinear_blend(taps, fx, fy)
         }
     }
+}
+
+/// The bilinear sample of `src` at `(u, v)` read straight from its pixel
+/// slice, or `None` unless the 2×2 footprint lies inside the frame.
+///
+/// The footprint is interior exactly when `0 ≤ px < w − 1` and
+/// `0 ≤ py < h − 1` for the continuous coordinates `px`, `py` of
+/// [`sample`]. On that range `floor` equals the truncating cast, so the
+/// footprint origin and the fractions are the ones [`sample`] computes,
+/// and the blend is the same [`bilinear_blend`]; the comparisons are
+/// false for NaN and ±∞. Border and seam taps, and every coordinate
+/// this rejects, are left to [`sample`].
+#[inline]
+pub(crate) fn bilinear_interior(src: &ImageBuffer, u: f64, v: f64) -> Option<Rgb> {
+    let (w, h) = (src.width(), src.height());
+    let px = u * w as f64 - 0.5;
+    let py = v * h as f64 - 0.5;
+    let inside = px >= 0.0 && px < (w - 1) as f64 && py >= 0.0 && py < (h - 1) as f64;
+    if !inside {
+        return None;
+    }
+    // `u32`, not `usize`: the casts between `f64` and `u32` are single
+    // instructions on x86-64, those to and from `u64` are not.
+    let (x0, y0) = (px as u32, py as u32);
+    let (fx, fy) = (px - f64::from(x0), py - f64::from(y0));
+    let w = w as usize;
+    let i = y0 as usize * w + x0 as usize;
+    let (top, bot) = (&src.pixels()[i..i + 2], &src.pixels()[i + w..i + w + 2]);
+    Some(bilinear_blend([top[0], top[1], bot[0], bot[1]], fx, fy))
+}
+
+/// Blends the 2×2 footprint `[p00, p10, p01, p11]` at fractional offsets
+/// `(fx, fy)`: per channel, a horizontal lerp on each row, a vertical
+/// lerp between them, rounded half away from zero
+/// ([`round_to_u8`], bit-identical to `f64::round` and a clamp). Shared
+/// by [`sample`] and the serial fast path of
+/// [`Transformer::render_with_map`](crate::Transformer::render_with_map),
+/// so both evaluate the identical expression.
+#[inline]
+pub(crate) fn bilinear_blend(taps: [Rgb; 4], fx: f64, fy: f64) -> Rgb {
+    let [p00, p10, p01, p11] = taps;
+    let blend = |c00: u8, c10: u8, c01: u8, c11: u8| -> u8 {
+        let top = c00 as f64 * (1.0 - fx) + c10 as f64 * fx;
+        let bot = c01 as f64 * (1.0 - fx) + c11 as f64 * fx;
+        round_to_u8(top * (1.0 - fy) + bot * fy)
+    };
+    Rgb::new(
+        blend(p00.r, p10.r, p01.r, p11.r),
+        blend(p00.g, p10.g, p01.g, p11.g),
+        blend(p00.b, p10.b, p01.b, p11.b),
+    )
 }
 
 /// The set of texel coordinates a sample at `(u, v)` touches — the access
@@ -164,7 +205,6 @@ pub fn sample_footprint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pixel::ImageBuffer;
     use proptest::prelude::*;
 
     fn gradient() -> ImageBuffer {

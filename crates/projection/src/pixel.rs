@@ -215,20 +215,21 @@ pub fn downsample2x(img: &ImageBuffer) -> ImageBuffer {
         w >= 2 && h >= 2 && w.is_multiple_of(2) && h.is_multiple_of(2),
         "dimensions must be even and >= 2"
     );
-    ImageBuffer::from_fn(w / 2, h / 2, |x, y| {
-        let mut r = 0u32;
-        let mut g = 0u32;
-        let mut b = 0u32;
-        for dy in 0..2 {
-            for dx in 0..2 {
-                let p = img.get(x * 2 + dx, y * 2 + dy);
-                r += p.r as u32;
-                g += p.g as u32;
-                b += p.b as u32;
-            }
+    let mut pixels = Vec::with_capacity((w / 2 * (h / 2)) as usize);
+    for rows in img.pixels.chunks_exact(2 * w as usize) {
+        let (top, bottom) = rows.split_at(w as usize);
+        for (t, b) in top.chunks_exact(2).zip(bottom.chunks_exact(2)) {
+            let mean = |c: fn(&Rgb) -> u8| {
+                ((u32::from(c(&t[0]))
+                    + u32::from(c(&t[1]))
+                    + u32::from(c(&b[0]))
+                    + u32::from(c(&b[1])))
+                    / 4) as u8
+            };
+            pixels.push(Rgb::new(mean(|p| p.r), mean(|p| p.g), mean(|p| p.b)));
         }
-        Rgb::new((r / 4) as u8, (g / 4) as u8, (b / 4) as u8)
-    })
+    }
+    ImageBuffer::from_pixels(w / 2, h / 2, pixels)
 }
 
 impl PixelSource for ImageBuffer {
@@ -295,6 +296,24 @@ mod tests {
         assert!((black.mean_abs_error(&white) - 1.0).abs() < 1e-12);
     }
 
+    /// The per-pixel `get` walk the row-pair slices replace.
+    fn downsample2x_reference(img: &ImageBuffer) -> ImageBuffer {
+        ImageBuffer::from_fn(img.width() / 2, img.height() / 2, |x, y| {
+            let mut r = 0u32;
+            let mut g = 0u32;
+            let mut b = 0u32;
+            for dy in 0..2 {
+                for dx in 0..2 {
+                    let p = img.get(x * 2 + dx, y * 2 + dy);
+                    r += p.r as u32;
+                    g += p.g as u32;
+                    b += p.b as u32;
+                }
+            }
+            Rgb::new((r / 4) as u8, (g / 4) as u8, (b / 4) as u8)
+        })
+    }
+
     #[test]
     fn reference_impl_forwards() {
         let img = ImageBuffer::from_fn(2, 2, |x, _| Rgb::new(x as u8, 0, 0));
@@ -302,6 +321,24 @@ mod tests {
             s.pixel(1, 0)
         }
         assert_eq!(takes_source(&img), Rgb::new(1, 0, 0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_downsample2x_matches_reference(
+            half_w in 1u32..20,
+            half_h in 1u32..12,
+            seed in any::<u32>(),
+        ) {
+            // Full-range channels, so the 4-sample sums reach 1020 and the
+            // truncating division sees every remainder.
+            let img = ImageBuffer::from_fn(half_w * 2, half_h * 2, |x, y| {
+                let k = (x.wrapping_mul(2654435761) ^ y.wrapping_mul(40503) ^ seed).rotate_left(7);
+                Rgb::new(k as u8, (k >> 8) as u8, (k >> 16) as u8)
+            });
+            prop_assert_eq!(downsample2x(&img), downsample2x_reference(&img));
+        }
     }
 
     proptest! {

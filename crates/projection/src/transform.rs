@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use evr_math::EulerAngles;
 
-use crate::filter::{sample, EdgeMode, FilterMode};
+use crate::filter::{bilinear_interior, sample, EdgeMode, FilterMode};
 use crate::fov::{FovFrameMeta, FovSpec, Viewport};
 use crate::mapping::Projection;
 use crate::par;
@@ -177,25 +177,32 @@ impl Transformer {
     }
 
     /// Renders through a precomputed coordinate map (the filtering half
-    /// of the PT).
+    /// of the PT), serially on the calling thread.
+    ///
+    /// SAS ingest calls this once per pre-rendered FOV frame from inside
+    /// its own segment fan-out, so a per-frame thread pool would only
+    /// add two spawns per frame on already busy cores (DESIGN.md §11).
+    /// A bilinear tap whose 2×2 footprint lies inside `src` reads the
+    /// pixel slice directly (`filter::bilinear_interior`); border and
+    /// seam taps, `Nearest` and non-finite coordinates go through
+    /// [`sample`]. The output is bit-identical to the generic per-pixel
+    /// [`sample`] loop.
     ///
     /// # Panics
     ///
     /// Panics if the map's length does not match the viewport.
-    pub fn render_with_map(
-        &self,
-        src: &(impl PixelSource + Sync),
-        map: &[(f64, f64)],
-    ) -> ImageBuffer {
+    pub fn render_with_map(&self, src: &ImageBuffer, map: &[(f64, f64)]) -> ImageBuffer {
         assert_eq!(map.len() as u64, self.viewport.pixels(), "coordinate map size mismatch");
         let edge = EdgeMode::for_projection(self.projection);
-        let w = self.viewport.width;
-        let pixels =
-            par::fill_grid(w, self.viewport.height, par::auto_threads(map.len()), |i, j| {
-                let (u, v) = map[(j * w + i) as usize];
-                sample(src, u, v, self.filter, edge)
-            });
-        ImageBuffer::from_pixels(w, self.viewport.height, pixels)
+        let generic = |(u, v): (f64, f64)| sample(src, u, v, self.filter, edge);
+        let pixels = match self.filter {
+            FilterMode::Nearest => map.iter().copied().map(generic).collect(),
+            FilterMode::Bilinear => map
+                .iter()
+                .map(|&(u, v)| bilinear_interior(src, u, v).unwrap_or_else(|| generic((u, v))))
+                .collect(),
+        };
+        ImageBuffer::from_pixels(self.viewport.width, self.viewport.height, pixels)
     }
 }
 
@@ -337,6 +344,71 @@ mod tests {
         assert_eq!(t.render_with_map(&src, &map), seq.image);
     }
 
+    /// The parallel `fill_grid` body the serial fast path replaced: every
+    /// pixel through the generic [`sample`].
+    fn render_with_map_reference(
+        t: &Transformer,
+        src: &ImageBuffer,
+        map: &[(f64, f64)],
+    ) -> ImageBuffer {
+        let edge = EdgeMode::for_projection(t.projection);
+        let w = t.viewport.width;
+        let pixels = par::fill_grid(w, t.viewport.height, par::auto_threads(map.len()), |i, j| {
+            let (u, v) = map[(j * w + i) as usize];
+            sample(src, u, v, t.filter, edge)
+        });
+        ImageBuffer::from_pixels(w, t.viewport.height, pixels)
+    }
+
+    /// A source whose every pixel differs from its neighbours, so a tap
+    /// read from the wrong texel shows.
+    fn noise_source(w: u32, h: u32, seed: u32) -> ImageBuffer {
+        ImageBuffer::from_fn(w, h, |x, y| {
+            let k = (x.wrapping_mul(2654435761) ^ y.wrapping_mul(40503) ^ seed).rotate_left(11);
+            Rgb::new(k as u8, (k >> 8) as u8, (k >> 16) as u8)
+        })
+    }
+
+    /// Source sizes for the oracle checks: powers of two (where texel
+    /// centres and the last interior coordinate `w − 1` are exact), odd
+    /// sizes, and the degenerate 1×1 and 2×1 frames, which have no
+    /// interior footprint at all.
+    const SOURCES: [(u32, u32); 5] = [(64, 32), (33, 17), (8, 2), (1, 1), (2, 1)];
+
+    #[test]
+    fn serial_map_render_matches_reference_at_seam_and_pole_poses() {
+        let poses = [
+            (0.0, 0.0, 0.0),
+            (179.5, 0.0, 0.0),
+            (-179.5, 12.0, 4.0),
+            (180.0, -30.0, 0.0),
+            (45.0, 89.9, 0.0),
+            (-120.0, -90.0, 0.0),
+            (90.0, 80.0, -15.0),
+        ];
+        for projection in Projection::ALL {
+            for filter in [FilterMode::Nearest, FilterMode::Bilinear] {
+                let t = Transformer::new(
+                    projection,
+                    filter,
+                    FovSpec::from_degrees(120.0, 120.0),
+                    Viewport::new(24, 18),
+                );
+                for (w, h) in SOURCES {
+                    let src = noise_source(w, h, w * 31 + h);
+                    for (yaw, pitch, roll) in poses {
+                        let map = t.coordinate_map(EulerAngles::from_degrees(yaw, pitch, roll));
+                        assert_eq!(
+                            t.render_with_map(&src, &map),
+                            render_with_map_reference(&t, &src, &map),
+                            "{projection} {filter} {w}x{h} at ({yaw}, {pitch}, {roll})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn strided_map_subsamples_the_full_map() {
         let t = Transformer::new(
@@ -411,6 +483,67 @@ mod tests {
             }
         }
         assert!(worst < 30, "worst channel-sum error {worst}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Arbitrary maps: texel centres and footprint boundaries (exact
+        /// on the power-of-two sources), the frame edges, coordinates far
+        /// outside `[0, 1]`, NaN and ±∞, for every projection's edge
+        /// mode and both filters.
+        #[test]
+        fn prop_serial_map_render_matches_reference(
+            source in 0usize..5,
+            seed in any::<u32>(),
+            picks in proptest::collection::vec((0u32..10, 0u32..10, 0.0f64..1.0, 0.0f64..1.0), 12),
+        ) {
+            let (w, h) = SOURCES[source];
+            let src = noise_source(w, h, seed);
+            let coordinate = |pick: u32, t: f64, size: u32| -> f64 {
+                let size = f64::from(size);
+                match pick {
+                    0 => ((t * size).floor() + 0.5) / size,
+                    1 => (size - 0.5) / size,
+                    2 => 0.5 / size,
+                    3 => 0.0,
+                    4 => 1.0,
+                    5 => t * 6.0 - 2.5,
+                    6 => f64::NAN,
+                    7 => f64::INFINITY,
+                    8 => f64::NEG_INFINITY,
+                    _ => t,
+                }
+            };
+            let map: Vec<(f64, f64)> = picks
+                .iter()
+                .map(|&(pu, pv, tu, tv)| (coordinate(pu, tu, w), coordinate(pv, tv, h)))
+                .collect();
+            // A +∞ bilinear tap overflows `x0 + 1` inside `sample` in
+            // debug builds, and the fast path hands such taps to `sample`,
+            // so it must panic on exactly the same ones. Each tap renders
+            // through a 1×1 viewport so that one panic hides no other tap.
+            let run = |f: &dyn Fn() -> ImageBuffer| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok()
+            };
+            for projection in Projection::ALL {
+                for filter in [FilterMode::Nearest, FilterMode::Bilinear] {
+                    let t = Transformer::new(
+                        projection,
+                        filter,
+                        FovSpec::from_degrees(90.0, 90.0),
+                        Viewport::new(1, 1),
+                    );
+                    for tap in &map {
+                        let tap = std::slice::from_ref(tap);
+                        prop_assert_eq!(
+                            run(&|| t.render_with_map(&src, tap)),
+                            run(&|| render_with_map_reference(&t, &src, tap)),
+                            "{} {} {}x{} {:?}", projection, filter, w, h, tap
+                        );
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -143,8 +143,7 @@ mod tests {
     #[test]
     fn rungs_follow_the_tiled_convention() {
         assert_eq!(fov_rung_quantizers(&SasConfig::default()), vec![30, 22, 15]);
-        let mut one = SasConfig::default();
-        one.fov_quantizer = 50;
+        let one = SasConfig { fov_quantizer: 50, ..SasConfig::default() };
         assert_eq!(fov_rung_quantizers(&one), vec![50]);
     }
 

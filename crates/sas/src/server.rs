@@ -89,10 +89,6 @@ pub enum SasError {
         /// The requested tile index.
         tile: usize,
     },
-    /// The server cannot be reached (outage, dropped request, or a
-    /// request timed out on the client side). Produced by the transport
-    /// layer rather than the catalog lookup.
-    Unavailable,
 }
 
 impl std::fmt::Display for SasError {
@@ -111,7 +107,6 @@ impl std::fmt::Display for SasError {
             SasError::UnknownTile { segment, tile } => {
                 write!(f, "unknown tile {tile} in segment {segment}")
             }
-            SasError::Unavailable => write!(f, "server unavailable"),
         }
     }
 }
@@ -455,7 +450,6 @@ mod tests {
         assert_eq!(s.fetch_fov(u32::MAX, 0), Err(SasError::UnknownSegment { segment: u32::MAX }));
         let cluster = s.catalog().clusters_in_segment(0)[0];
         assert!(s.fetch_fov(0, cluster).is_ok());
-        assert_eq!(SasError::Unavailable.to_string(), "server unavailable");
         assert_eq!(
             SasError::UnknownCluster { segment: 1, cluster: 2 }.to_string(),
             "unknown cluster 2 in segment 1"

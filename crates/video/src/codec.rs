@@ -42,6 +42,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+use evr_math::round::{round_to_i16, round_to_u8};
 use evr_projection::ImageBuffer;
 
 use crate::frame::VideoMeta;
@@ -448,7 +449,38 @@ fn estimate_global_motion(cur: &Plane, reference: &Plane, range: i64) -> (i16, i
     best
 }
 
+/// The 64 quantisation steps of one plane, row-major in `(v, u)`:
+/// `steps[v * 8 + u] = quant_step(q, u, v, is_luma)`, computed once per
+/// plane instead of once per coefficient.
+fn step_table(q: u8, is_luma: bool) -> [f64; 64] {
+    std::array::from_fn(|idx| quant_step(q, idx % 8, idx / 8, is_luma))
+}
+
+/// Reads the 8×8 block of `plane` whose top-left sample is `(x, y)`,
+/// edge-extended like [`Plane::sample_clamped`]. A block inside the plane
+/// is copied as eight row slices; one that crosses an edge is gathered
+/// sample by sample through the clamp.
+fn gather_block(plane: &Plane, x: i64, y: i64, out: &mut [u8; 64]) {
+    let (w, h) = (i64::from(plane.width()), i64::from(plane.height()));
+    if x >= 0 && y >= 0 && x + 8 <= w && y + 8 <= h {
+        let (x, y, w) = (x as usize, y as usize, w as usize);
+        for (jy, row) in out.chunks_exact_mut(8).enumerate() {
+            row.copy_from_slice(&plane.samples()[(y + jy) * w + x..][..8]);
+        }
+    } else {
+        for (k, s) in out.iter_mut().enumerate() {
+            *s = plane.sample_clamped(x + (k % 8) as i64, y + (k / 8) as i64);
+        }
+    }
+}
+
 /// Codes one plane; returns (reconstruction, coefficients, bits).
+///
+/// Bit-identical to coding every sample through `sample_clamped`,
+/// `quant_step` and `f64::round` (DESIGN.md §7): the steps come from
+/// [`step_table`], the blocks from [`gather_block`], and both roundings
+/// from [`evr_math::round`]. The prediction block is gathered once and
+/// serves both the residual and the reconstruction.
 fn code_plane(
     plane: &Plane,
     reference: Option<&Plane>,
@@ -457,78 +489,62 @@ fn code_plane(
     is_luma: bool,
     mv: (i64, i64),
 ) -> (Plane, QuantizedPlane, u64) {
-    let w = plane.width();
-    let h = plane.height();
+    let (w, h) = (plane.width(), plane.height());
     let bx = w.div_ceil(8);
     let by = h.div_ceil(8);
+    let steps = step_table(q, is_luma);
+    let reference = reference.filter(|_| kind == FrameKind::Predicted);
     let mut entries: Vec<(u32, i16)> = Vec::new();
-    let mut recon = Plane::filled(w, h, 0);
+    let mut recon = vec![0u8; w as usize * h as usize];
     let mut bits = 0u64;
 
+    let mut cur = [0u8; 64];
+    // Intra blocks (and predicted ones without a reference) predict 128.
+    let mut pred = [128u8; 64];
     let mut block = [0f64; 64];
     let mut freq = [0f64; 64];
     for byi in 0..by {
         for bxi in 0..bx {
-            // Gather the (residual) block, edge-extended.
-            for jy in 0..8 {
-                for jx in 0..8 {
-                    let px = (bxi * 8 + jx) as i64;
-                    let py = (byi * 8 + jy) as i64;
-                    let cur = plane.sample_clamped(px, py) as f64;
-                    let pred = match (kind, reference) {
-                        (FrameKind::Predicted, Some(r)) => {
-                            r.sample_clamped(px + mv.0, py + mv.1) as f64
-                        }
-                        _ => 128.0,
-                    };
-                    block[(jy * 8 + jx) as usize] = cur - pred;
-                }
+            let (x0, y0) = (bxi * 8, byi * 8);
+            gather_block(plane, i64::from(x0), i64::from(y0), &mut cur);
+            if let Some(r) = reference {
+                gather_block(r, i64::from(x0) + mv.0, i64::from(y0) + mv.1, &mut pred);
+            }
+            for ((b, &c), &p) in block.iter_mut().zip(&cur).zip(&pred) {
+                *b = f64::from(c) - f64::from(p);
             }
             fdct8x8(&block, &mut freq);
             // Quantise, cost, dequantise.
             let base = (byi * bx + bxi) * 64;
             let mut block_bits = 1u64; // skip/coded flag
             let mut any = false;
-            for v in 0..8 {
-                for u in 0..8 {
-                    let idx = v * 8 + u;
-                    let step = quant_step(q, u, v, is_luma);
-                    let qc = (freq[idx] / step).round();
-                    let qc = qc.clamp(i16::MIN as f64, i16::MAX as f64) as i16;
-                    freq[idx] = qc as f64 * step;
-                    if qc != 0 {
-                        entries.push((base + idx as u32, qc));
-                        any = true;
-                        block_bits += coeff_bits(qc);
-                    }
+            for (idx, (f, &step)) in freq.iter_mut().zip(&steps).enumerate() {
+                let qc = round_to_i16(*f / step);
+                *f = f64::from(qc) * step;
+                if qc != 0 {
+                    entries.push((base + idx as u32, qc));
+                    any = true;
+                    block_bits += coeff_bits(qc);
                 }
             }
             if any {
                 block_bits += 6; // block addressing / CBP overhead
             }
             bits += block_bits;
-            // Reconstruct.
+            // Reconstruct the part of the block inside the plane.
             idct8x8(&freq, &mut block);
-            for jy in 0..8 {
-                for jx in 0..8 {
-                    let px = bxi * 8 + jx;
-                    let py = byi * 8 + jy;
-                    if px < w && py < h {
-                        let pred = match (kind, reference) {
-                            (FrameKind::Predicted, Some(r)) => {
-                                r.sample_clamped(px as i64 + mv.0, py as i64 + mv.1) as f64
-                            }
-                            _ => 128.0,
-                        };
-                        let val =
-                            (block[(jy * 8 + jx) as usize] + pred).round().clamp(0.0, 255.0) as u8;
-                        recon.set(px, py, val);
-                    }
+            let (x0, y0) = (x0 as usize, y0 as usize);
+            let cols = 8.min(w as usize - x0);
+            for jy in 0..8.min(h as usize - y0) {
+                let row = &mut recon[(y0 + jy) * w as usize + x0..][..cols];
+                let k = jy * 8;
+                for ((out, &b), &p) in row.iter_mut().zip(&block[k..k + 8]).zip(&pred[k..k + 8]) {
+                    *out = round_to_u8(b + f64::from(p));
                 }
             }
         }
     }
-    (recon, QuantizedPlane { width: w, height: h, entries }, bits)
+    (Plane::from_samples(w, h, recon), QuantizedPlane { width: w, height: h, entries }, bits)
 }
 
 fn decode_plane(
@@ -542,6 +558,7 @@ fn decode_plane(
     let w = qp.width;
     let h = qp.height;
     let bx = qp.blocks_x();
+    let steps = step_table(q, is_luma);
     let mut out = Plane::filled(w, h, 0);
     let mut freq = [0f64; 64];
     let mut block = [0f64; 64];
@@ -555,8 +572,7 @@ fn decode_plane(
             while cursor < qp.entries.len() && qp.entries[cursor].0 < base + 64 {
                 let (gidx, qc) = qp.entries[cursor];
                 let idx = (gidx - base) as usize;
-                let (v, u) = (idx / 8, idx % 8);
-                freq[idx] = qc as f64 * quant_step(q, u, v, is_luma);
+                freq[idx] = qc as f64 * steps[idx];
                 cursor += 1;
             }
             idct8x8(&freq, &mut block);
@@ -571,9 +587,7 @@ fn decode_plane(
                             }
                             _ => 128.0,
                         };
-                        let val =
-                            (block[(jy * 8 + jx) as usize] + pred).round().clamp(0.0, 255.0) as u8;
-                        out.set(px, py, val);
+                        out.set(px, py, round_to_u8(block[(jy * 8 + jx) as usize] + pred));
                     }
                 }
             }
@@ -691,6 +705,89 @@ mod tests {
             }
         }
         best
+    }
+
+    /// The per-sample plane coder the table-driven kernel replaces:
+    /// 128 `sample_clamped` calls, 64 `quant_step` calls and 128
+    /// `f64::round` calls per block.
+    fn code_plane_reference(
+        plane: &Plane,
+        reference: Option<&Plane>,
+        kind: FrameKind,
+        q: u8,
+        is_luma: bool,
+        mv: (i64, i64),
+    ) -> (Plane, QuantizedPlane, u64) {
+        let w = plane.width();
+        let h = plane.height();
+        let bx = w.div_ceil(8);
+        let by = h.div_ceil(8);
+        let mut entries: Vec<(u32, i16)> = Vec::new();
+        let mut recon = Plane::filled(w, h, 0);
+        let mut bits = 0u64;
+
+        let mut block = [0f64; 64];
+        let mut freq = [0f64; 64];
+        for byi in 0..by {
+            for bxi in 0..bx {
+                for jy in 0..8 {
+                    for jx in 0..8 {
+                        let px = (bxi * 8 + jx) as i64;
+                        let py = (byi * 8 + jy) as i64;
+                        let cur = plane.sample_clamped(px, py) as f64;
+                        let pred = match (kind, reference) {
+                            (FrameKind::Predicted, Some(r)) => {
+                                r.sample_clamped(px + mv.0, py + mv.1) as f64
+                            }
+                            _ => 128.0,
+                        };
+                        block[(jy * 8 + jx) as usize] = cur - pred;
+                    }
+                }
+                fdct8x8(&block, &mut freq);
+                let base = (byi * bx + bxi) * 64;
+                let mut block_bits = 1u64;
+                let mut any = false;
+                for v in 0..8 {
+                    for u in 0..8 {
+                        let idx = v * 8 + u;
+                        let step = quant_step(q, u, v, is_luma);
+                        let qc = (freq[idx] / step).round();
+                        let qc = qc.clamp(i16::MIN as f64, i16::MAX as f64) as i16;
+                        freq[idx] = qc as f64 * step;
+                        if qc != 0 {
+                            entries.push((base + idx as u32, qc));
+                            any = true;
+                            block_bits += coeff_bits(qc);
+                        }
+                    }
+                }
+                if any {
+                    block_bits += 6;
+                }
+                bits += block_bits;
+                idct8x8(&freq, &mut block);
+                for jy in 0..8 {
+                    for jx in 0..8 {
+                        let px = bxi * 8 + jx;
+                        let py = byi * 8 + jy;
+                        if px < w && py < h {
+                            let pred = match (kind, reference) {
+                                (FrameKind::Predicted, Some(r)) => {
+                                    r.sample_clamped(px as i64 + mv.0, py as i64 + mv.1) as f64
+                                }
+                                _ => 128.0,
+                            };
+                            let val = (block[(jy * 8 + jx) as usize] + pred)
+                                .round()
+                                .clamp(0.0, 255.0) as u8;
+                            recon.set(px, py, val);
+                        }
+                    }
+                }
+            }
+        }
+        (recon, QuantizedPlane { width: w, height: h, entries }, bits)
     }
 
     /// A `w`×`h` plane from a sample function.
@@ -984,6 +1081,67 @@ mod tests {
             // Range 0 and identical frames always keep the zero vector.
             prop_assert_eq!(estimate_global_motion(&cur, &reference, 0), (0, 0));
             prop_assert_eq!(estimate_global_motion(&cur, &cur, range), (0, 0));
+        }
+    }
+
+    /// A plane of full-range texture plus a smooth ramp, so blocks carry
+    /// both large and near-zero coefficients.
+    fn noisy_plane(w: u32, h: u32, seed: u32) -> Plane {
+        plane(w, h, |x, y| {
+            let k = (x.wrapping_mul(2654435761) ^ y.wrapping_mul(40503) ^ seed).rotate_left(13);
+            ((k % 96) + (x * 5 + y * 3) % 160) as u8
+        })
+    }
+
+    #[test]
+    fn code_plane_matches_reference_on_edge_cases() {
+        // Plane sizes from 1×1 to just past a block, intra blocks, and
+        // vectors that move the whole prediction block off the plane.
+        for (w, h) in [(1, 1), (7, 9), (8, 8), (9, 8), (16, 1), (24, 17)] {
+            let cur = noisy_plane(w, h, 5);
+            let reference = noisy_plane(w, h, 11);
+            for mv in [(0, 0), (-3, 2), (40, -40), (-9, 9), (1, 0)] {
+                for kind in [FrameKind::Intra, FrameKind::Predicted] {
+                    for (q, is_luma) in [(1, true), (12, true), (15, false), (50, false)] {
+                        assert_eq!(
+                            code_plane(&cur, Some(&reference), kind, q, is_luma, mv),
+                            code_plane_reference(&cur, Some(&reference), kind, q, is_luma, mv),
+                            "{w}x{h} {kind:?} q{q} luma {is_luma} mv {mv:?}"
+                        );
+                    }
+                }
+            }
+            // A predicted plane with no reference predicts 128, as intra.
+            assert_eq!(
+                code_plane(&cur, None, FrameKind::Predicted, 12, true, (2, 2)),
+                code_plane_reference(&cur, None, FrameKind::Predicted, 12, true, (2, 2))
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Sizes that are not multiples of 8, intra and predicted planes,
+        /// vectors that leave the plane, every quantiser, luma and chroma,
+        /// and references of the coded plane's size or another one.
+        #[test]
+        fn prop_code_plane_matches_reference(
+            (w, h) in (1u32..41, 1u32..30),
+            (mvx, mvy) in (-20i64..=20, -20i64..=20),
+            q in 1u8..=50,
+            (predicted, is_luma, same_size) in (any::<bool>(), any::<bool>(), 0u32..4),
+            seed in any::<u32>(),
+        ) {
+            let cur = noisy_plane(w, h, seed);
+            // Mostly the coded plane's size (as the encoder guarantees),
+            // sometimes another: the kernel must not assume it.
+            let (rw, rh) = if same_size > 0 { (w, h) } else { (w + 5, h.max(2) - 1) };
+            let reference = noisy_plane(rw, rh, seed ^ 0x5bd1_e995);
+            let kind = if predicted { FrameKind::Predicted } else { FrameKind::Intra };
+            prop_assert_eq!(
+                code_plane(&cur, Some(&reference), kind, q, is_luma, (mvx, mvy)),
+                code_plane_reference(&cur, Some(&reference), kind, q, is_luma, (mvx, mvy))
+            );
         }
     }
 

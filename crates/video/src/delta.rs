@@ -25,6 +25,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use evr_math::round::round_to_i16;
+
 use crate::codec::{
     coeff_bits, quant_step, EncodedFrame, EncodedSegment, QuantizedPlane, FRAME_HEADER_BYTES,
 };
@@ -127,27 +129,14 @@ impl RatioCache {
     }
 }
 
-/// `x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i32` without
-/// the libm call `f64::round` compiles to on baseline x86-64. Equal for
-/// every `f64`, NaN and infinities included: for |x| < 2^31 the
-/// truncation `t` is exact and so is the fraction `x − t` (|x| < 2^52),
-/// so stepping `t` away from zero on |fraction| ≥ 0.5 is round-half-
-/// away-from-zero; a saturated `t` lands outside the i16 range either
-/// way.
-#[inline]
-fn round_to_i16(x: f64) -> i32 {
-    let t = x as i32;
-    let f = x - f64::from(t);
-    let r = i64::from(t) + i64::from(f >= 0.5) - i64::from(f <= -0.5);
-    r.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i32
-}
-
 /// Rescales the coefficient `value` at global index `idx` by its step
-/// ratio: the target-rung value the reference coefficient predicts.
+/// ratio: the target-rung value the reference coefficient predicts,
+/// rounded as `f64::round` would but without the libm call
+/// ([`evr_math::round`]).
 #[inline]
 fn rescale(value: i16, idx: u32, ratios: &[f64; 15]) -> i32 {
     let pos = (idx % 64) as usize;
-    round_to_i16(f64::from(value) * ratios[pos / 8 + pos % 8])
+    i32::from(round_to_i16(f64::from(value) * ratios[pos / 8 + pos % 8]))
 }
 
 /// Computes the residuals of `target` against `reference` requantised
@@ -903,46 +892,11 @@ mod tests {
                             "{from_q}→{to_q} {value} {k}"
                         );
                         let x = f64::from(value) * ratio;
-                        let rounded = x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i32;
+                        let rounded = x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i16;
                         assert_eq!(round_to_i16(x), rounded, "{from_q}→{to_q} {value} {k}");
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn round_to_i16_matches_f64_round_at_the_edges() {
-        let edges = [
-            0.0,
-            -0.0,
-            0.5,
-            -0.5,
-            0.49999999999999994,
-            -0.49999999999999994,
-            1.5,
-            -2.5,
-            32766.5,
-            32767.5,
-            -32768.5,
-            -32767.5,
-            2147483647.0,
-            2147483647.5,
-            2147483648.0,
-            -2147483648.5,
-            -2147483649.0,
-            4503599627370495.5,
-            9007199254740993.0,
-            1e300,
-            -1e300,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            f64::MIN_POSITIVE,
-        ];
-        for x in edges {
-            let want = x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i32;
-            assert_eq!(round_to_i16(x), want, "{x:e}");
         }
     }
 
@@ -1046,16 +1000,6 @@ mod tests {
             let seg = random_segment(seed, &quantizers, spread, extreme);
             let other = random_segment(seed ^ 0x9e37_79b9, &quantizers, spread, !extreme);
             check_kernels(&seg, &other, to_q)?;
-        }
-
-        /// The rounding helper equals `f64::round` + clamp on arbitrary bit
-        /// patterns, NaNs and infinities included.
-        #[test]
-        fn prop_round_to_i16_matches_f64_round(bits in any::<u64>(), scale in 0i32..40) {
-            for x in [f64::from_bits(bits), (f64::from_bits(bits >> 12 | 0x3ff0_0000_0000_0000) - 1.5) * f64::from(1 << (scale % 31))] {
-                let want = x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i32;
-                prop_assert_eq!(round_to_i16(x), want, "{:e}", x);
-            }
         }
 
         /// Delta encode→reconstruct is bit-exact for arbitrary quantiser

@@ -10,7 +10,9 @@
 //! follows.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
+use evr_math::round::round_to_u8;
 use evr_math::{Radians, SphericalCoord, Vec3};
 use evr_projection::{ImageBuffer, Projection, Rgb};
 
@@ -259,7 +261,7 @@ impl Scene {
         let r = 110.0 + 50.0 * f1 + 30.0 * horizon;
         let g = 120.0 + 45.0 * f2 + 35.0 * horizon;
         let bch = 130.0 + 40.0 * f3 + 60.0 * horizon;
-        Rgb::new(clamp255(r), clamp255(g), clamp255(bch))
+        Rgb::new(round_to_u8(r), round_to_u8(g), round_to_u8(bch))
     }
 
     /// Renders the panoramic image for time `t` in the given projection.
@@ -313,13 +315,22 @@ impl FrameShader<'_> {
 
     /// Shades the scene in direction `dir`.
     pub fn shade(&self, dir: Vec3) -> Rgb {
-        self.shade_with_horizon(dir, || (4.0 * dir.y).tanh())
+        self.shade_among(0..self.positions.len(), dir, || (4.0 * dir.y).tanh())
     }
 
     /// ERP frame of `width`×`height`: the per-pixel directions of
     /// `Projection::Erp.frame_to_sphere` with the longitude wrap and its
     /// sin/cos hoisted per column and the latitude clamp, its sin/cos
     /// and the horizon hoisted per row.
+    ///
+    /// Each row also drops the objects no pixel of it can hit. On the
+    /// row at latitude φ, `dir = (cos φ·sin λ, sin φ, cos φ·cos λ)`, so
+    /// `dot(dir, c)` is at most `cos φ·hypot(c.x, c.z) + sin φ·c.y`
+    /// (`cos φ ≥ 0` on the clamped latitude range). An object whose
+    /// bound plus [`ROW_CULL_MARGIN`] stays below its `cos_r` fails the
+    /// per-pixel reject on every pixel of the row; the rest are tested
+    /// in their original order, so ties resolve as before (DESIGN.md
+    /// §11).
     fn render_erp(&self, width: u32, height: u32) -> ImageBuffer {
         let columns: Vec<(f64, f64)> = (0..width)
             .map(|x| {
@@ -328,6 +339,8 @@ impl FrameShader<'_> {
                 (lon.sin(), lon.cos())
             })
             .collect();
+        let reach: Vec<f64> = self.positions.iter().map(|c| c.x.hypot(c.z)).collect();
+        let mut row_objects = Vec::with_capacity(self.positions.len());
         let mut pixels = Vec::with_capacity(width as usize * height as usize);
         for y in 0..height {
             let v = (y as f64 + 0.5) / height as f64;
@@ -335,38 +348,75 @@ impl FrameShader<'_> {
                 .clamp(-std::f64::consts::FRAC_PI_2, std::f64::consts::FRAC_PI_2);
             let (sp, cp) = (lat.sin(), lat.cos());
             let horizon = (4.0 * sp).tanh();
+            row_objects.clear();
+            row_objects.extend(self.objects_on_row(&reach, sp, cp));
             pixels.extend(columns.iter().map(|&(sl, cl)| {
-                self.shade_with_horizon(Vec3::new(cp * sl, sp, cp * cl), || horizon)
+                self.shade_among(
+                    row_objects.iter().copied(),
+                    Vec3::new(cp * sl, sp, cp * cl),
+                    || horizon,
+                )
             }));
         }
         ImageBuffer::from_pixels(width, height, pixels)
     }
 
-    /// [`FrameShader::shade`] with the background horizon supplied by
-    /// the caller, evaluated only where no object covers `dir`.
-    fn shade_with_horizon(&self, dir: Vec3, horizon: impl FnOnce() -> f64) -> Rgb {
+    /// Indices, in order, of the objects that some pixel of the ERP row
+    /// with latitude sine `sp` and cosine `cp` can hit: those whose
+    /// bound `cp · reach[k] + sp · c.y` plus [`ROW_CULL_MARGIN`] reaches
+    /// their `cos_r`, where `reach[k]` is `hypot(c.x, c.z)` of object
+    /// `k`'s centre `c`.
+    fn objects_on_row<'s>(
+        &'s self,
+        reach: &'s [f64],
+        sp: f64,
+        cp: f64,
+    ) -> impl Iterator<Item = usize> + 's {
+        (0..self.positions.len()).filter(move |&k| {
+            let bound = cp * reach[k] + sp * self.positions[k].y;
+            // Only a definite "below" drops the object: a NaN bound
+            // keeps it, as the per-pixel reject does.
+            (bound + ROW_CULL_MARGIN).partial_cmp(&self.cos_radii[k]) != Some(Ordering::Less)
+        })
+    }
+
+    /// Shades `dir` considering only the objects at the indices
+    /// `candidates` yields, in that order; the background horizon is
+    /// supplied by the caller and evaluated only where no object covers
+    /// `dir`.
+    fn shade_among(
+        &self,
+        candidates: impl IntoIterator<Item = usize>,
+        dir: Vec3,
+        horizon: impl FnOnce() -> f64,
+    ) -> Rgb {
         // Objects paint over the background, nearest-to-centre wins.
-        let mut best: Option<(f64, &SceneObject)> = None;
-        for ((obj, &center), &cos_r) in
-            self.scene.objects.iter().zip(&self.positions).zip(&self.cos_radii)
-        {
+        let mut best: Option<(f64, usize)> = None;
+        for k in candidates {
             // Cheap reject on the dot product before paying for acos.
-            let cosang = dir.dot(center).clamp(-1.0, 1.0);
-            if cosang < cos_r {
+            let cosang = dir.dot(self.positions[k]).clamp(-1.0, 1.0);
+            if cosang < self.cos_radii[k] {
                 continue;
             }
             let ang = cosang.acos();
             match best {
                 Some((prev, _)) if prev <= ang => {}
-                _ => best = Some((ang, obj)),
+                _ => best = Some((ang, k)),
             }
         }
-        if let Some((ang, obj)) = best {
-            return shade_object(obj, ang, dir, self.t);
+        if let Some((ang, k)) = best {
+            return shade_object(&self.scene.objects[k], ang, dir, self.t);
         }
         self.scene.shade_background(dir, self.t, horizon())
     }
 }
+
+/// Slack added to a row's largest possible `dot(dir, c)` before the ERP
+/// render drops an object for that row. The computed per-pixel dot
+/// product exceeds the computed bound by less than `1e-14` (about a
+/// dozen roundings of terms whose magnitudes sum to about 1), so a row
+/// is culled only when every pixel's reject is certain.
+const ROW_CULL_MARGIN: f64 = 1e-9;
 
 fn shade_object(obj: &SceneObject, ang: f64, dir: Vec3, t: f64) -> Rgb {
     let base = obj.class.base_color();
@@ -376,7 +426,11 @@ fn shade_object(obj: &SceneObject, ang: f64, dir: Vec3, t: f64) -> Rgb {
     let rings = (f * (6.0 + 6.0 * s) + t * 0.5).sin();
     let stripes = ((dir.x * 17.0 + dir.y * 13.0) * (1.0 + s) + obj.seed as f64).sin();
     let m = 0.75 + 0.2 * rings + 0.1 * stripes - 0.3 * f;
-    Rgb::new(clamp255(base.r as f64 * m), clamp255(base.g as f64 * m), clamp255(base.b as f64 * m))
+    Rgb::new(
+        round_to_u8(base.r as f64 * m),
+        round_to_u8(base.g as f64 * m),
+        round_to_u8(base.b as f64 * m),
+    )
 }
 
 fn hash_unit(seed: u64) -> f64 {
@@ -386,10 +440,6 @@ fn hash_unit(seed: u64) -> f64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z = z ^ (z >> 31);
     (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-fn clamp255(v: f64) -> u8 {
-    v.round().clamp(0.0, 255.0) as u8
 }
 
 #[cfg(test)]
@@ -513,22 +563,137 @@ mod tests {
         })
     }
 
+    /// The separable ERP render before the per-row object cull: every
+    /// pixel tests every object.
+    fn render_erp_reference(scene: &Scene, t: f64, width: u32, height: u32) -> ImageBuffer {
+        let shader = scene.frame_shader(t);
+        let columns: Vec<(f64, f64)> = (0..width)
+            .map(|x| {
+                let u = (x as f64 + 0.5) / width as f64;
+                let lon = Radians((u - 0.5) * std::f64::consts::TAU).wrapped().0;
+                (lon.sin(), lon.cos())
+            })
+            .collect();
+        let mut pixels = Vec::with_capacity(width as usize * height as usize);
+        for y in 0..height {
+            let v = (y as f64 + 0.5) / height as f64;
+            let lat = ((0.5 - v) * std::f64::consts::PI)
+                .clamp(-std::f64::consts::FRAC_PI_2, std::f64::consts::FRAC_PI_2);
+            let (sp, cp) = (lat.sin(), lat.cos());
+            let horizon = (4.0 * sp).tanh();
+            pixels.extend(columns.iter().map(|&(sl, cl)| {
+                let dir = Vec3::new(cp * sl, sp, cp * cl);
+                shader.shade_among(0..scene.objects.len(), dir, || horizon)
+            }));
+        }
+        ImageBuffer::from_pixels(width, height, pixels)
+    }
+
+    /// Both oracles agree with the culled render on `scene`.
+    fn check_erp_render(scene: &Scene, t: f64, w: u32, h: u32) -> Result<(), TestCaseError> {
+        let got = scene.render_image(t, Projection::Erp, w, h);
+        prop_assert!(
+            got == render_erp_reference(scene, t, w, h),
+            "{} at t = {t}, {w}x{h}",
+            scene.name
+        );
+        prop_assert!(
+            got == render_image_reference(scene, t, w, h),
+            "{} at t = {t}, {w}x{h}",
+            scene.name
+        );
+        Ok(())
+    }
+
     #[test]
     fn erp_render_matches_generic_path_for_every_library_scene() {
         for id in crate::library::VideoId::ALL {
             let scene = crate::library::scene_for(id);
             for (t, w, h) in [(0.0, 320, 160), (1.7, 320, 160), (0.4, 33, 17), (2.0, 1, 1)] {
-                assert_eq!(
-                    scene.render_image(t, Projection::Erp, w, h),
-                    render_image_reference(&scene, t, w, h),
-                    "{id:?} at t = {t}, {w}x{h}"
-                );
+                check_erp_render(&scene, t, w, h).unwrap();
+            }
+        }
+    }
+
+    /// A scene of `Signage` objects at the given directions and radii.
+    fn scene_with_objects(objects: &[(Vec3, f64)]) -> Scene {
+        let objects = objects
+            .iter()
+            .enumerate()
+            .map(|(i, &(dir, radius))| SceneObject {
+                id: i as ObjectId,
+                class: ObjectClass::Signage,
+                trajectory: Trajectory::Static { dir, wobble: 0.0 },
+                angular_radius: Radians(radius),
+                seed: i as u64 * 7 + 3,
+            })
+            .collect();
+        Scene::new("objects", Background { detail: 3.0, motion: 0.5, seed: 7 }, objects, 10.0)
+    }
+
+    #[test]
+    fn row_cull_drops_objects_that_no_pixel_of_the_row_can_hit() {
+        // Caps of radius 0.2 rad on the equator and on the north pole,
+        // and one of radius 2 rad on the south pole.
+        let scene = scene_with_objects(&[(Vec3::FORWARD, 0.2), (Vec3::UP, 0.2), (-Vec3::UP, 2.0)]);
+        let shader = scene.frame_shader(0.0);
+        let reach: Vec<f64> = shader.positions.iter().map(|c| c.x.hypot(c.z)).collect();
+        let on_row = |lat: f64| -> Vec<usize> {
+            shader.objects_on_row(&reach, lat.sin(), lat.cos()).collect()
+        };
+        assert_eq!(on_row(0.0), [0, 2], "equator");
+        assert_eq!(on_row(0.1), [0, 2], "inside the equatorial cap's band");
+        assert_eq!(on_row(0.5), [0usize; 0], "north of the large cap, south of the polar one");
+        assert_eq!(on_row(1.45), [1], "inside the polar cap");
+        assert_eq!(on_row(std::f64::consts::FRAC_PI_2), [1], "north pole");
+        assert_eq!(on_row(-1.0), [2], "inside the large southern cap");
+    }
+
+    #[test]
+    fn row_cull_keeps_objects_on_the_poles_and_covering_the_sphere() {
+        // Exactly on each pole, a radius of one pixel row up to past π,
+        // overlapping objects tying on angle, and a row landing on the
+        // pole (odd heights put a row centre on the equator, not the
+        // pole; the clamp only bites for the 1-row frame).
+        let cases = [
+            vec![(Vec3::UP, 0.01), (-Vec3::UP, 0.01)],
+            vec![(Vec3::UP, 0.3), (Vec3::UP, 0.3), (-Vec3::UP, 1.2)],
+            vec![(Vec3::UP, std::f64::consts::PI), (Vec3::FORWARD, 0.2)],
+            vec![(-Vec3::UP, 3.2), (Vec3::new(0.0, 1.0, 1e-12), 0.05)],
+        ];
+        for objects in &cases {
+            let scene = scene_with_objects(objects);
+            for (w, h) in [(64, 32), (33, 17), (7, 1), (1, 1)] {
+                check_erp_render(&scene, 0.3, w, h).unwrap();
             }
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Random objects within 0.3 rad of a pole, radii from under a
+        /// pixel row to past π.
+        #[test]
+        fn prop_row_cull_matches_oracles_near_the_poles(
+            objects in proptest::collection::vec(
+                (any::<bool>(), 0.0f64..0.3, -3.2f64..3.2, 0.001f64..3.3),
+                1..8,
+            ),
+            w in 1u32..48,
+            h in 1u32..32,
+            t in 0.0f64..10.0,
+        ) {
+            let objects: Vec<(Vec3, f64)> = objects
+                .iter()
+                .map(|&(north, off, lon, radius)| {
+                    let lat = std::f64::consts::FRAC_PI_2 - off;
+                    let lat = if north { lat } else { -lat };
+                    (SphericalCoord::new(Radians(lon), Radians(lat)).to_unit_vector(), radius)
+                })
+                .collect();
+            check_erp_render(&scene_with_objects(&objects), t, w, h)?;
+        }
+
         #[test]
         fn prop_erp_render_matches_generic_path(
             w in 1u32..40,
@@ -538,10 +703,7 @@ mod tests {
         ) {
             // Odd sizes, 1×1 and 1-wide/1-high strips included.
             let scene = crate::library::scene_for(crate::library::VideoId::ALL[video]);
-            prop_assert_eq!(
-                scene.render_image(t, Projection::Erp, w, h),
-                render_image_reference(&scene, t, w, h)
-            );
+            check_erp_render(&scene, t, w, h)?;
         }
     }
 

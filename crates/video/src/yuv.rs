@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use evr_math::round::round_to_u8;
 use evr_projection::{ImageBuffer, Rgb};
 
 /// A full-resolution plane of 8-bit samples.
@@ -26,6 +27,17 @@ impl Plane {
     pub fn filled(width: u32, height: u32, value: u8) -> Self {
         assert!(width > 0 && height > 0, "plane dimensions must be non-zero");
         Plane { width, height, samples: vec![value; (width * height) as usize] }
+    }
+
+    /// Wraps row-major samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension is zero or `samples.len() != width * height`.
+    pub(crate) fn from_samples(width: u32, height: u32, samples: Vec<u8>) -> Self {
+        assert!(width > 0 && height > 0, "plane dimensions must be non-zero");
+        assert_eq!(samples.len(), width as usize * height as usize, "sample count mismatch");
+        Plane { width, height, samples }
     }
 
     /// Width in samples.
@@ -140,23 +152,19 @@ pub fn yuv420_to_rgb(yuv: &Yuv420) -> ImageBuffer {
         let r = yy + 1.402 * cr;
         let g = yy - 0.344136 * cb - 0.714136 * cr;
         let b = yy + 1.772 * cb;
-        Rgb::new(clamp255(r), clamp255(g), clamp255(b))
+        Rgb::new(round_to_u8(r), round_to_u8(g), round_to_u8(b))
     })
 }
 
 fn luma(p: Rgb) -> u8 {
-    clamp255(0.299 * p.r as f64 + 0.587 * p.g as f64 + 0.114 * p.b as f64)
+    round_to_u8(0.299 * p.r as f64 + 0.587 * p.g as f64 + 0.114 * p.b as f64)
 }
 
 fn chroma(p: Rgb) -> (u8, u8) {
     let y = 0.299 * p.r as f64 + 0.587 * p.g as f64 + 0.114 * p.b as f64;
     let cb = (p.b as f64 - y) / 1.772 + 128.0;
     let cr = (p.r as f64 - y) / 1.402 + 128.0;
-    (clamp255(cb), clamp255(cr))
-}
-
-fn clamp255(v: f64) -> u8 {
-    v.round().clamp(0.0, 255.0) as u8
+    (round_to_u8(cb), round_to_u8(cr))
 }
 
 #[cfg(test)]
