@@ -32,20 +32,12 @@ struct ChaosArgs {
     duration_s: f64,
     seed: u64,
     sas: SasConfig,
-    threads: usize,
     json: Option<String>,
 }
 
 impl Default for ChaosArgs {
     fn default() -> Self {
-        ChaosArgs {
-            users: 59,
-            duration_s: 60.0,
-            seed: 7,
-            sas: SasConfig::default(),
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-            json: None,
-        }
+        ChaosArgs { users: 59, duration_s: 60.0, seed: 7, sas: SasConfig::default(), json: None }
     }
 }
 
@@ -200,7 +192,7 @@ fn main() {
     println!("video Rhino, {} users x {:.0} s, seed {}", args.users, args.duration_s, args.seed);
 
     let system = EvrSystem::build(VideoId::Rhino, args.sas, args.duration_s);
-    let cfg = ExperimentConfig { users: args.users, threads: args.threads };
+    let cfg = ExperimentConfig { users: args.users, threads: 0 };
     let mut rows: Vec<(String, AggregateReport)> = Vec::new();
     for (label, setup) in ladder(args.seed, args.duration_s) {
         for (variant, tag) in [(Variant::SPlusH, ""), (Variant::TPlusH, "+T+H")] {

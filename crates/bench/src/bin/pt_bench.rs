@@ -1,15 +1,15 @@
-//! PT fast-path benchmark: measures the scanline-parallel renderers and
-//! the sampling-map LUT against the sequential baseline, checks that
-//! every fast path is bit-identical to it, and emits `BENCH_pt.json` so
-//! the performance trajectory has data points (ROADMAP: "as fast as the
-//! hardware allows").
+//! PT fast-path benchmark: measures renders served from the sampling-map
+//! LUT against direct `render_fov` calls, checks that every LUT-served
+//! render is bit-identical to the direct one, and emits `BENCH_pt.json`
+//! so the performance trajectory has data points (ROADMAP: "as fast as
+//! the hardware allows").
 //!
 //! Exits non-zero if any parity check fails, which is what the CI smoke
 //! step relies on:
 //!
 //! ```text
 //! cargo run --release -p evr-bench --bin pt_bench -- --smoke json=BENCH_pt.json
-//! cargo run --release -p evr-bench --bin pt_bench -- frames=120 threads=8 seed=11
+//! cargo run --release -p evr-bench --bin pt_bench -- frames=120 seed=11
 //! ```
 //!
 //! Timings vary across machines, so unlike `chaos_run` the JSON is not
@@ -29,7 +29,6 @@ use evr_pte::{Pte, PteConfig};
 struct PtArgs {
     seed: u64,
     frames: u32,
-    threads: usize,
     src: (u32, u32),
     viewport: (u32, u32),
     json: Option<String>,
@@ -37,14 +36,7 @@ struct PtArgs {
 
 impl Default for PtArgs {
     fn default() -> Self {
-        PtArgs {
-            seed: 7,
-            frames: 60,
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-            src: (2048, 1024),
-            viewport: (960, 540),
-            json: None,
-        }
+        PtArgs { seed: 7, frames: 60, src: (2048, 1024), viewport: (960, 540), json: None }
     }
 }
 
@@ -59,14 +51,12 @@ fn parse_args(args: impl Iterator<Item = String>) -> PtArgs {
             out.seed = v.parse().expect("seed=N takes an integer");
         } else if let Some(v) = arg.strip_prefix("frames=") {
             out.frames = v.parse().expect("frames=N takes an integer");
-        } else if let Some(v) = arg.strip_prefix("threads=") {
-            out.threads = v.parse().expect("threads=N takes an integer");
         } else if let Some(v) = arg.strip_prefix("json=") {
             out.json = Some(v.to_string());
         } else {
             panic!(
-                "unknown argument {arg:?}; expected `--smoke`, `seed=N`, `frames=N`, \
-                 `threads=N` or `json=PATH`"
+                "unknown argument {arg:?}; expected `--smoke`, `seed=N`, `frames=N` \
+                 or `json=PATH`"
             );
         }
     }
@@ -103,12 +93,11 @@ struct CaseResult {
     filter: FilterMode,
     parity_ok: bool,
     seq_ms: f64,
-    par_ms: f64,
     map_ms: f64,
 }
 
-/// One projection × filter case: parity of every fast path against the
-/// single-thread renderer, then per-frame timings for each path.
+/// One projection × filter case: parity of LUT-served renders against
+/// direct `render_fov` calls, then per-frame timings for each path.
 fn run_case(args: &PtArgs, projection: Projection, filter: FilterMode) -> CaseResult {
     let (sw, sh) = args.src;
     let src = render_panorama(projection, sw, sh, |d| {
@@ -140,34 +129,25 @@ fn run_case(args: &PtArgs, projection: Projection, filter: FilterMode) -> CaseRe
     }
     let mut parity_ok = true;
     for &pose in &poses {
-        let baseline = t.render_fov_threads(&src, pose, 1);
-        let parallel = t.render_fov_threads(&src, pose, args.threads.max(2));
+        let direct = t.render_fov(&src, pose);
         let (map, _) = cache.reference_map(&t, pose, 1);
         let mapped = t.render_with_map(&src, map.as_reference().expect("reference map"));
-        let fx_baseline = fixed.render_fov_threads(&src, pose, 1);
-        let fx_parallel = fixed.render_fov_threads(&src, pose, args.threads.max(2));
+        let fx_direct = fixed.render_fov(&src, pose);
         let (fx_map, _) = cache.fixed_map(&fixed, pose);
         let fx_mapped = fixed.render_with_map(&src, fx_map.as_fixed().expect("fixed map").1);
-        parity_ok &= parallel.image == baseline.image
-            && mapped == baseline.image
-            && fx_parallel == fx_baseline
-            && fx_mapped == fx_baseline;
+        parity_ok &= mapped == direct.image && fx_mapped == fx_direct;
     }
 
-    // Timings: fresh poses each frame for seq/par (no LUT), one warm map
-    // replayed for the map path (the steady-state frame of a static gaze).
+    // Timings: a fresh pose each frame for the direct path (no LUT), one
+    // warm map replayed for the map path (the steady-state frame of a
+    // static gaze).
     let mut rng = Rng::new(args.seed ^ 0xBEEF);
     let frame_poses: Vec<EulerAngles> = (0..args.frames).map(|_| rng.pose()).collect();
     let start = Instant::now();
     for &pose in &frame_poses {
-        std::hint::black_box(t.render_fov_threads(&src, pose, 1));
+        std::hint::black_box(t.render_fov(&src, pose));
     }
     let seq_ms = start.elapsed().as_secs_f64() * 1e3 / args.frames as f64;
-    let start = Instant::now();
-    for &pose in &frame_poses {
-        std::hint::black_box(t.render_fov_threads(&src, pose, args.threads));
-    }
-    let par_ms = start.elapsed().as_secs_f64() * 1e3 / args.frames as f64;
     let (map, _) = cache.reference_map(&t, frame_poses[0], 1);
     let coords = map.as_reference().expect("reference map");
     let start = Instant::now();
@@ -176,7 +156,7 @@ fn run_case(args: &PtArgs, projection: Projection, filter: FilterMode) -> CaseRe
     }
     let map_ms = start.elapsed().as_secs_f64() * 1e3 / args.frames as f64;
 
-    CaseResult { projection, filter, parity_ok, seq_ms, par_ms, map_ms }
+    CaseResult { projection, filter, parity_ok, seq_ms, map_ms }
 }
 
 struct EngineResult {
@@ -226,15 +206,8 @@ fn bench_json(args: &PtArgs, cases: &[CaseResult], engine: &EngineResult) -> Str
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
-        "  \"seed\": {}, \"threads\": {}, \"frames\": {},\n  \"src\": [{}, {}], \
-         \"viewport\": [{}, {}],\n",
-        args.seed,
-        args.threads,
-        args.frames,
-        args.src.0,
-        args.src.1,
-        args.viewport.0,
-        args.viewport.1
+        "  \"seed\": {}, \"frames\": {},\n  \"src\": [{}, {}], \"viewport\": [{}, {}],\n",
+        args.seed, args.frames, args.src.0, args.src.1, args.viewport.0, args.viewport.1
     ));
     out.push_str(&format!(
         "  \"parity_ok\": {},\n  \"cases\": [\n",
@@ -243,15 +216,12 @@ fn bench_json(args: &PtArgs, cases: &[CaseResult], engine: &EngineResult) -> Str
     for (i, c) in cases.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"projection\": \"{}\", \"filter\": \"{}\", \"parity_ok\": {}, \
-             \"seq_ms\": {:.6}, \"par_ms\": {:.6}, \"map_ms\": {:.6}, \
-             \"par_speedup\": {:.6}, \"map_speedup\": {:.6}}}{}\n",
+             \"seq_ms\": {:.6}, \"map_ms\": {:.6}, \"map_speedup\": {:.6}}}{}\n",
             c.projection,
             c.filter,
             c.parity_ok,
             c.seq_ms,
-            c.par_ms,
             c.map_ms,
-            c.seq_ms / c.par_ms,
             c.seq_ms / c.map_ms,
             if i + 1 < cases.len() { "," } else { "" }
         ));
@@ -272,16 +242,10 @@ fn bench_json(args: &PtArgs, cases: &[CaseResult], engine: &EngineResult) -> Str
 
 fn main() {
     let args = parse_args(std::env::args().skip(1));
-    header("pt_bench", "PT fast path: parallel render + sampling-map LUT vs sequential");
+    header("pt_bench", "PT fast path: sampling-map LUT vs direct render");
     println!(
-        "src {}x{}, viewport {}x{}, {} frames, {} threads, seed {}",
-        args.src.0,
-        args.src.1,
-        args.viewport.0,
-        args.viewport.1,
-        args.frames,
-        args.threads,
-        args.seed
+        "src {}x{}, viewport {}x{}, {} frames, seed {}",
+        args.src.0, args.src.1, args.viewport.0, args.viewport.1, args.frames, args.seed
     );
 
     let mut cases = Vec::new();
@@ -289,13 +253,11 @@ fn main() {
         for filter in [FilterMode::Nearest, FilterMode::Bilinear] {
             let c = run_case(&args, projection, filter);
             println!(
-                "  {:<4} {:<9} parity {}  seq {:.2} ms, par {:.2} ms ({:.2}x), map {:.2} ms ({:.2}x)",
+                "  {:<4} {:<9} parity {}  seq {:.2} ms, map {:.2} ms ({:.2}x)",
                 c.projection.to_string(),
                 c.filter.to_string(),
                 if c.parity_ok { "ok" } else { "FAIL" },
                 c.seq_ms,
-                c.par_ms,
-                c.seq_ms / c.par_ms,
                 c.map_ms,
                 c.seq_ms / c.map_ms,
             );
@@ -319,7 +281,7 @@ fn main() {
     }
 
     if !cases.iter().all(|c| c.parity_ok) {
-        eprintln!("parity FAILED: a fast path diverged from the sequential renderer");
+        eprintln!("parity FAILED: a LUT-served render diverged from the direct render");
         std::process::exit(1);
     }
 }

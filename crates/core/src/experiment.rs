@@ -17,7 +17,8 @@ use crate::system::{EvrSystem, UseCase, Variant};
 pub struct ExperimentConfig {
     /// Number of study users to replay (paper: 59).
     pub users: u64,
-    /// Threads for the user sweep.
+    /// Threads for the user sweep; `0` means one per core (see
+    /// [`evr_sched::resolve_workers`]).
     pub threads: usize,
 }
 

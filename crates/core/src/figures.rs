@@ -29,38 +29,25 @@ pub struct FigureScale {
     pub duration_s: f64,
     /// SAS configuration (controls analysis resolutions).
     pub sas: SasConfig,
-    /// Worker threads.
+    /// Worker threads for the user sweep; `0` means one per core
+    /// (see [`evr_sched::resolve_workers`]).
     pub threads: usize,
 }
 
 impl FigureScale {
     /// Paper-scale: 59 users over the full 60 s scenes.
     pub fn paper() -> Self {
-        FigureScale {
-            users: 59,
-            duration_s: 60.0,
-            sas: SasConfig::default(),
-            threads: default_threads(),
-        }
+        FigureScale { users: 59, duration_s: 60.0, sas: SasConfig::default(), threads: 0 }
     }
 
     /// Reduced scale for smoke tests and CI.
     pub fn quick() -> Self {
-        FigureScale {
-            users: 6,
-            duration_s: 6.0,
-            sas: SasConfig::default(),
-            threads: default_threads(),
-        }
+        FigureScale { users: 6, duration_s: 6.0, sas: SasConfig::default(), threads: 0 }
     }
 
     fn experiment(&self) -> ExperimentConfig {
         ExperimentConfig { users: self.users, threads: self.threads }
     }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8)
 }
 
 /// Shared state for a figure-generation run: caches ingested systems so

@@ -4,8 +4,7 @@
 //! ROADMAP's north star is a service "serving heavy traffic from
 //! millions of users" — so sweeps must parallelise, but reproducibility
 //! is non-negotiable: a sweep's numbers must not depend on how many
-//! cores the machine happens to have. [`FleetRunner`] gives both, with
-//! the same parity guarantee as `evr-projection`'s scanline pool: the
+//! cores the machine happens to have. [`FleetRunner`] gives both: the
 //! result is byte-identical to a serial loop for *any* worker count.
 //!
 //! Users are scheduled by the shared chunked self-scheduler in

@@ -104,12 +104,13 @@ pub fn sample(src: &impl PixelSource, u: f64, v: f64, filter: FilterMode, edge: 
             // An interior 2×2 footprint resolves to itself under either
             // edge mode, so only border taps pay for `resolve` (a
             // `rem_euclid` per tap for ERP). `resolve` folds x and y
-            // independently, so two calls cover all four taps.
+            // independently, so two calls cover all four taps. The far
+            // taps saturate: a +∞ or huge coordinate casts to `i64::MAX`.
             let (xa, ya, xb, yb) = if x0 >= 0 && y0 >= 0 && x0 < w as i64 - 1 && y0 < h as i64 - 1 {
                 (x0 as u32, y0 as u32, x0 as u32 + 1, y0 as u32 + 1)
             } else {
                 let (xa, ya) = edge.resolve(x0, y0, w, h);
-                let (xb, yb) = edge.resolve(x0 + 1, y0 + 1, w, h);
+                let (xb, yb) = edge.resolve(x0.saturating_add(1), y0.saturating_add(1), w, h);
                 (xa, ya, xb, yb)
             };
             let taps = [src.pixel(xa, ya), src.pixel(xb, ya), src.pixel(xa, yb), src.pixel(xb, yb)];
@@ -191,7 +192,8 @@ pub fn sample_footprint(
             let mut out = Vec::with_capacity(4);
             for dy in 0..2 {
                 for dx in 0..2 {
-                    let c = edge.resolve(x0 + dx, y0 + dy, width, height);
+                    let c =
+                        edge.resolve(x0.saturating_add(dx), y0.saturating_add(dy), width, height);
                     if !out.contains(&c) {
                         out.push(c);
                     }
@@ -272,6 +274,27 @@ mod tests {
         // At a corner with clamping, duplicates collapse.
         let f = sample_footprint(8, 8, 0.0, 0.0, FilterMode::Bilinear, EdgeMode::Clamp);
         assert_eq!(f.len(), 1);
+    }
+
+    #[test]
+    fn extreme_coordinates_sample_without_panicking() {
+        let img = gradient();
+        let extremes = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, -1e300];
+        for (u, v) in extremes.into_iter().flat_map(|u| extremes.map(|v| (u, v))) {
+            for filter in [FilterMode::Nearest, FilterMode::Bilinear] {
+                for edge in [EdgeMode::Clamp, EdgeMode::WrapU] {
+                    sample(&img, u, v, filter, edge);
+                    for (x, y) in sample_footprint(4, 4, u, v, filter, edge) {
+                        assert!(x < 4 && y < 4, "{filter} {edge:?} at ({u}, {v}): ({x}, {y})");
+                    }
+                }
+            }
+        }
+        // +∞ clamps to the last column and row, never wraps to column 0.
+        for filter in [FilterMode::Nearest, FilterMode::Bilinear] {
+            let inf = f64::INFINITY;
+            assert_eq!(sample_footprint(4, 4, inf, inf, filter, EdgeMode::Clamp), vec![(3, 3)]);
+        }
     }
 
     /// The always-`resolve` bilinear tap the interior fast path

@@ -24,7 +24,6 @@ use evr_math::EulerAngles;
 use crate::filter::{EdgeMode, FilterMode};
 use crate::fov::{FovSpec, Viewport};
 use crate::mapping::{CubeFace, Projection};
-use crate::par;
 use crate::pixel::{ImageBuffer, PixelSource, Rgb};
 use crate::transform::Transformer;
 
@@ -307,38 +306,11 @@ impl FixedTransformer {
         }
     }
 
-    /// Runs the full fixed-point PT for one frame.
-    ///
-    /// Large viewports render scanline-parallel; like the reference
-    /// pipeline, any thread count is bit-identical (the only shared
-    /// mutable state is the saturation counter, whose total is a
-    /// commutative sum).
-    pub fn render_fov(
-        &self,
-        src: &(impl PixelSource + Sync),
-        orientation: EulerAngles,
-    ) -> ImageBuffer {
-        self.render_fov_threads(
-            src,
-            orientation,
-            par::auto_threads(self.viewport.pixels() as usize),
-        )
-    }
-
-    /// [`FixedTransformer::render_fov`] with an explicit thread count.
-    pub fn render_fov_threads(
-        &self,
-        src: &(impl PixelSource + Sync),
-        orientation: EulerAngles,
-        threads: usize,
-    ) -> ImageBuffer {
-        let cfg = self.frame_config(orientation);
-        let edge = EdgeMode::for_projection(self.projection);
-        let pixels = par::fill_grid(self.viewport.width, self.viewport.height, threads, |i, j| {
-            let (u, v) = self.map_pixel_fx(&cfg, i, j);
-            self.sample_fx(src, u, v, edge)
-        });
-        ImageBuffer::from_pixels(self.viewport.width, self.viewport.height, pixels)
+    /// Runs the full fixed-point PT for one frame on the calling thread,
+    /// as [`FixedTransformer::coordinate_map`] then
+    /// [`FixedTransformer::render_with_map`].
+    pub fn render_fov(&self, src: &ImageBuffer, orientation: EulerAngles) -> ImageBuffer {
+        self.render_with_map(src, &self.coordinate_map(orientation))
     }
 
     /// Precomputes the fixed-point source coordinates of every output
@@ -347,12 +319,14 @@ impl FixedTransformer {
     /// [`crate::lut::SamplingMapCache`].
     pub fn coordinate_map(&self, orientation: EulerAngles) -> Vec<(Fx, Fx)> {
         let cfg = self.frame_config(orientation);
-        par::fill_grid(
-            self.viewport.width,
-            self.viewport.height,
-            par::auto_threads(self.viewport.pixels() as usize),
-            |i, j| self.map_pixel_fx(&cfg, i, j),
-        )
+        let (w, h) = (self.viewport.width, self.viewport.height);
+        let mut map = Vec::with_capacity(self.viewport.pixels() as usize);
+        for j in 0..h {
+            for i in 0..w {
+                map.push(self.map_pixel_fx(&cfg, i, j));
+            }
+        }
+        map
     }
 
     /// Renders through a precomputed fixed-point coordinate map (the
@@ -361,20 +335,11 @@ impl FixedTransformer {
     /// # Panics
     ///
     /// Panics if the map's length does not match the viewport.
-    pub fn render_with_map(
-        &self,
-        src: &(impl PixelSource + Sync),
-        map: &[(Fx, Fx)],
-    ) -> ImageBuffer {
+    pub fn render_with_map(&self, src: &impl PixelSource, map: &[(Fx, Fx)]) -> ImageBuffer {
         assert_eq!(map.len() as u64, self.viewport.pixels(), "coordinate map size mismatch");
         let edge = EdgeMode::for_projection(self.projection);
-        let w = self.viewport.width;
-        let pixels =
-            par::fill_grid(w, self.viewport.height, par::auto_threads(map.len()), |i, j| {
-                let (u, v) = map[(j * w + i) as usize];
-                self.sample_fx(src, u, v, edge)
-            });
-        ImageBuffer::from_pixels(w, self.viewport.height, pixels)
+        let pixels = map.iter().map(|&(u, v)| self.sample_fx(src, u, v, edge)).collect();
+        ImageBuffer::from_pixels(self.viewport.width, self.viewport.height, pixels)
     }
 
     /// Fixed-point filtering: address generation in wide integers, blend
@@ -556,25 +521,6 @@ mod tests {
                 assert!(close, "{projection} pixel ({i},{j}): ({u1},{v1}) vs ({u2},{v2})");
             }
         }
-    }
-
-    #[test]
-    fn thread_counts_and_map_path_are_bit_identical() {
-        let src = test_panorama(Projection::Eac);
-        let t = FixedTransformer::new(
-            FxFormat::q28_10(),
-            Projection::Eac,
-            FilterMode::Bilinear,
-            FovSpec::from_degrees(110.0, 110.0),
-            Viewport::new(15, 9),
-        );
-        let pose = EulerAngles::from_degrees(-140.0, 25.0, -3.0);
-        let seq = t.render_fov_threads(&src, pose, 1);
-        for threads in [2, 3, 5, 8] {
-            assert_eq!(t.render_fov_threads(&src, pose, threads), seq, "threads = {threads}");
-        }
-        let map = t.coordinate_map(pose);
-        assert_eq!(t.render_with_map(&src, &map), seq);
     }
 
     #[test]

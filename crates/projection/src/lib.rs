@@ -49,7 +49,6 @@ pub mod fixed;
 pub mod fov;
 pub mod lut;
 pub mod mapping;
-mod par;
 pub mod perspective;
 pub mod pixel;
 pub mod transform;

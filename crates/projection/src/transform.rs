@@ -13,7 +13,6 @@ use evr_math::EulerAngles;
 use crate::filter::{bilinear_interior, sample, EdgeMode, FilterMode};
 use crate::fov::{FovFrameMeta, FovSpec, Viewport};
 use crate::mapping::Projection;
-use crate::par;
 use crate::perspective::PerspectiveUpdate;
 use crate::pixel::{ImageBuffer, PixelSource};
 
@@ -97,60 +96,24 @@ impl Transformer {
         self.projection.sphere_to_frame(persp.pixel_direction(i, j))
     }
 
-    /// Runs the full PT: renders the FOV frame seen at `orientation` from
-    /// the full panoramic `src` frame.
-    ///
-    /// Large viewports render scanline-parallel across the machine's
-    /// cores; output is bit-identical to the single-threaded path (see
-    /// [`Transformer::render_fov_threads`]).
-    pub fn render_fov(
-        &self,
-        src: &(impl PixelSource + Sync),
-        orientation: EulerAngles,
-    ) -> FovFrame {
-        self.render_fov_threads(
-            src,
-            orientation,
-            par::auto_threads(self.viewport.pixels() as usize),
-        )
-    }
-
-    /// [`Transformer::render_fov`] with an explicit thread count, fusing
-    /// the coordinate and filtering passes into one loop over the output.
-    /// Every pixel is a pure function of `(i, j)`, the configuration and
-    /// the orientation, so any `threads` value produces bit-identical
-    /// output — parallelism is a pure wall-clock optimisation.
-    pub fn render_fov_threads(
-        &self,
-        src: &(impl PixelSource + Sync),
-        orientation: EulerAngles,
-        threads: usize,
-    ) -> FovFrame {
-        let persp = PerspectiveUpdate::new(self.fov, self.viewport, orientation);
-        let edge = EdgeMode::for_projection(self.projection);
-        let pixels = par::fill_grid(self.viewport.width, self.viewport.height, threads, |i, j| {
-            let (u, v) = self.projection.sphere_to_frame(persp.pixel_direction(i, j));
-            sample(src, u, v, self.filter, edge)
-        });
+    /// Runs the full PT on the calling thread: renders the FOV frame seen
+    /// at `orientation` from the full panoramic `src` frame, as
+    /// [`Transformer::coordinate_map`] then
+    /// [`Transformer::render_with_map`].
+    pub fn render_fov(&self, src: &ImageBuffer, orientation: EulerAngles) -> FovFrame {
         FovFrame {
-            image: ImageBuffer::from_pixels(self.viewport.width, self.viewport.height, pixels),
+            image: self.render_with_map(src, &self.coordinate_map(orientation)),
             meta: FovFrameMeta::new(orientation, self.fov),
         }
     }
 
-    /// Precomputes the per-pixel source coordinates for one orientation —
-    /// the coordinate half of the PT, reusable across frames while the
-    /// orientation is unchanged (SAS's FOV videos snap orientations to a
-    /// grid, so consecutive frames usually share a map; the
-    /// [`crate::lut::SamplingMapCache`] automates the reuse).
+    /// Precomputes the per-pixel source coordinates for one orientation,
+    /// row-major — the coordinate half of the PT, reusable across frames
+    /// while the orientation is unchanged (SAS's FOV videos snap
+    /// orientations to a grid, so consecutive frames usually share a map;
+    /// the [`crate::lut::SamplingMapCache`] automates the reuse).
     pub fn coordinate_map(&self, orientation: EulerAngles) -> Vec<(f64, f64)> {
-        let persp = PerspectiveUpdate::new(self.fov, self.viewport, orientation);
-        par::fill_grid(
-            self.viewport.width,
-            self.viewport.height,
-            par::auto_threads(self.viewport.pixels() as usize),
-            |i, j| self.projection.sphere_to_frame(persp.pixel_direction(i, j)),
-        )
+        self.coordinate_map_strided(orientation, 1)
     }
 
     /// Like [`Transformer::coordinate_map`] but sampling every
@@ -163,13 +126,11 @@ impl Transformer {
     /// Panics if `stride` is zero.
     pub fn coordinate_map_strided(&self, orientation: EulerAngles, stride: u32) -> Vec<(f64, f64)> {
         assert!(stride > 0, "stride must be non-zero");
-        if stride == 1 {
-            return self.coordinate_map(orientation);
-        }
         let persp = PerspectiveUpdate::new(self.fov, self.viewport, orientation);
-        let mut map = Vec::new();
-        for j in (0..self.viewport.height).step_by(stride as usize) {
-            for i in (0..self.viewport.width).step_by(stride as usize) {
+        let (w, h) = (self.viewport.width, self.viewport.height);
+        let mut map = Vec::with_capacity(w.div_ceil(stride) as usize * h.div_ceil(stride) as usize);
+        for j in (0..h).step_by(stride as usize) {
+            for i in (0..w).step_by(stride as usize) {
                 map.push(self.projection.sphere_to_frame(persp.pixel_direction(i, j)));
             }
         }
@@ -177,11 +138,8 @@ impl Transformer {
     }
 
     /// Renders through a precomputed coordinate map (the filtering half
-    /// of the PT), serially on the calling thread.
+    /// of the PT) on the calling thread.
     ///
-    /// SAS ingest calls this once per pre-rendered FOV frame from inside
-    /// its own segment fan-out, so a per-frame thread pool would only
-    /// add two spawns per frame on already busy cores (DESIGN.md §11).
     /// A bilinear tap whose 2×2 footprint lies inside `src` reads the
     /// pixel slice directly (`filter::bilinear_interior`); border and
     /// seam taps, `Nearest` and non-finite coordinates go through
@@ -325,39 +283,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn explicit_thread_counts_are_bit_identical() {
-        let src = octant_panorama(Projection::Erp, 96, 48);
-        let t = Transformer::new(
-            Projection::Erp,
-            FilterMode::Bilinear,
-            FovSpec::from_degrees(100.0, 100.0),
-            Viewport::new(11, 13),
-        );
-        let pose = EulerAngles::from_degrees(33.0, -8.0, 2.0);
-        let seq = t.render_fov_threads(&src, pose, 1);
-        for threads in [2, 3, 5, 8] {
-            assert_eq!(t.render_fov_threads(&src, pose, threads), seq, "threads = {threads}");
-        }
-        // The map-based path is the same pipeline split in two.
-        let map = t.coordinate_map(pose);
-        assert_eq!(t.render_with_map(&src, &map), seq.image);
-    }
-
-    /// The parallel `fill_grid` body the serial fast path replaced: every
-    /// pixel through the generic [`sample`].
+    /// The generic per-pixel [`sample`] loop that the interior fast path
+    /// of `render_with_map` must reproduce.
     fn render_with_map_reference(
         t: &Transformer,
         src: &ImageBuffer,
         map: &[(f64, f64)],
     ) -> ImageBuffer {
         let edge = EdgeMode::for_projection(t.projection);
-        let w = t.viewport.width;
-        let pixels = par::fill_grid(w, t.viewport.height, par::auto_threads(map.len()), |i, j| {
-            let (u, v) = map[(j * w + i) as usize];
-            sample(src, u, v, t.filter, edge)
-        });
-        ImageBuffer::from_pixels(w, t.viewport.height, pixels)
+        let pixels = map.iter().map(|&(u, v)| sample(src, u, v, t.filter, edge)).collect();
+        ImageBuffer::from_pixels(t.viewport.width, t.viewport.height, pixels)
     }
 
     /// A source whose every pixel differs from its neighbours, so a tap
@@ -518,13 +453,8 @@ mod tests {
                 .iter()
                 .map(|&(pu, pv, tu, tv)| (coordinate(pu, tu, w), coordinate(pv, tv, h)))
                 .collect();
-            // A +∞ bilinear tap overflows `x0 + 1` inside `sample` in
-            // debug builds, and the fast path hands such taps to `sample`,
-            // so it must panic on exactly the same ones. Each tap renders
-            // through a 1×1 viewport so that one panic hides no other tap.
-            let run = |f: &dyn Fn() -> ImageBuffer| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok()
-            };
+            // Each tap renders through a 1×1 viewport, so a failure names
+            // its tap.
             for projection in Projection::ALL {
                 for filter in [FilterMode::Nearest, FilterMode::Bilinear] {
                     let t = Transformer::new(
@@ -536,8 +466,8 @@ mod tests {
                     for tap in &map {
                         let tap = std::slice::from_ref(tap);
                         prop_assert_eq!(
-                            run(&|| t.render_with_map(&src, tap)),
-                            run(&|| render_with_map_reference(&t, &src, tap)),
+                            t.render_with_map(&src, tap),
+                            render_with_map_reference(&t, &src, tap),
                             "{} {} {}x{} {:?}", projection, filter, w, h, tap
                         );
                     }

@@ -359,7 +359,7 @@ impl Pte {
     /// block granularity.
     pub fn render_frame(
         &self,
-        src: &(impl PixelSource + Sync),
+        src: &impl PixelSource,
         orientation: EulerAngles,
     ) -> (ImageBuffer, FrameStats) {
         let start = std::time::Instant::now();

@@ -522,6 +522,7 @@ pub fn content_fingerprint(scene_name: &str, total_frames: u64, config: &SasConf
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests race concurrent store callers on purpose")]
 mod tests {
     use super::*;
     use evr_math::{EulerAngles, Radians};

@@ -17,7 +17,7 @@
 use serde::{Deserialize, Serialize};
 
 use evr_math::{Degrees, EulerAngles, Radians};
-use evr_projection::{FovSpec, ImageBuffer, PixelSource, Rgb};
+use evr_projection::{FovSpec, ImageBuffer};
 use evr_video::codec::{CodecConfig, EncodedSegment, Encoder};
 use evr_video::scene::Scene;
 
@@ -164,27 +164,6 @@ impl TileGrid {
             }
         }
         out
-    }
-}
-
-/// A view of one tile of a larger image (zero-copy crop).
-struct TileView<'a> {
-    src: &'a ImageBuffer,
-    x0: u32,
-    y0: u32,
-    w: u32,
-    h: u32,
-}
-
-impl PixelSource for TileView<'_> {
-    fn width(&self) -> u32 {
-        self.w
-    }
-    fn height(&self) -> u32 {
-        self.h
-    }
-    fn pixel(&self, x: u32, y: u32) -> Rgb {
-        self.src.get(self.x0 + x, self.y0 + y)
     }
 }
 
@@ -342,18 +321,10 @@ pub fn ingest_tiled_rates_with(
         let mut tiles = Vec::with_capacity(grid.len());
         for row in 0..grid.rows {
             for col in 0..grid.cols {
+                let (x0, y0) = (col * tile_w, row * tile_h);
                 let crops: Vec<ImageBuffer> = sources
                     .iter()
-                    .map(|img| {
-                        let view = TileView {
-                            src: img,
-                            x0: col * tile_w,
-                            y0: row * tile_h,
-                            w: tile_w,
-                            h: tile_h,
-                        };
-                        ImageBuffer::from_fn(tile_w, tile_h, |x, y| view.pixel(x, y))
-                    })
+                    .map(|img| ImageBuffer::from_fn(tile_w, tile_h, |x, y| img.get(x0 + x, y0 + y)))
                     .collect();
                 let halved: Vec<ImageBuffer> =
                     crops.iter().map(evr_projection::pixel::downsample2x).collect();

@@ -113,6 +113,7 @@ where
 /// [`run_chunked`] plus per-lane [`LaneStats`] for the caller's worker
 /// metrics (`evr_fleet_worker_*`). The stats vector always has one
 /// entry per resolved worker, in lane order.
+#[allow(clippy::disallowed_methods, reason = "the workspace's one thread creator")]
 pub fn run_chunked_observed<T, F>(
     count: u64,
     workers: usize,

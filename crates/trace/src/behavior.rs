@@ -361,6 +361,7 @@ fn gaze_to_pose(gaze: Vec3) -> EulerAngles {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests race concurrent table fillers on purpose")]
 mod tests {
     use super::*;
     use evr_video::library::scene_for;
