@@ -6,8 +6,10 @@
 //! The `serving_112` group times the coefficient-domain kernels the SAS
 //! server runs per rung and upgrade request, on one 30-frame 112×112
 //! FOV segment at the top rung's q15: the transcode to the q30 rung,
-//! the store's down-delta (q30 against q15), the upgrade's up-delta
-//! (q15 against q30), and the reconstruct of the down-delta.
+//! the store's down-delta (q30 against q15), the up-delta (q15 against
+//! q30), the one-pass upgrade delta the server sends instead (the same
+//! output straight from the top rung), and the reconstruct of the
+//! down-delta.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evr_math::EulerAngles;
@@ -100,6 +102,9 @@ fn bench_serving(c: &mut Criterion) {
     });
     group.bench_function("delta_encode_112_up", |b| {
         b.iter(|| DeltaSegment::encode(std::hint::black_box(&top), &rung))
+    });
+    group.bench_function("delta_upgrade_112", |b| {
+        b.iter(|| DeltaSegment::encode_upgrade(std::hint::black_box(&top), 30))
     });
     group.bench_function("delta_reconstruct_112", |b| {
         b.iter(|| std::hint::black_box(&down).reconstruct(&top))

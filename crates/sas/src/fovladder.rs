@@ -177,6 +177,26 @@ mod tests {
         }
     }
 
+    /// Every lower rung of a real catalog goes delta-resident: a rung
+    /// transcoded from the top has no residuals against it (the delta's
+    /// prediction is the transcode's own requantisation), so its delta
+    /// costs headers and skip flags only and always beats the full
+    /// encoding.
+    #[test]
+    fn every_lower_rung_goes_delta_resident() {
+        for video in [VideoId::Paris, VideoId::Rhino] {
+            let catalog = ingest_video(&scene_for(video), &SasConfig::tiny_for_tests(), 1.0);
+            let rungs = fov_rung_quantizers(catalog.config());
+            let streams: usize =
+                (0..catalog.segment_count()).map(|s| catalog.clusters_in_segment(s).len()).sum();
+            assert!(streams > 0 && rungs.len() > 1, "{video:?} has lower rungs to test");
+            let store = FovPrerenderStore::new();
+            let stats = populate_fov_ladder(&catalog, &store, &rungs, 1, true);
+            assert_eq!(stats.delta_won, streams * (rungs.len() - 1), "{video:?}");
+            assert_eq!(store.delta_entries(), stats.delta_won);
+        }
+    }
+
     #[test]
     fn ladder_population_is_worker_independent() {
         let catalog = catalog();

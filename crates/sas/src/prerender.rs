@@ -88,7 +88,9 @@ pub struct StoreStats {
     /// the same key instead of running the builder again.
     pub coalesced: u64,
     /// Lookups served by reconstructing a delta-resident entry from its
-    /// reference rung (each is also counted as a hit).
+    /// reference rung (each is also counted as a hit). An insert onto a
+    /// resident key is a write, not a lookup, and counts in no lookup
+    /// counter even when it hands back a reconstruction.
     pub reconstructs: u64,
 }
 
@@ -186,17 +188,14 @@ struct StoreState {
 impl StoreState {
     /// Inserts under the budget. If `key` is already resident (two
     /// threads raced on the same segment), the resident entry wins so
-    /// every consumer shares one allocation.
-    fn insert(&mut self, key: PrerenderKey, fov: Arc<PrerenderedFov>) -> Arc<PrerenderedFov> {
+    /// every consumer shares one allocation. Returns what the caller
+    /// hands out, to be materialised once it has released the lock.
+    fn insert(&mut self, key: PrerenderKey, fov: Arc<PrerenderedFov>) -> Snapshot {
         if let Some(existing) = self.entries.get(&key) {
-            let snap = Snapshot::of(existing);
-            if snap.is_reconstruct() {
-                self.stats.reconstructs += 1;
-            }
-            return snap.materialise();
+            return Snapshot::of(existing);
         }
         self.admit(key, Resident::Full(Arc::clone(&fov)));
-        fov
+        Snapshot::Ready(fov)
     }
 
     /// Admits a new entry (the key must not be resident) and evicts
@@ -360,16 +359,19 @@ impl FovPrerenderStore {
                     // so nobody waits forever on a dead builder.
                     let _guard = InflightGuard { store: self, key };
                     let built = Arc::new(build());
-                    return self.lock().insert(key, built);
+                    let snap = self.lock().insert(key, built);
+                    return snap.materialise();
                 }
             }
         }
     }
 
     /// Inserts an already-built pre-render, returning the resident copy
-    /// (the existing one if another thread got there first).
+    /// (the existing one if another thread got there first, rebuilt
+    /// outside the lock if it is delta-resident).
     pub fn insert(&self, key: PrerenderKey, fov: PrerenderedFov) -> Arc<PrerenderedFov> {
-        self.lock().insert(key, Arc::new(fov))
+        let snap = self.lock().insert(key, Arc::new(fov));
+        snap.materialise()
     }
 
     /// Inserts a lower rung as a delta against the resident full rung at
@@ -813,6 +815,28 @@ mod tests {
         assert_eq!(*got, low);
         assert_eq!(store.stats().reconstructs, 1);
         assert_eq!(store.stats().hits, 1);
+    }
+
+    #[test]
+    fn inserting_over_a_delta_resident_key_hands_back_the_exact_rung() {
+        let store = FovPrerenderStore::new();
+        let top = fov(4, 1);
+        let low = lower_rung_of(&top, 40);
+        let top_key = key(0);
+        let low_key = PrerenderKey { rung: 40, ..key(0) };
+        store.insert(top_key, top.clone());
+        assert!(store.insert_delta(low_key, low.clone(), top_key));
+        // A full insert racing the delta-resident rung gets the resident
+        // entry back, rebuilt bit-exactly, and leaves it delta-resident.
+        let got = store.insert(low_key, lower_rung_of(&top, 40));
+        assert_eq!(*got, low);
+        assert_eq!((store.len(), store.delta_entries()), (2, 1));
+        // Every counted reconstruct is a lookup, counted as a hit too.
+        let stats = store.stats();
+        assert!(stats.reconstructs <= stats.hits, "{stats:?}");
+        assert_eq!(*store.get(&low_key).expect("resident"), low);
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.reconstructs), (1, 1));
     }
 
     #[test]

@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use evr_math::EulerAngles;
 use evr_projection::FovFrameMeta;
+use evr_video::codec::EncodedSegment;
 use evr_video::delta::{transcode_segment, DeltaSegment, SegmentRepr};
 
 use crate::fovladder::fov_rung_quantizers;
@@ -317,6 +318,11 @@ impl SasServer {
     /// not smaller) the full top encoding moves instead. A
     /// `reference_quantizer` outside the ladder ([`fov_rung_quantizers`])
     /// is refused as [`SasError::UnknownRung`].
+    ///
+    /// The delta is computed straight from the resident top rung
+    /// ([`DeltaSegment::encode_upgrade`]): the held rung is never
+    /// fetched, reconstructed or admitted to the store, so the answer
+    /// does not depend on what the store holds.
     pub fn fetch_fov_upgrade(
         &self,
         segment: u32,
@@ -334,17 +340,18 @@ impl SasServer {
         // Like the ladder's fallback rule, the winner is decided at the
         // accounting (target) scale: headers do not scale with
         // resolution, so the analysis-scale winner can differ.
+        // A delta's size is a walk of its residuals: take it once.
         let delta = if delta_wire {
-            self.rung_payload(segment, cluster, reference_quantizer)
-                .ok()
-                .and_then(|reference| DeltaSegment::encode(&top.data, &reference.data))
-                .filter(|d| d.scaled_bytes(scale) < full_wire)
+            let top_quantizer = self.catalog.config().fov_quantizer;
+            upgrade_delta(&top.data, top_quantizer, reference_quantizer)
+                .map(|d| (d.scaled_bytes(scale), d))
+                .filter(|&(wire_bytes, _)| wire_bytes < full_wire)
         } else {
             None
         };
         let upgrade = match delta {
-            Some(d) => FovUpgrade {
-                wire_bytes: d.scaled_bytes(scale),
+            Some((wire_bytes, d)) => FovUpgrade {
+                wire_bytes,
                 residual_coeffs: d.residual_coeffs(),
                 meta: top.meta.clone(),
                 repr: SegmentRepr::Delta(d),
@@ -403,6 +410,23 @@ impl SasServer {
             }
         }
         best.map(|(c, _)| c)
+    }
+}
+
+/// The upgrade delta of the top rung `top` for a client holding the
+/// rung at `held_quantizer`: against the rung as
+/// [`SasServer::fetch_fov_rung`] serves it. That is a transcode of the
+/// top ([`DeltaSegment::encode_upgrade`]), except at the top quantiser,
+/// where the client holds the top rung itself.
+fn upgrade_delta(
+    top: &EncodedSegment,
+    top_quantizer: u8,
+    held_quantizer: u8,
+) -> Option<DeltaSegment> {
+    if held_quantizer == top_quantizer {
+        DeltaSegment::encode(top, top)
+    } else {
+        DeltaSegment::encode_upgrade(top, held_quantizer)
     }
 }
 
@@ -651,6 +675,79 @@ mod tests {
             assert!(upgrade.residual_coeffs > 0);
             assert!(upgrade.wire_bytes < top_wire);
         }
+    }
+
+    /// An upgrade is a function of the top rung alone: a cold store,
+    /// stores filled with the delta or the full ladder and a one-byte
+    /// store give equal answers, and the cold store gains only the top
+    /// rung.
+    #[test]
+    fn upgrades_do_not_depend_on_the_store() {
+        use crate::fovladder::populate_fov_ladder;
+        use crate::prerender::FovPrerenderStore;
+        let cfg = SasConfig::tiny_for_tests();
+        let catalog = ingest_video(&scene_for(VideoId::Rhino), &cfg, 1.0);
+        let rungs = fov_rung_quantizers(&cfg);
+        let filled = |delta| {
+            let store = FovPrerenderStore::new();
+            populate_fov_ladder(&catalog, &store, &rungs, 1, delta);
+            SasServer::with_store(catalog.clone(), store)
+        };
+        let tiny = SasServer::with_store(catalog.clone(), FovPrerenderStore::with_budget(1));
+        let servers = [filled(true), filled(false), tiny];
+        let mut checked = 0;
+        for segment in 0..catalog.segment_count() {
+            for cluster in catalog.clusters_in_segment(segment) {
+                for &q in &rungs[..rungs.len() - 1] {
+                    for delta_wire in [false, true] {
+                        let store = FovPrerenderStore::new();
+                        let cold = SasServer::with_store(catalog.clone(), store.clone());
+                        let want = cold.fetch_fov_upgrade(segment, cluster, q, delta_wire);
+                        assert!(want.is_ok(), "({segment}, {cluster}) q{q}: {want:?}");
+                        assert_eq!((store.len(), store.delta_entries()), (1, 0), "top rung only");
+                        for s in &servers {
+                            assert_eq!(s.fetch_fov_upgrade(segment, cluster, q, delta_wire), want);
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 0, "the catalog lists no stream");
+    }
+
+    /// A client holding the top rung upgrades against the top itself,
+    /// the bytes `fetch_fov_rung` serves at the top quantiser. A
+    /// transcode of the top to that quantiser would differ wherever a
+    /// frame was coded at another one.
+    #[test]
+    fn an_upgrade_from_the_top_quantizer_is_against_the_top_itself() {
+        let s = server(VideoId::Rhino);
+        let cluster = s.catalog().clusters_in_segment(0)[0];
+        let top_q = s.catalog().config().fov_quantizer;
+        let (held, _) = s.fetch_fov_rung(0, cluster, top_q).expect("top rung");
+        let up = s.fetch_fov_upgrade(0, cluster, top_q, true).expect("upgrade");
+        assert_eq!(up.repr.reconstruct(Some(&held.data)), held.data);
+
+        use evr_projection::{ImageBuffer, Rgb};
+        use evr_video::codec::{CodecConfig, Encoder};
+        let img = ImageBuffer::from_fn(32, 16, |x, y| Rgb::new((x * 7) as u8, (y * 13) as u8, 90));
+        let frames = [top_q - 3, top_q, top_q + 4]
+            .map(|q| Encoder::new(CodecConfig::new(1, q)).encode_frame(&img))
+            .to_vec();
+        let top = EncodedSegment { start_index: 0, frames };
+        let d = upgrade_delta(&top, top_q, top_q).expect("non-empty");
+        assert_eq!(d, DeltaSegment::encode(&top, &top).expect("same shape"));
+        assert_ne!(
+            d.reference_digest,
+            evr_video::delta::segment_digest(&transcode_segment(&top, top_q))
+        );
+        assert_eq!(d.reconstruct(&top), top);
+        let coarse = top_q * 2;
+        assert_eq!(
+            upgrade_delta(&top, top_q, coarse),
+            DeltaSegment::encode(&top, &transcode_segment(&top, coarse))
+        );
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! whenever the delta would not be smaller than the independent encoding,
 //! the full encoding is kept.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use evr_math::round::round_to_i16;
@@ -40,22 +42,39 @@ pub const DELTA_FRAME_HEADER_BYTES: u64 = 32;
 /// A stable digest of an encoded segment, used to pin a delta to the
 /// exact reference it was computed against.
 pub fn segment_digest(segment: &EncodedSegment) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(segment.start_index);
-    eat(segment.frames.len() as u64);
+    let mut digest = SegmentDigest::new(segment.start_index, segment.frames.len());
     for f in &segment.frames {
-        eat(f.bytes);
-        eat(f.quantizer as u64);
-        eat(f.motion.0 as u16 as u64 | ((f.motion.1 as u16 as u64) << 16));
-        eat(f.nonzero_coeffs());
+        digest.frame(f.bytes, f.quantizer, f.motion, f.nonzero_coeffs());
     }
-    h
+    digest.0
+}
+
+/// The FNV-1a state of [`segment_digest`], fed one frame summary at a
+/// time so that [`DeltaSegment::encode_upgrade`] can digest a rung it
+/// never materialises.
+struct SegmentDigest(u64);
+
+impl SegmentDigest {
+    fn new(start_index: u64, frames: usize) -> SegmentDigest {
+        let mut digest = SegmentDigest(0xcbf2_9ce4_8422_2325); // FNV-1a offset basis
+        digest.eat(start_index);
+        digest.eat(frames as u64);
+        digest
+    }
+
+    fn frame(&mut self, bytes: u64, quantizer: u8, motion: (i16, i16), nonzero_coeffs: u64) {
+        self.eat(bytes);
+        self.eat(quantizer as u64);
+        self.eat(motion.0 as u16 as u64 | ((motion.1 as u16 as u64) << 16));
+        self.eat(nonzero_coeffs);
+    }
+
+    fn eat(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
 }
 
 /// Sparse coefficient residuals of one plane against the requantised
@@ -70,53 +89,162 @@ struct PlaneDelta {
 }
 
 impl PlaneDelta {
-    /// Entropy-model bits, mirroring the encoder's accounting: one
-    /// skip/coded flag per block, 6 bits of block addressing per coded
-    /// block, [`coeff_bits`] per non-zero residual.
+    /// Entropy-model bits, mirroring the encoder's accounting
+    /// ([`sparse_bits`]) over the non-zero residuals.
     fn bits(&self) -> u64 {
-        let blocks = (self.width.div_ceil(8) as u64) * (self.height.div_ceil(8) as u64);
-        let mut bits = blocks; // skip/coded flags
-        let mut last_block = u32::MAX;
-        for &(idx, r) in &self.residuals {
-            let block = idx / 64;
-            if block != last_block {
-                bits += 6; // block addressing / CBP overhead
-                last_block = block;
-            }
-            bits += coeff_bits(r);
-        }
-        bits
+        sparse_bits(self.width, self.height, &self.residuals)
     }
 }
 
+/// 8×8 blocks of a `width`×`height` plane: one skip/coded flag bit each.
+fn block_count(width: u32, height: u32) -> u64 {
+    (width.div_ceil(8) as u64) * (height.div_ceil(8) as u64)
+}
+
+/// Entropy-model bits of sparse coefficients over a `width`×`height`
+/// plane — the encoder's accounting (one skip/coded flag per block, 6
+/// bits of block addressing per coded block, [`coeff_bits`] per
+/// coefficient) replayed over the `(index, value)` pairs.
+fn sparse_bits(width: u32, height: u32, coeffs: &[(u32, i16)]) -> u64 {
+    let mut bits = block_count(width, height); // skip/coded flags
+    let mut last_block = u32::MAX;
+    for &(idx, v) in coeffs {
+        let block = idx / 64;
+        if block != last_block {
+            bits += 6; // block addressing / CBP overhead
+            last_block = block;
+        }
+        bits += coeff_bits(v);
+    }
+    bits
+}
+
+/// The `u + v` class of the coefficient at global index `idx`: the only
+/// part of its position that `quant_step` depends on.
+#[inline]
+fn class_of(idx: u32) -> usize {
+    let pos = (idx % 64) as usize;
+    pos / 8 + pos % 8
+}
+
 /// The requantisation ratios `quant_step(from_q, u, v) / quant_step(to_q,
-/// u, v)` of one quantiser pair, per plane kind. `quant_step` depends on
-/// the coefficient position only through `u + v`, so each plane kind has
-/// 15 ratios, indexed by `pos / 8 + pos % 8`; each is computed by the
-/// same expression at one `(u, v)` with that sum, so it is bit-identical
-/// to the ratio at every other such position (DESIGN.md §16).
+/// u, v)` of one quantiser pair and plane kind, one per `u + v` class
+/// ([`class_of`]). Each is computed by the same expression at one
+/// `(u, v)` with that sum, so it is bit-identical to the ratio at every
+/// other such position (DESIGN.md §16).
+fn class_ratios(from_q: u8, to_q: u8, is_luma: bool) -> [f64; 15] {
+    std::array::from_fn(|k| {
+        let (v, u) = (k.saturating_sub(7), k.min(7));
+        quant_step(from_q, u, v, is_luma) / quant_step(to_q, u, v, is_luma)
+    })
+}
+
+/// Coefficients of magnitude up to this bound rescale by table lookup
+/// ([`RescaleTable`]); larger ones run the f64 expression.
+const LOOKUP_BOUND: i16 = 64;
+
+/// Lookup slots per `u + v` class: one per value in
+/// `-LOOKUP_BOUND..=LOOKUP_BOUND`.
+const LOOKUP_SLOTS: usize = 2 * LOOKUP_BOUND as usize + 1;
+
+/// The rescaled value of every coefficient within [`LOOKUP_BOUND`], per
+/// `u + v` class, for one plane kind of one quantiser pair.
+type ClassTable = [[i16; LOOKUP_SLOTS]; 15];
+
+/// Both plane kinds of one quantiser pair: 2 × 15 × 129 i16 = 7,740
+/// bytes. Every cell is the f64 expression [`PlaneRescale::rescale`]
+/// runs beyond the bound, evaluated once, so a lookup is bit-identical
+/// to the expression (DESIGN.md §16).
+struct RescaleTable {
+    luma: ClassTable,
+    chroma: ClassTable,
+}
+
+impl RescaleTable {
+    /// The codec's quantisers: a table exists for every pair of them.
+    const QUANTIZERS: std::ops::RangeInclusive<u8> = 1..=50;
+
+    fn build(from_q: u8, to_q: u8) -> Box<RescaleTable> {
+        let classes = |is_luma| {
+            class_ratios(from_q, to_q, is_luma).map(|ratio| {
+                std::array::from_fn(|slot| {
+                    let value = slot as i16 - LOOKUP_BOUND;
+                    round_to_i16(f64::from(value) * ratio)
+                })
+            })
+        };
+        Box::new(RescaleTable { luma: classes(true), chroma: classes(false) })
+    }
+
+    /// The process-wide table of `(from_q, to_q)`, built on first use
+    /// like the codec's DCT basis; `None` when either quantiser lies
+    /// outside the codec's range. Only pairs that are used get a table.
+    fn of(from_q: u8, to_q: u8) -> Option<&'static RescaleTable> {
+        const N: usize = 50;
+        static TABLES: [OnceLock<Box<RescaleTable>>; N * N] = [const { OnceLock::new() }; N * N];
+        if !Self::QUANTIZERS.contains(&from_q) || !Self::QUANTIZERS.contains(&to_q) {
+            return None;
+        }
+        let cell = &TABLES[usize::from(from_q - 1) * N + usize::from(to_q - 1)];
+        Some(cell.get_or_init(|| RescaleTable::build(from_q, to_q)))
+    }
+}
+
+/// How one quantiser pair rescales the coefficients of one plane kind:
+/// the class ratios, and the pair's lookup table when it has one.
+#[derive(Debug, Clone, Copy)]
+struct PlaneRescale {
+    ratios: [f64; 15],
+    table: Option<&'static ClassTable>,
+}
+
+impl PlaneRescale {
+    /// Rescales the coefficient `value` at global index `idx` by its step
+    /// ratio: the target-rung value the reference coefficient predicts,
+    /// rounded as `f64::round` would but without the libm call
+    /// ([`evr_math::round`]). Values within [`LOOKUP_BOUND`] read the
+    /// table instead of running the multiply.
+    #[inline]
+    fn rescale(&self, value: i16, idx: u32) -> i32 {
+        let class = class_of(idx);
+        // A value below −LOOKUP_BOUND wraps to a slot far past the table.
+        let slot = (i32::from(value) + i32::from(LOOKUP_BOUND)) as usize;
+        match self.table {
+            Some(table) if slot < LOOKUP_SLOTS => i32::from(table[class][slot]),
+            _ => i32::from(round_to_i16(f64::from(value) * self.ratios[class])),
+        }
+    }
+}
+
+/// The rescaling of one quantiser pair, per plane kind.
 #[derive(Debug, Clone, Copy)]
 struct StepRatios {
     quantizers: (u8, u8),
-    luma: [f64; 15],
-    chroma: [f64; 15],
+    luma: PlaneRescale,
+    chroma: PlaneRescale,
 }
 
 impl StepRatios {
     fn new(from_q: u8, to_q: u8) -> StepRatios {
-        let ratios = |is_luma| {
-            std::array::from_fn(|k| {
-                let (v, u) = (k.saturating_sub(7), k.min(7));
-                quant_step(from_q, u, v, is_luma) / quant_step(to_q, u, v, is_luma)
-            })
-        };
-        StepRatios { quantizers: (from_q, to_q), luma: ratios(true), chroma: ratios(false) }
+        let table = RescaleTable::of(from_q, to_q);
+        StepRatios {
+            quantizers: (from_q, to_q),
+            luma: PlaneRescale {
+                ratios: class_ratios(from_q, to_q, true),
+                table: table.map(|t| &t.luma),
+            },
+            chroma: PlaneRescale {
+                ratios: class_ratios(from_q, to_q, false),
+                table: table.map(|t| &t.chroma),
+            },
+        }
     }
 }
 
 /// The step ratios of the last quantiser pair asked for. Every frame
 /// carries its own quantiser, but a segment's frames mostly share one,
-/// so the table is rebuilt only when the pair changes between frames.
+/// so the ratios are recomputed only when the pair changes between
+/// frames.
 #[derive(Debug, Default)]
 struct RatioCache(Option<StepRatios>);
 
@@ -129,18 +257,17 @@ impl RatioCache {
     }
 }
 
-/// Rescales the coefficient `value` at global index `idx` by its step
-/// ratio: the target-rung value the reference coefficient predicts,
-/// rounded as `f64::round` would but without the libm call
-/// ([`evr_math::round`]).
-#[inline]
-fn rescale(value: i16, idx: u32, ratios: &[f64; 15]) -> i32 {
-    let pos = (idx % 64) as usize;
-    i32::from(round_to_i16(f64::from(value) * ratios[pos / 8 + pos % 8]))
+/// The first `kept` residuals of `scratch`, clamped to i16, at exact
+/// capacity.
+fn kept_residuals(scratch: &[(u32, i32)], kept: usize) -> Vec<(u32, i16)> {
+    scratch[..kept]
+        .iter()
+        .map(|&(idx, r)| (idx, r.clamp(i16::MIN as i32, i16::MAX as i32) as i16))
+        .collect()
 }
 
 /// Computes the residuals of `target` against `reference` requantised
-/// by `ratios`. Returns `None` on a plane shape mismatch.
+/// by `rescale`. Returns `None` on a plane shape mismatch.
 ///
 /// Every merge step writes its unclamped residual to `scratch` and
 /// advances only past a non-zero one, so the walk has no branch on the
@@ -151,7 +278,7 @@ fn rescale(value: i16, idx: u32, ratios: &[f64; 15]) -> i32 {
 fn diff_plane(
     target: &QuantizedPlane,
     reference: &QuantizedPlane,
-    ratios: &[f64; 15],
+    rescale: &PlaneRescale,
     scratch: &mut Vec<(u32, i32)>,
 ) -> Option<PlaneDelta> {
     if target.width != reference.width || target.height != reference.height {
@@ -182,28 +309,80 @@ fn diff_plane(
         } else {
             0
         };
-        let r = tv as i32 - rescale(rv, idx, ratios);
+        let r = tv as i32 - rescale.rescale(rv, idx);
         scratch[kept] = (idx, r);
         kept += usize::from(r != 0);
     }
     Some(PlaneDelta {
         width: target.width,
         height: target.height,
-        residuals: scratch[..kept]
-            .iter()
-            .map(|&(idx, r)| (idx, r.clamp(i16::MIN as i32, i16::MAX as i32) as i16))
-            .collect(),
+        residuals: kept_residuals(scratch, kept),
     })
 }
 
-/// Applies residuals back onto the reference requantised by `ratios`,
+/// The entropy bits and coefficient count of a rung that
+/// [`DeltaSegment::encode_upgrade`] digests without materialising it.
+#[derive(Debug, Default)]
+struct RungSummary {
+    bits: u64,
+    coeffs: u64,
+}
+
+/// One plane of [`DeltaSegment::encode_upgrade`]: the residuals of `top`
+/// against its requantisation by `down`, predicted back up by `up` — what
+/// `diff_plane(top, &requantize_plane(top, down), up)` returns — in one
+/// walk of `top`. Every coefficient of the requantised plane sits at an
+/// index of `top` (the entries ascend, as the encoder writes them), so
+/// the merge walk visits exactly `top`'s indices and reads the
+/// requantised value, or 0 where it quantised away, at each. The
+/// requantised plane's entropy bits ([`sparse_bits`]) and coefficient
+/// count are added to `rung`.
+fn upgrade_plane(
+    top: &QuantizedPlane,
+    down: &PlaneRescale,
+    up: &PlaneRescale,
+    scratch: &mut Vec<(u32, i32)>,
+    rung: &mut RungSummary,
+) -> PlaneDelta {
+    if scratch.len() < top.entries.len() {
+        scratch.resize(top.entries.len(), (0, 0));
+    }
+    let mut kept = 0usize;
+    let mut bits = block_count(top.width, top.height); // skip/coded flags
+    let mut coeffs = 0u64;
+    let mut last_block = u32::MAX;
+    for &(idx, v) in &top.entries {
+        let coarse = down.rescale(v, idx);
+        if coarse != 0 {
+            // Block addressing / CBP overhead on the block's first one.
+            let block = idx / 64;
+            bits += coeff_bits(coarse as i16) + 6 * u64::from(block != last_block);
+            last_block = block;
+            coeffs += 1;
+        }
+        let r = i32::from(v) - up.rescale(coarse as i16, idx);
+        scratch[kept] = (idx, r);
+        kept += usize::from(r != 0);
+    }
+    rung.bits += bits;
+    rung.coeffs += coeffs;
+    PlaneDelta { width: top.width, height: top.height, residuals: kept_residuals(scratch, kept) }
+}
+
+/// Applies residuals back onto the reference requantised by `rescale`,
 /// recovering the target plane exactly (zero-valued coefficients are
-/// dropped, matching the encoder's sparse form).
+/// dropped, matching the encoder's sparse form). With no residuals —
+/// every lower rung's delta against the top it was transcoded from — the
+/// target is the requantised reference itself.
 fn apply_plane(
     delta: &PlaneDelta,
     reference: &QuantizedPlane,
-    ratios: &[f64; 15],
+    rescale: &PlaneRescale,
 ) -> QuantizedPlane {
+    if delta.residuals.is_empty() {
+        let entries = requantize_plane(reference, rescale).entries;
+        return QuantizedPlane { width: delta.width, height: delta.height, entries };
+    }
     let mut entries = Vec::with_capacity(delta.residuals.len() + reference.entries.len());
     let mut di = 0usize;
     let mut ri = 0usize;
@@ -223,11 +402,12 @@ fn apply_plane(
         } else {
             0
         };
-        let val = rescale(rv, idx, ratios) + dv as i32;
+        let val = rescale.rescale(rv, idx) + dv as i32;
         if val != 0 {
             entries.push((idx, val as i16));
         }
     }
+    entries.shrink_to_fit();
     QuantizedPlane { width: delta.width, height: delta.height, entries }
 }
 
@@ -298,6 +478,58 @@ impl DeltaSegment {
             start_index: target.start_index,
             reference_quantizer: reference.frames[0].quantizer,
             reference_digest: segment_digest(reference),
+            frames,
+        })
+    }
+
+    /// The upgrade delta of `top` for a client holding its rung at
+    /// `reference_quantizer`: equal, reference digest included, to
+    /// `DeltaSegment::encode(top, &transcode_segment(top, reference_quantizer))`,
+    /// but computed in one walk of `top`'s coefficients without building
+    /// the rung. Each coefficient is requantised down to the rung and
+    /// predicted back up; the rung's frame sizes and coefficient counts,
+    /// all that [`segment_digest`] reads of it, accumulate in the same
+    /// walk. Returns `None` for an empty segment, as `encode` does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reference_quantizer` is outside the codec's `1..=50`,
+    /// as [`transcode_segment`] does.
+    pub fn encode_upgrade(top: &EncodedSegment, reference_quantizer: u8) -> Option<DeltaSegment> {
+        assert!(
+            RescaleTable::QUANTIZERS.contains(&reference_quantizer),
+            "quantizer must be in 1..=50"
+        );
+        if top.frames.is_empty() {
+            return None;
+        }
+        let q = reference_quantizer;
+        let (mut down, mut up) = (RatioCache::default(), RatioCache::default());
+        let mut scratch = Vec::new();
+        let mut digest = SegmentDigest::new(top.start_index, top.frames.len());
+        let mut frames = Vec::with_capacity(top.frames.len());
+        for t in &top.frames {
+            let (down, up) = (down.get(t.quantizer, q), up.get(q, t.quantizer));
+            let mut rung = RungSummary::default();
+            let y = upgrade_plane(&t.y, &down.luma, &up.luma, &mut scratch, &mut rung);
+            let cb = upgrade_plane(&t.cb, &down.chroma, &up.chroma, &mut scratch, &mut rung);
+            let cr = upgrade_plane(&t.cr, &down.chroma, &up.chroma, &mut scratch, &mut rung);
+            let rung_bytes = FRAME_HEADER_BYTES + (rung.bits + 24).div_ceil(8);
+            digest.frame(rung_bytes, q, t.motion, rung.coeffs);
+            frames.push(DeltaFrame {
+                kind: t.kind,
+                bytes: t.bytes,
+                quantizer: t.quantizer,
+                motion: t.motion,
+                y,
+                cb,
+                cr,
+            });
+        }
+        Some(DeltaSegment {
+            start_index: top.start_index,
+            reference_quantizer: q,
+            reference_digest: digest.0,
             frames,
         })
     }
@@ -432,34 +664,20 @@ impl SegmentRepr {
     }
 }
 
-/// Entropy-model bits of one quantised plane — the encoder's accounting
-/// (one skip/coded flag per block, 6 bits of block addressing per coded
-/// block, [`coeff_bits`] per coefficient) replayed over the sparse
-/// entries.
+/// Entropy-model bits of one quantised plane ([`sparse_bits`]).
 fn plane_bits(plane: &QuantizedPlane) -> u64 {
-    let blocks = (plane.width.div_ceil(8) as u64) * (plane.height.div_ceil(8) as u64);
-    let mut bits = blocks; // skip/coded flags
-    let mut last_block = u32::MAX;
-    for &(idx, v) in &plane.entries {
-        let block = idx / 64;
-        if block != last_block {
-            bits += 6; // block addressing / CBP overhead
-            last_block = block;
-        }
-        bits += coeff_bits(v);
-    }
-    bits
+    sparse_bits(plane.width, plane.height, &plane.entries)
 }
 
-/// Remaps a plane's sparse coefficients by `ratios` (the same rescaling
+/// Remaps a plane's sparse coefficients by `rescale` (the same rescaling
 /// rule the delta prediction uses), dropping coefficients that quantise
 /// away. The output is sized for the input; nothing quantises away
 /// unless a ratio is below ½, so a ladder rung (at most twice the top
 /// quantiser) comes out at exact capacity.
-fn requantize_plane(plane: &QuantizedPlane, ratios: &[f64; 15]) -> QuantizedPlane {
+fn requantize_plane(plane: &QuantizedPlane, rescale: &PlaneRescale) -> QuantizedPlane {
     let mut entries = Vec::with_capacity(plane.entries.len());
     for &(idx, v) in &plane.entries {
-        let nv = rescale(v, idx, ratios);
+        let nv = rescale.rescale(v, idx);
         if nv != 0 {
             entries.push((idx, nv as i16));
         }
@@ -483,7 +701,7 @@ fn requantize_plane(plane: &QuantizedPlane, ratios: &[f64; 15]) -> QuantizedPlan
 /// Panics if `quantizer` is outside the codec's `1..=50`, as
 /// [`crate::codec::CodecConfig::new`] does.
 pub fn transcode_segment(segment: &EncodedSegment, quantizer: u8) -> EncodedSegment {
-    assert!((1..=50).contains(&quantizer), "quantizer must be in 1..=50");
+    assert!(RescaleTable::QUANTIZERS.contains(&quantizer), "quantizer must be in 1..=50");
     let mut ratios = RatioCache::default();
     let frames = segment
         .frames
@@ -867,36 +1085,68 @@ mod tests {
         Ok(())
     }
 
-    /// The step-ratio table, the rounding helper and the rescale against
+    /// A global index in block 3 whose position has `u + v = class`.
+    fn index_of_class(class: usize) -> u32 {
+        64 * 3 + (8 * class.saturating_sub(7) + class.min(7)) as u32
+    }
+
+    /// The step ratios, the rounding helper and the rescale — table
+    /// lookup within ±64, the f64 expression beyond — against
     /// `predict_coeff` and `f64::round`, at every i16 value and every
     /// `u + v`, for the ladder pairs 15↔30 and 15↔22 — 15 → 30 is a
     /// ratio of exactly ½, so every odd coefficient is a tie.
     #[test]
     fn rescale_matches_predict_coeff_on_the_ladder_pairs() {
         for (from_q, to_q) in [(15, 30), (30, 15), (15, 22), (22, 15)] {
-            let table = StepRatios::new(from_q, to_q);
-            for (is_luma, ratios) in [(true, &table.luma), (false, &table.chroma)] {
+            let pair = StepRatios::new(from_q, to_q);
+            for (is_luma, plane) in [(true, &pair.luma), (false, &pair.chroma)] {
+                assert!(plane.table.is_some(), "{from_q}→{to_q} rescales through its table");
                 for pos in 0..64 {
                     let (v, u) = (pos / 8, pos % 8);
                     let exact = quant_step(from_q, u, v, is_luma) / quant_step(to_q, u, v, is_luma);
-                    assert_eq!(ratios[u + v].to_bits(), exact.to_bits(), "{from_q}→{to_q} {pos}");
+                    let ratio = plane.ratios[u + v];
+                    assert_eq!(ratio.to_bits(), exact.to_bits(), "{from_q}→{to_q} {pos}");
                 }
-                for (k, &ratio) in ratios.iter().enumerate() {
-                    // A global index in block 3 whose position has u + v = k.
-                    let idx = 64 * 3 + (8 * k.saturating_sub(7) + k.min(7)) as u32;
+                for (k, &ratio) in plane.ratios.iter().enumerate() {
+                    let idx = index_of_class(k);
                     for value in i16::MIN..=i16::MAX {
                         let want = oracle::predict_coeff(value, idx, from_q, to_q, is_luma);
-                        assert_eq!(
-                            rescale(value, idx, ratios),
-                            want,
-                            "{from_q}→{to_q} {value} {k}"
-                        );
+                        assert_eq!(plane.rescale(value, idx), want, "{from_q}→{to_q} {value} {k}");
                         let x = f64::from(value) * ratio;
                         let rounded = x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i16;
                         assert_eq!(round_to_i16(x), rounded, "{from_q}→{to_q} {value} {k}");
                     }
                 }
             }
+        }
+    }
+
+    /// Every table cell equals the f64 expression, for every quantiser
+    /// pair of the codec's range, both plane kinds, every `u + v` and
+    /// every value within the lookup bound; quantisers outside the range
+    /// have no table.
+    #[test]
+    fn every_table_cell_matches_the_f64_expression() {
+        for from_q in 1..=50 {
+            for to_q in 1..=50 {
+                let table = RescaleTable::of(from_q, to_q).expect("codec quantisers");
+                for (is_luma, classes) in [(true, &table.luma), (false, &table.chroma)] {
+                    for (k, cells) in classes.iter().enumerate() {
+                        let idx = index_of_class(k);
+                        for (value, &cell) in (-LOOKUP_BOUND..=LOOKUP_BOUND).zip(cells) {
+                            let want = oracle::predict_coeff(value, idx, from_q, to_q, is_luma);
+                            assert_eq!(
+                                i32::from(cell),
+                                want,
+                                "{from_q}→{to_q} luma {is_luma} class {k} value {value}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        for (from_q, to_q) in [(0, 15), (15, 0), (51, 15), (15, 51), (255, 255)] {
+            assert!(RescaleTable::of(from_q, to_q).is_none(), "{from_q}→{to_q}");
         }
     }
 
@@ -910,19 +1160,79 @@ mod tests {
                 .map(|p| p.entries.capacity() - p.entries.len())
                 .sum::<usize>()
         };
+        let residuals = |d: &DeltaSegment| {
+            d.frames
+                .iter()
+                .flat_map(|f| [&f.y, &f.cb, &f.cr])
+                .map(|p| p.residuals.capacity() - p.residuals.len())
+                .sum::<usize>()
+        };
         for q in [22, 30, 50] {
             let rung = transcode_segment(&top, q);
             assert_eq!(planes(&rung), 0, "transcode to q{q}");
             for (target, reference) in [(&rung, &top), (&top, &rung)] {
                 let d = DeltaSegment::encode(target, reference).expect("same shape");
-                let slack = d
-                    .frames
-                    .iter()
-                    .flat_map(|f| [&f.y, &f.cb, &f.cr])
-                    .map(|p| p.residuals.capacity() - p.residuals.len())
-                    .sum::<usize>();
-                assert_eq!(slack, 0, "delta at q{q}");
+                assert_eq!(residuals(&d), 0, "delta at q{q}");
+                assert_eq!(planes(&d.reconstruct(reference)), 0, "reconstruct at q{q}");
             }
+            let upgrade = DeltaSegment::encode_upgrade(&top, q).expect("non-empty");
+            assert_eq!(residuals(&upgrade), 0, "one-pass upgrade from q{q}");
+            assert_eq!(planes(&upgrade.reconstruct(&rung)), 0, "upgrade reconstruct from q{q}");
+        }
+    }
+
+    /// The one-pass upgrade equals the up-delta against the transcoded
+    /// rung — reference digest included — and the oracle kernels' result.
+    fn check_upgrade(top: &EncodedSegment, quantizer: u8) -> Result<(), TestCaseError> {
+        let upgrade = DeltaSegment::encode_upgrade(top, quantizer);
+        let rung = transcode_segment(top, quantizer);
+        prop_assert_eq!(&upgrade, &DeltaSegment::encode(top, &rung));
+        prop_assert_eq!(&upgrade, &oracle::encode(top, &oracle::transcode_segment(top, quantizer)));
+        if let Some(d) = upgrade {
+            prop_assert_eq!(d.reference_digest, segment_digest(&rung));
+            prop_assert_eq!(&d.reconstruct(&rung), top);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn upgrade_matches_the_transcode_delta_on_degenerate_segments() {
+        let empty = EncodedSegment { start_index: 4, frames: Vec::new() };
+        assert_eq!(DeltaSegment::encode_upgrade(&empty, 30), None);
+        check_upgrade(&empty, 30).unwrap();
+        let one = encode_segment(24, 16, 1, 1, 15);
+        let mut planes_empty = one.clone();
+        for f in &mut planes_empty.frames {
+            for plane in [&mut f.y, &mut f.cb, &mut f.cr] {
+                plane.entries.clear();
+            }
+        }
+        for q in [1, 15, 22, 30, 50] {
+            check_upgrade(&one, q).unwrap();
+            check_upgrade(&planes_empty, q).unwrap();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "quantizer must be in 1..=50")]
+    fn upgrade_rejects_quantizers_outside_the_codec_range() {
+        let _ = DeltaSegment::encode_upgrade(&encode_segment(16, 16, 1, 1, 15), 0);
+    }
+
+    /// Frames coded at a quantiser outside `1..=50` have no table: every
+    /// kernel falls back to the f64 expression (an infinite or zero ratio
+    /// at quantiser 0), matches its oracle and does not panic.
+    #[test]
+    fn quantizers_outside_the_codec_range_use_the_expression() {
+        let seg = random_segment(0x5eed, &[0, 51, 255, 15, 0], 3, false);
+        let other = random_segment(0xfeed, &[15, 0, 60, 200, 51], 3, true);
+        assert!(StepRatios::new(0, 30).luma.table.is_none());
+        assert!(StepRatios::new(30, 51).chroma.table.is_none());
+        for q in [1, 15, 22, 30, 50] {
+            check_kernels(&seg, &other, q).unwrap();
+            check_kernels(&other, &seg, q).unwrap();
+            check_upgrade(&seg, q).unwrap();
+            check_upgrade(&other, q).unwrap();
         }
     }
 
@@ -1024,6 +1334,72 @@ mod tests {
             let repr = SegmentRepr::delta_or_full(&low, &top);
             prop_assert_eq!(repr.reconstruct(Some(&top)), low);
             let _ = phase; // reserved: varies the strategy space only
+        }
+
+        /// The one-pass upgrade equals the up-delta against the
+        /// transcoded rung on real encodings, with the rung coarser,
+        /// finer or at the frames' own quantiser.
+        #[test]
+        fn prop_upgrade_matches_the_transcode_delta(
+            from_q in 1u8..=50,
+            to_q in 1u8..=50,
+            frames in 1usize..5,
+            gop in 1u32..5,
+        ) {
+            let seg = encode_segment(24, 16, frames, gop, from_q);
+            check_upgrade(&seg, to_q)?;
+            check_upgrade(&seg, from_q)?;
+        }
+
+        /// The same under rate control, where every frame carries its own
+        /// quantiser and the rung's quantiser may equal some of them.
+        #[test]
+        fn prop_upgrade_matches_the_transcode_delta_under_rate_control(
+            runs in collection::vec((1u8..=50, 1usize..4), 1..4),
+            to_q in 1u8..=50,
+        ) {
+            let qs: Vec<u8> = runs.iter().flat_map(|&(q, n)| std::iter::repeat_n(q, n)).collect();
+            let seg = rate_controlled(16, 16, &qs);
+            check_upgrade(&seg, to_q)?;
+            check_upgrade(&seg, qs[0])?;
+        }
+
+        /// And on random sparse planes, values across the whole i16 range
+        /// or near ±`i16::MAX`, where the lookup falls back to the
+        /// expression and the residuals hit the clamp.
+        #[test]
+        fn prop_upgrade_matches_the_transcode_delta_on_random_planes(
+            seed in any::<u64>(),
+            quantizers in collection::vec(1u8..=50, 1..4),
+            to_q in 1u8..=50,
+            spread in 1u64..6,
+            extreme in any::<bool>(),
+        ) {
+            let seg = random_segment(seed, &quantizers, spread, extreme);
+            check_upgrade(&seg, to_q)?;
+            check_upgrade(&seg, quantizers[0])?;
+        }
+
+        /// A rung transcoded from a segment has an empty delta against
+        /// it, at every quantiser of the codec's range and so at every
+        /// rung of any ladder: the delta's prediction is the transcode's
+        /// own requantisation. Reconstructing it takes the empty-residual
+        /// path.
+        #[test]
+        fn prop_down_deltas_of_transcoded_rungs_are_empty(
+            seed in any::<u64>(),
+            runs in collection::vec((1u8..=50, 1usize..3), 1..3),
+            spread in 1u64..6,
+        ) {
+            let qs: Vec<u8> = runs.iter().flat_map(|&(q, n)| std::iter::repeat_n(q, n)).collect();
+            for seg in [rate_controlled(16, 16, &qs), random_segment(seed, &qs, spread, false)] {
+                for q in 1..=50 {
+                    let rung = transcode_segment(&seg, q);
+                    let d = DeltaSegment::encode(&rung, &seg).expect("same shape");
+                    prop_assert_eq!(d.residual_coeffs(), 0, "q{}", q);
+                    prop_assert_eq!(d.reconstruct(&seg), rung);
+                }
+            }
         }
 
         /// A delta against the segment itself is all-zero residuals and
