@@ -3,13 +3,13 @@
 //! 240 of the 270 frames an ingest segment encodes at the default
 //! configuration are 112×112 P- and I-frames of the FOV streams.
 //!
-//! The `serving_112` group times the coefficient-domain kernels the SAS
-//! server runs per rung and upgrade request, on one 30-frame 112×112
-//! FOV segment at the top rung's q15: the transcode to the q30 rung,
-//! the store's down-delta (q30 against q15), the up-delta (q15 against
-//! q30), the one-pass upgrade delta the server sends instead (the same
-//! output straight from the top rung), and the reconstruct of the
-//! down-delta.
+//! The `serving_112` group times the coefficient-domain kernels of the
+//! FOV rung ladder on one 30-frame 112×112 FOV segment at the top
+//! rung's q15: the transcode to the q30 rung (the SAS server's answer to
+//! a rung request), the delta ladder's down-delta (q30 against q15) and
+//! its reconstruct, the up-delta (q15 against q30), and the one-pass
+//! upgrade delta the server sends instead (the same output straight
+//! from the top rung).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evr_math::EulerAngles;

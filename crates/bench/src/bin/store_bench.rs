@@ -162,7 +162,7 @@ fn run_residency(catalog: &SasCatalog, rungs: &[u8], workers: usize) -> Residenc
 }
 
 /// Per-user wire accounting: one refinement session over the full wire,
-/// one over the delta wire, against the same delta-resident server.
+/// one over the delta wire, against the same server.
 fn run_wire(server: &SasServer, coarse_quantizer: u8) -> WireResult {
     let catalog = server.catalog();
     let picks: Vec<(u32, usize)> = (0..catalog.segment_count())
@@ -271,7 +271,9 @@ fn main() {
         if store.parity_ok { "ok" } else { "FAIL" }
     );
 
-    // The wire side serves out of the delta-resident ladder.
+    // The wire side runs against a store holding the delta ladder, but
+    // serving reads only its top rungs: a rung fetch transcodes the top
+    // and an upgrade is one pass over it (DESIGN.md §16).
     let ladder_store = FovPrerenderStore::new();
     populate_fov_ladder(&catalog, &ladder_store, &rungs, args.workers, true);
     let server = SasServer::with_store(catalog, ladder_store);

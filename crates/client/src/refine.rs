@@ -14,6 +14,11 @@
 //! full top encoding, which is what makes the two arms comparable
 //! byte-for-byte and bit-for-bit ([`RefineReport::content_digest`]).
 //!
+//! Both halves are computed from the server's resident top rung: the
+//! coarse rung is a transcode of it and the upgrade a one-pass delta from
+//! it. The server keeps no lower rung in its store, so neither answer
+//! depends on what the store holds.
+//!
 //! [`DeltaWire`]: crate::pipeline::DeltaWire
 
 use evr_energy::{Activity, Component, DeviceParams, EnergyLedger};

@@ -10,6 +10,12 @@
 //! against it ([`FovPrerenderStore::insert_delta`]; DESIGN.md §16), so
 //! the marginal cost of a rung is its sparse residuals rather than a
 //! full encoding.
+//!
+//! This is the store's residency model, gated by `store_bench` and run
+//! by the benchmark's ingest stage. Serving does not read it:
+//! `SasServer` answers a rung fetch with a transcode of the resident top
+//! rung and never looks up a lower-rung key, so a ladder-filled store
+//! serves the same bytes as one holding only the tops.
 
 use evr_video::delta::transcode_segment;
 

@@ -121,7 +121,9 @@ enum Resident {
     /// last delta referring to them goes too — the accounting undercount
     /// this can cause after a reference eviction is accepted; FIFO order
     /// makes it rare, since references are inserted before their deltas).
-    Delta { repr: Arc<DeltaSegment>, meta: Vec<FovFrameMeta>, reference: Arc<PrerenderedFov> },
+    /// The metadata is shared too, so a lookup clones three `Arc`s under
+    /// the lock and allocates nothing there.
+    Delta { repr: Arc<DeltaSegment>, meta: Arc<[FovFrameMeta]>, reference: Arc<PrerenderedFov> },
 }
 
 impl Resident {
@@ -140,7 +142,11 @@ impl Resident {
 /// [`PrerenderedFov`] without holding the store mutex.
 enum Snapshot {
     Ready(Arc<PrerenderedFov>),
-    Reconstruct { repr: Arc<DeltaSegment>, meta: Vec<FovFrameMeta>, reference: Arc<PrerenderedFov> },
+    Reconstruct {
+        repr: Arc<DeltaSegment>,
+        meta: Arc<[FovFrameMeta]>,
+        reference: Arc<PrerenderedFov>,
+    },
 }
 
 impl Snapshot {
@@ -149,7 +155,7 @@ impl Snapshot {
             Resident::Full(fov) => Snapshot::Ready(Arc::clone(fov)),
             Resident::Delta { repr, meta, reference } => Snapshot::Reconstruct {
                 repr: Arc::clone(repr),
-                meta: meta.clone(),
+                meta: Arc::clone(meta),
                 reference: Arc::clone(reference),
             },
         }
@@ -160,13 +166,15 @@ impl Snapshot {
     }
 
     /// Materialises the full segment; bit-exact for delta entries by
-    /// [`DeltaSegment::reconstruct`]'s contract.
+    /// [`DeltaSegment::reconstruct`]'s contract. Runs after the store
+    /// guard drops, so the payload's metadata `Vec` is built here.
     fn materialise(self) -> Arc<PrerenderedFov> {
         match self {
             Snapshot::Ready(fov) => fov,
-            Snapshot::Reconstruct { repr, meta, reference } => {
-                Arc::new(PrerenderedFov { data: repr.reconstruct(&reference.data), meta })
-            }
+            Snapshot::Reconstruct { repr, meta, reference } => Arc::new(PrerenderedFov {
+                data: repr.reconstruct(&reference.data),
+                meta: meta.to_vec(),
+            }),
         }
     }
 }
@@ -407,7 +415,7 @@ impl FovPrerenderStore {
         {
             Some(delta) => Resident::Delta {
                 repr: Arc::new(delta),
-                meta: fov.meta,
+                meta: fov.meta.into(),
                 reference: reference_arc.expect("delta implies a reference"),
             },
             None => Resident::Full(Arc::new(fov)),
@@ -815,6 +823,29 @@ mod tests {
         assert_eq!(*got, low);
         assert_eq!(store.stats().reconstructs, 1);
         assert_eq!(store.stats().hits, 1);
+    }
+
+    /// A delta entry's snapshot shares its metadata with the entry, so
+    /// taking one under the lock copies no records; the payload's own
+    /// `Vec` is built by `materialise`, after the guard drops.
+    #[test]
+    fn a_delta_snapshot_shares_the_entry_metadata() {
+        let store = FovPrerenderStore::new();
+        let top = fov(4, 1);
+        let low = lower_rung_of(&top, 40);
+        let low_key = PrerenderKey { rung: 40, ..key(0) };
+        store.insert(key(0), top);
+        assert!(store.insert_delta(low_key, low.clone(), key(0)));
+        let state = store.lock();
+        let entry = state.entries.get(&low_key).expect("resident");
+        let (Resident::Delta { meta, .. }, Snapshot::Reconstruct { meta: shared, .. }) =
+            (entry, Snapshot::of(entry))
+        else {
+            panic!("the rung must be delta-resident");
+        };
+        assert!(Arc::ptr_eq(meta, &shared));
+        drop(state);
+        assert_eq!(*store.get(&low_key).expect("resident"), low);
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl SasServer {
     /// Refuses a quantiser outside the FOV ladder before any transcode
     /// or store insert: an arbitrary quantiser would transcode a payload
     /// that is no rung (saturated at 0, larger than the top at 1, outside
-    /// the codec's range above 50) and admit it to the store.
+    /// the codec's range above 50).
     fn check_rung(&self, segment: u32, cluster: usize, quantizer: u8) -> Result<(), SasError> {
         if fov_rung_quantizers(self.catalog.config()).contains(&quantizer) {
             Ok(())
@@ -256,45 +256,40 @@ impl SasServer {
         Ok(self.store.insert(key, PrerenderedFov { data: data.clone(), meta: meta.to_vec() }))
     }
 
-    /// The payload of `(segment, cluster)` at rung `quantizer` —
-    /// transcoded from the top rung on a store miss and admitted
-    /// delta-resident against it ([`FovPrerenderStore::insert_delta`]).
+    /// The payload of `(segment, cluster)` at rung `quantizer`: a
+    /// transcode of the resident top rung with the top's metadata, or
+    /// the top itself at `fov_quantizer`. No lower-rung key is read or
+    /// written.
     fn rung_payload(
         &self,
         segment: u32,
         cluster: usize,
         quantizer: u8,
     ) -> Result<Arc<PrerenderedFov>, SasError> {
-        let top_quantizer = self.catalog.config().fov_quantizer;
-        if quantizer == top_quantizer {
-            return self.top_payload(segment, cluster);
-        }
-        let key = self.fov_key(segment, cluster, quantizer);
-        if let Some(hit) = self.store.get(&key) {
-            return Ok(hit);
-        }
         let top = self.top_payload(segment, cluster)?;
-        let payload = Arc::new(PrerenderedFov {
+        if quantizer == self.catalog.config().fov_quantizer {
+            return Ok(top);
+        }
+        Ok(Arc::new(PrerenderedFov {
             data: transcode_segment(&top.data, quantizer),
             meta: top.meta.clone(),
-        });
-        // The transcode is deterministic, so if another thread raced the
-        // same key the resident entry holds the same bytes.
-        let top_key = self.fov_key(segment, cluster, top_quantizer);
-        self.store.insert_delta(key, (*payload).clone(), top_key);
-        Ok(payload)
+        }))
     }
 
     /// Serves the FOV video of `(segment, cluster)` at a lower-quality
     /// rung `quantizer` (the coarse half of the coarse-then-upgrade
     /// client path), together with its wire size at target scale.
     ///
-    /// The rung is transcoded from the top-rung stream on a store miss
-    /// and kept delta-resident against it, so the lower rungs of a
-    /// popular stream cost residual bytes rather than full encodings.
-    /// Requesting the catalog's own `fov_quantizer` is identical to
-    /// [`SasServer::fetch_fov`]; a quantiser outside the ladder
-    /// ([`fov_rung_quantizers`]) is refused as [`SasError::UnknownRung`].
+    /// Every call transcodes the resident top rung
+    /// ([`transcode_segment`]) and keeps the top's metadata: a lower
+    /// rung is a pure function of the top, and a transcode costs less
+    /// than storing, evicting and rebuilding the rung would (DESIGN.md
+    /// §16). The store is never asked for, nor given, a lower-rung key,
+    /// so the answer does not depend on what it holds and only top rungs
+    /// compete for its budget. Requesting the catalog's own
+    /// `fov_quantizer` is identical to [`SasServer::fetch_fov`]; a
+    /// quantiser outside the ladder ([`fov_rung_quantizers`]) is refused
+    /// as [`SasError::UnknownRung`].
     pub fn fetch_fov_rung(
         &self,
         segment: u32,
@@ -582,32 +577,100 @@ mod tests {
         assert!(wire > 0);
     }
 
+    /// A rung fetch is a transcode of the top rung alone: a cold store,
+    /// stores filled with the delta or the full ladder and a one-byte
+    /// store give equal answers, and the cold store gains only the top
+    /// rung.
     #[test]
-    fn fetch_fov_rung_transcodes_once_and_stays_delta_resident() {
-        let catalog = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0);
-        let store = crate::prerender::FovPrerenderStore::new();
-        let s = SasServer::with_store(catalog, store.clone());
-        let cluster = s.catalog().clusters_in_segment(0)[0];
-        let top_q = s.catalog().config().fov_quantizer;
-        let coarse_q = top_q * 2;
-
-        let (coarse, coarse_wire) = s.fetch_fov_rung(0, cluster, coarse_q).expect("coarse");
-        let (_top, top_wire) = s.fetch_fov(0, cluster).expect("top");
-        assert!(coarse_wire < top_wire, "coarse {coarse_wire} top {top_wire}");
-        assert_eq!(coarse.data.frames.len(), coarse.meta.len());
-        assert_eq!(store.len(), 2, "top + coarse resident");
-        assert_eq!(store.delta_entries(), 1, "coarse rung is delta-resident");
-
-        // Warm rung fetches reconstruct to the same bytes and wire size.
-        let (warm, warm_wire) = s.fetch_fov_rung(0, cluster, coarse_q).expect("warm");
-        assert_eq!(warm.data, coarse.data);
-        assert_eq!(warm_wire, coarse_wire);
-        assert!(store.stats().reconstructs >= 1);
+    fn rungs_do_not_depend_on_the_store() {
+        use crate::fovladder::populate_fov_ladder;
+        use crate::prerender::FovPrerenderStore;
+        let cfg = SasConfig::tiny_for_tests();
+        let catalog = ingest_video(&scene_for(VideoId::Rhino), &cfg, 1.0);
+        let rungs = fov_rung_quantizers(&cfg);
+        let scale = cfg.fov_byte_scale();
+        let filled = |delta| {
+            let store = FovPrerenderStore::new();
+            populate_fov_ladder(&catalog, &store, &rungs, 1, delta);
+            SasServer::with_store(catalog.clone(), store)
+        };
+        let tiny = SasServer::with_store(catalog.clone(), FovPrerenderStore::with_budget(1));
+        let servers = [filled(true), filled(false), tiny];
+        let mut checked = 0;
+        for segment in 0..catalog.segment_count() {
+            for cluster in catalog.clusters_in_segment(segment) {
+                let stream = catalog.fov_stream(segment, cluster).expect("listed");
+                let (top, top_meta) = catalog.read_fov(stream).expect("readable");
+                for &q in &rungs[..rungs.len() - 1] {
+                    let store = FovPrerenderStore::new();
+                    let cold = SasServer::with_store(catalog.clone(), store.clone());
+                    let want = cold.fetch_fov_rung(segment, cluster, q);
+                    let (payload, wire) = want.as_ref().expect("ladder rung");
+                    let rung = transcode_segment(top, q);
+                    assert_eq!(payload.data, rung, "({segment}, {cluster}) q{q}");
+                    assert_eq!(payload.meta, top_meta);
+                    assert_eq!(*wire, rung.scaled_bytes(scale));
+                    assert_eq!((store.len(), store.delta_entries()), (1, 0), "top rung only");
+                    for s in &servers {
+                        assert_eq!(s.fetch_fov_rung(segment, cluster, q), want);
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0, "the catalog lists no stream");
 
         // The top quantiser routes through the ordinary fetch path.
-        let (via_rung, via_rung_wire) = s.fetch_fov_rung(0, cluster, top_q).expect("top via rung");
+        let s = server(VideoId::Rhino);
+        let cluster = s.catalog().clusters_in_segment(0)[0];
+        let (top, top_wire) = s.fetch_fov(0, cluster).expect("top");
+        let (coarse, coarse_wire) = s.fetch_fov_rung(0, cluster, rungs[0]).expect("coarse");
+        assert!(coarse_wire < top_wire, "coarse {coarse_wire} top {top_wire}");
+        let (via_rung, via_rung_wire) =
+            s.fetch_fov_rung(0, cluster, cfg.fov_quantizer).expect("top via rung");
+        assert!(Arc::ptr_eq(&via_rung, &top));
         assert_eq!(via_rung_wire, top_wire);
-        assert!(!via_rung.data.frames.is_empty());
+        assert_ne!(coarse.data, top.data);
+    }
+
+    /// Rung fetches and upgrades write nothing but top rungs, so a store
+    /// budgeted at exactly the tops serves the whole ladder of every
+    /// stream without one eviction.
+    #[test]
+    fn serving_rungs_never_evicts_a_top_rung() {
+        use crate::prerender::FovPrerenderStore;
+        let cfg = SasConfig::tiny_for_tests();
+        let catalog = ingest_video(&scene_for(VideoId::Rhino), &cfg, 1.0);
+        let rungs = fov_rung_quantizers(&cfg);
+        let streams: Vec<(u32, usize)> = (0..catalog.segment_count())
+            .flat_map(|s| catalog.clusters_in_segment(s).into_iter().map(move |c| (s, c)))
+            .collect();
+        assert!(!streams.is_empty() && rungs.len() > 1, "the test needs lower rungs");
+        let tops: u64 = streams
+            .iter()
+            .map(|&(s, c)| {
+                let stream = catalog.fov_stream(s, c).expect("listed");
+                let (data, meta) = catalog.read_fov(stream).expect("readable");
+                PrerenderedFov { data: data.clone(), meta: meta.to_vec() }.cost_bytes()
+            })
+            .sum();
+        let store = FovPrerenderStore::with_budget(tops);
+        let s = SasServer::with_store(catalog, store.clone());
+        for &(segment, cluster) in &streams {
+            for &q in &rungs {
+                s.fetch_fov_rung(segment, cluster, q).expect("ladder rung");
+                for delta_wire in [false, true] {
+                    s.fetch_fov_upgrade(segment, cluster, q, delta_wire).expect("upgrade");
+                }
+            }
+        }
+        assert_eq!(store.stats().evictions, 0, "{:?}", store.stats());
+        assert_eq!((store.len(), store.delta_entries()), (streams.len(), 0));
+        assert_eq!(store.resident_bytes(), tops);
+        for &(segment, cluster) in &streams {
+            let key = s.fov_key(segment, cluster, cfg.fov_quantizer);
+            assert!(store.get(&key).is_some(), "top of ({segment}, {cluster}) evicted");
+        }
     }
 
     #[test]

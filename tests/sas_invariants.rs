@@ -176,8 +176,8 @@ fn pixel_digest(img: &ImageBuffer) -> String {
 
 /// The serving outputs of every FOV stream at every lower ladder rung on
 /// a fresh store: the first rung fetch (a transcode), the second (a
-/// delta reconstruct), the delta-wire upgrade, and the rung's down-delta
-/// against the top rung.
+/// second transcode, which must equal the first), the delta-wire
+/// upgrade, and the rung's down-delta against the top rung.
 fn serving_digest(catalog: &SasCatalog, cfg: &SasConfig) -> String {
     let server = SasServer::with_store(catalog.clone(), FovPrerenderStore::new());
     let rungs = fov_rung_quantizers(cfg);
