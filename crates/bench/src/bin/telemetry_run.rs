@@ -2,9 +2,9 @@
 //! streaming with a live [`evr_obs::Observer`] (timeline attached)
 //! threaded through the whole pipeline, prints the metric summary for
 //! each variant and writes the per-run report artifacts
-//! (`*.report.json`, `*.summary.txt`, `*.trace.jsonl`, plus the
-//! Chrome-loadable `*.trace_events.json` worker timeline and the
-//! slowest-intervals exemplar table inside the summary).
+//! (`*.report.json`, `*.summary.txt` with the slowest-intervals
+//! exemplar table, and the Chrome-loadable `*.trace_events.json`
+//! worker timeline).
 //!
 //! ```text
 //! cargo run --release -p evr-bench --bin telemetry_run -- quick
@@ -44,8 +44,7 @@ fn main() {
         let label = format!("{video:?}-{variant}");
         let (report, summary) =
             write_run_report(&obs, &label, &out_dir).expect("write report artifacts");
-        let trace = report.with_extension("").with_extension("trace.jsonl");
-        obs.write_jsonl(&trace).expect("write trace");
+        let trace = report.with_extension("").with_extension("trace_events.json");
         println!("artifacts: {}", report.display());
         println!("           {}", summary.display());
         println!("           {}", trace.display());

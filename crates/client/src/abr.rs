@@ -158,7 +158,7 @@ pub fn simulate_abr(
 }
 
 /// Like [`simulate_abr`], but counting ladder switches and stalls into
-/// `observer` (`evr_abr_*` names) and marking each switch in the trace.
+/// `observer` (`evr_abr_*` names).
 ///
 /// # Panics
 ///
@@ -188,7 +188,7 @@ pub fn simulate_abr_observed(
     let mut outcome =
         AbrOutcome { stall_time_s: 0.0, stalls: 0, mean_rung: 0.0, switches: 0, bytes: 0 };
 
-    for (seg_idx, seg) in segment_ladder.iter().enumerate() {
+    for seg in segment_ladder {
         // Pick the highest rung that fits the throughput estimate.
         let pick = match throughput {
             None => 0,
@@ -203,7 +203,6 @@ pub fn simulate_abr_observed(
         if pick != rung {
             outcome.switches += 1;
             switches_c.inc();
-            observer.mark("abr_switch", -1, seg_idx as i64, pick as f64);
             rung = pick;
         }
         outcome.mean_rung += rung as f64;
@@ -433,8 +432,6 @@ mod tests {
         let out = simulate_abr_observed(&long, 1.0, &link, policy, &obs);
         assert_eq!(obs.counter(evr_obs::names::ABR_SWITCHES).get(), out.switches);
         assert_eq!(obs.counter(evr_obs::names::ABR_STALLS).get(), out.stalls);
-        let switch_marks = obs.events().iter().filter(|e| e.name == "abr_switch").count() as u64;
-        assert_eq!(switch_marks, out.switches);
         // The observed run is behaviourally identical to the silent one.
         assert_eq!(out, simulate_abr(&long, 1.0, &link, policy));
     }

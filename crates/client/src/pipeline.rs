@@ -150,8 +150,6 @@ pub struct StageIo<'a> {
     pub faults: &'a mut FaultSummary,
     /// Device energy parameters.
     pub device: &'a DeviceParams,
-    /// The session's observer.
-    pub observer: &'a Observer,
     pub(crate) metrics: &'a SessionMetrics,
 }
 
@@ -336,8 +334,7 @@ impl Transport for FaultedTransport {
         wire_payload: u64,
     ) -> bool {
         let m = io.metrics;
-        let obs = io.observer;
-        let observed = obs.is_enabled();
+        let observed = m.enabled;
         let policy = *self.injector.retry();
         for attempt in 0..=policy.max_retries {
             if attempt > 0 {
@@ -373,7 +370,6 @@ impl Transport for FaultedTransport {
             io.account_stall(policy.timeout_s);
             if observed {
                 m.fault_timeouts.inc();
-                obs.mark(names::MARK_FAULT_TIMEOUT, -1, seg as i64, policy.timeout_s);
             }
         }
         false
@@ -592,7 +588,6 @@ impl RunState {
             ledger: &mut self.ledger,
             faults: &mut self.faults,
             device: &session.cfg.device,
-            observer: &session.observer,
             metrics: &session.metrics,
         }
     }
@@ -660,9 +655,8 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         let session = self.session;
         let server = self.server;
         let cfg = &session.cfg;
-        let obs = &session.observer;
         let m = &session.metrics;
-        let observed = obs.is_enabled();
+        let observed = m.enabled;
         // The timeline is opt-in on top of an enabled observer; `timed`
         // is hoisted so an untimed run skips every clock read below.
         let tl = session.observer.timeline();
@@ -682,7 +676,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         let mut st = RunState::new(cfg.sas.device_fov);
 
         for seg in 0..catalog.segment_count() {
-            let _seg_span = observed.then(|| obs.span(names::SPAN_SEGMENT, -1, seg as i64));
             let mut ctx = self.ctx.with_segment(seg as i64);
             m.segments.inc();
             let original = catalog.original_segment(seg);
@@ -754,7 +747,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                 SegmentSource::Fov { payload } => self.play_fov(
                     &mut st,
                     &link,
-                    seg,
                     seg_start_t,
                     original,
                     orig_bytes,
@@ -763,13 +755,13 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                     &geom,
                 ),
                 SegmentSource::Original { byte_scale, degraded } => {
-                    self.play_original(&mut st, seg, original, byte_scale, degraded, &geom)
+                    self.play_original(&mut st, original, byte_scale, degraded, &geom)
                 }
                 SegmentSource::Tiles { tiles, delivered, degraded } => {
                     self.play_tiles(&mut st, seg, n, tiles, &delivered, degraded, &geom)
                 }
                 SegmentSource::Freeze => {
-                    self.freeze(&mut st, seg, n);
+                    self.freeze(&mut st, n);
                     false
                 }
             };
@@ -803,12 +795,11 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
     /// Consults the serving front's admission gate before segment
     /// `seg`'s content request and accounts the verdict: queueing and
     /// refusal latency stall playback (a shed response always costs
-    /// its latency), and shed or unavailable segments are counted and
-    /// marked. Clean transports always serve with zero queueing, so the
+    /// its latency), and shed or unavailable segments are counted.
+    /// Clean transports always serve with zero queueing, so the
     /// gate folds away on the clean path.
     fn admit(&mut self, st: &mut RunState, seg: u32, seg_start_t: f64) -> FrontGate {
         let session = self.session;
-        let obs = &session.observer;
         let content = self.server.catalog().content_id();
         let gate = self.transport.front_gate(seg_start_t, st.faults.stall_time_s, seg, content);
         match gate {
@@ -820,18 +811,12 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             FrontGate::Shed { latency_s } => {
                 st.io(session).account_stall(latency_s);
                 st.faults.shed_segments += 1;
-                if obs.is_enabled() {
-                    obs.mark(names::MARK_FRONT_SHED, -1, seg as i64, latency_s);
-                }
             }
             FrontGate::Unavailable { latency_s } => {
                 if latency_s > 0.0 {
                     st.io(session).account_stall(latency_s);
                 }
                 st.faults.front_unavailable_segments += 1;
-                if obs.is_enabled() {
-                    obs.mark(names::MARK_FRONT_UNAVAILABLE, -1, seg as i64, latency_s);
-                }
             }
         }
         gate
@@ -884,7 +869,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
     ) -> SegmentSource<'s> {
         let session = self.session;
         let server = self.server;
-        let obs = &session.observer;
 
         // The front gate sits before the FOV rung: a shed response skips
         // straight to the low rung (the shed payload *is* the low-rung
@@ -896,7 +880,7 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             // tracing: on timed runs the fetch is recorded as a
             // `sas_fetch_fov` interval whose request id also stamps this
             // segment's fetch-stage interval, so the two correlate.
-            let tl = obs.timeline();
+            let tl = session.observer.timeline();
             let fetched = if tl.is_enabled() {
                 ctx.request = tl.next_request_id();
                 let t0 = tl.now_ns();
@@ -926,9 +910,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         }
         let low_scale = self.transport.low_rung_scale();
         let low_bytes = (orig_bytes as f64 * low_scale).round() as u64;
-        if obs.is_enabled() {
-            obs.mark(names::MARK_DEGRADE, -1, seg as i64, 2.0);
-        }
         if self.deliver(st, link, seg_start_t, seg, low_bytes) {
             return SegmentSource::Original { byte_scale: low_scale, degraded: true };
         }
@@ -955,7 +936,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         geom: &Geometry,
     ) -> SegmentSource<'s> {
         let session = self.session;
-        let obs = &session.observer;
         let shed = matches!(self.admit(st, seg, seg_start_t), FrontGate::Shed { .. });
         if shed {
             rungs.fill(0);
@@ -967,9 +947,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             let wire = |r| tiles.rung(seg, t, r).wire_bytes;
             let mut got = self.deliver(st, link, seg_start_t, seg, wire(want)).then_some(want);
             if got.is_none() && want > 0 {
-                if obs.is_enabled() {
-                    obs.mark(names::MARK_DEGRADE, -1, seg as i64, 2.0);
-                }
                 got = self.deliver(st, link, seg_start_t, seg, wire(0)).then_some(0);
                 degraded |= got.is_some();
             }
@@ -1002,7 +979,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         &self,
         st: &mut RunState,
         link: &SegmentLink,
-        seg: u32,
         seg_start_t: f64,
         original: &EncodedSegment,
         orig_bytes: u64,
@@ -1012,34 +988,26 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
     ) -> bool {
         let session = self.session;
         let cfg = &session.cfg;
-        let obs = &session.observer;
         let m = &session.metrics;
-        let observed = obs.is_enabled();
+        let observed = m.enabled;
         let n = original.frames.len();
         let mut gpu_used = false;
         let mut fell_back = false;
         #[allow(clippy::needless_range_loop)] // indexes three parallel sequences
         for f in 0..n {
-            let frame_idx = st.frames_total as i64;
-            let _frame_span = observed.then(|| obs.span(names::SPAN_FRAME, frame_idx, seg as i64));
             let frame_t0 = observed.then(Instant::now);
             let t = seg_start_t + f as f64 * geom.slot;
             let pose = self.trace.pose_at(t);
             if !fell_back {
-                let outcome = {
-                    let _fov_span =
-                        observed.then(|| obs.span(names::SPAN_FOV_CHECK, frame_idx, seg as i64));
-                    if cfg.oracle_hits {
-                        st.checker.check(meta[f].orientation, &meta[f])
-                    } else {
-                        st.checker.check(pose, &meta[f])
-                    }
+                let outcome = if cfg.oracle_hits {
+                    st.checker.check(meta[f].orientation, &meta[f])
+                } else {
+                    st.checker.check(pose, &meta[f])
                 };
                 match outcome {
                     CheckOutcome::Hit => {
                         if observed {
                             m.fov_hits.inc();
-                            obs.mark(names::MARK_FOV_HIT, frame_idx, seg as i64, 1.0);
                         }
                         // Direct display: decode the FOV frame only.
                         account_decode(
@@ -1050,18 +1018,15 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                         );
                         gpu_used |= FovPassthrough.render(&mut st.ledger, geom.slot);
                         st.frames_total += 1;
-                        if observed {
+                        if let Some(t0) = frame_t0 {
                             m.frames.inc();
-                            if let Some(t0) = frame_t0 {
-                                m.frame_seconds.observe(t0.elapsed().as_secs_f64());
-                            }
+                            m.frame_seconds.observe(t0.elapsed().as_secs_f64());
                         }
                         continue;
                     }
                     CheckOutcome::Miss => {
                         if observed {
                             m.fov_misses.inc();
-                            obs.mark(names::MARK_FOV_MISS, frame_idx, seg as i64, 1.0);
                         }
                         // Mid-segment fallback: fetch the original over
                         // the segment's link and fall back for the
@@ -1074,7 +1039,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                         if observed {
                             m.rebuffer_events.inc();
                             m.rebuffer_seconds.add(pause);
-                            obs.mark(names::MARK_REBUFFER, frame_idx, seg as i64, pause);
                         }
                         if cfg.path.uses_network() {
                             st.bytes_received += orig_bytes;
@@ -1108,20 +1072,10 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                 geom.src_px,
                 frame_wire_bytes(&original.frames[f], geom.src_scale),
             );
-            {
-                let _pt_span = observed.then(|| obs.span(names::SPAN_PT, frame_idx, seg as i64));
-                gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
-            }
+            gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
             st.fallback_frames += 1;
             st.frames_total += 1;
-            if observed {
-                self.backend.note_metrics(m);
-                m.fallback_frames.inc();
-                m.frames.inc();
-                if let Some(t0) = frame_t0 {
-                    m.frame_seconds.observe(t0.elapsed().as_secs_f64());
-                }
-            }
+            self.note_rendered_frame(frame_t0);
         }
         gpu_used
     }
@@ -1134,16 +1088,14 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
     fn play_original(
         &self,
         st: &mut RunState,
-        seg: u32,
         original: &EncodedSegment,
         byte_scale: f64,
         degraded: bool,
         geom: &Geometry,
     ) -> bool {
         let session = self.session;
-        let obs = &session.observer;
         let m = &session.metrics;
-        let observed = obs.is_enabled();
+        let observed = m.enabled;
         let n = original.frames.len() as u64;
         if degraded {
             st.faults.degraded_frames += n;
@@ -1163,26 +1115,14 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         let mut gpu_used = false;
         #[allow(clippy::needless_range_loop)] // parallel frame index
         for f in 0..n as usize {
-            let frame_idx = st.frames_total as i64;
-            let _frame_span = observed.then(|| obs.span(names::SPAN_FRAME, frame_idx, seg as i64));
             let frame_t0 = observed.then(Instant::now);
             let bytes =
                 (frame_wire_bytes(&original.frames[f], geom.src_scale) as f64 * byte_scale) as u64;
             account_decode(&session.cfg.device, &mut st.ledger, geom.src_px, bytes);
-            {
-                let _pt_span = observed.then(|| obs.span(names::SPAN_PT, frame_idx, seg as i64));
-                gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
-            }
+            gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
             st.fallback_frames += 1;
             st.frames_total += 1;
-            if observed {
-                self.backend.note_metrics(m);
-                m.fallback_frames.inc();
-                m.frames.inc();
-                if let Some(t0) = frame_t0 {
-                    m.frame_seconds.observe(t0.elapsed().as_secs_f64());
-                }
-            }
+            self.note_rendered_frame(frame_t0);
         }
         gpu_used
     }
@@ -1209,7 +1149,8 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
 
     /// Plays a tiled segment: full-resolution decode of the delivered
     /// tiles' bytes, then full PT on every frame (tiling never avoids
-    /// on-device PT). Frozen tiles contribute no bytes.
+    /// on-device PT). Frozen tiles contribute no bytes. Observed runs
+    /// time every frame, as the whole-frame bodies do.
     #[allow(clippy::too_many_arguments)]
     fn play_tiles(
         &self,
@@ -1225,6 +1166,7 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         let m = &session.metrics;
         let mut gpu_used = false;
         for f in 0..n as usize {
+            let frame_t0 = m.enabled.then(Instant::now);
             let bytes: u64 = delivered
                 .iter()
                 .enumerate()
@@ -1232,13 +1174,9 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                 .sum();
             account_decode(&session.cfg.device, &mut st.ledger, geom.src_px, bytes);
             gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
-            if m.enabled {
-                self.backend.note_metrics(m);
-            }
             st.fallback_frames += 1;
             st.frames_total += 1;
-            m.frames.inc();
-            m.fallback_frames.inc();
+            self.note_rendered_frame(frame_t0);
         }
         if degraded {
             st.faults.degraded_frames += n;
@@ -1252,17 +1190,27 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
 
     /// Every rung failed: the display repeats the last image for the
     /// whole segment — no decode, no PT.
-    fn freeze(&self, st: &mut RunState, seg: u32, n: u64) {
-        let session = self.session;
-        let obs = &session.observer;
-        let m = &session.metrics;
+    fn freeze(&self, st: &mut RunState, n: u64) {
+        let m = &self.session.metrics;
         st.faults.frozen_frames += n;
         st.faults.degraded_segments += 1;
         st.frames_total += n;
-        if obs.is_enabled() {
+        if m.enabled {
             m.frozen_frames.add(n);
             m.frames.add(n);
-            obs.mark(names::MARK_DEGRADE, -1, seg as i64, 3.0);
+        }
+    }
+
+    /// Counts one on-device-PT frame and times it from `t0`, which is
+    /// `Some` exactly on observed runs.
+    #[inline]
+    fn note_rendered_frame(&self, t0: Option<Instant>) {
+        if let Some(t0) = t0 {
+            let m = &self.session.metrics;
+            self.backend.note_metrics(m);
+            m.fallback_frames.inc();
+            m.frames.inc();
+            m.frame_seconds.observe(t0.elapsed().as_secs_f64());
         }
     }
 

@@ -313,8 +313,9 @@ impl PlaybackSession {
         Self::with_observer(cfg, Observer::noop())
     }
 
-    /// Like [`PlaybackSession::new`], but every run emits per-frame
-    /// spans, FOV-check outcomes and playback counters into `observer`.
+    /// Like [`PlaybackSession::new`], but every run records playback
+    /// counters and frame and stage timings into `observer`, and stage
+    /// intervals into its timeline when one is attached.
     pub fn with_observer(cfg: SessionConfig, observer: Observer) -> Self {
         let (sw, sh) = cfg.sas.target_src;
         let pte = Pte::new(cfg.pte);
@@ -576,57 +577,55 @@ mod tests {
     #[test]
     fn observed_run_mirrors_report_counters() {
         let (server, trace) = setup(VideoId::Rhino, 1.0);
-        let obs = evr_obs::Observer::enabled();
-        let cfg =
-            SessionConfig::new(ContentPath::OnlineSas, Renderer::Pte, SasConfig::tiny_for_tests());
-        let session = PlaybackSession::with_observer(cfg, obs.clone());
-        let r = session.run(&server, &trace);
+        let sas = SasConfig::tiny_for_tests();
+        let tiles = Arc::new(evr_sas::ingest_tiled_rates(&scene_for(VideoId::Rhino), &sas, 1.0));
+        let session = |path| PlaybackSession::new(SessionConfig::new(path, Renderer::Pte, sas));
+        let whole = session(ContentPath::OnlineSas);
+        let tiled = session(ContentPath::OnlineBaseline).with_tiles(tiles);
+        for (label, mut session) in [("whole-frame S", whole), ("tiled T", tiled)] {
+            let obs = evr_obs::Observer::enabled();
+            session.set_observer(obs.clone());
+            let r = session.run(&server, &trace);
 
-        use evr_obs::names;
-        assert_eq!(obs.counter(names::FRAMES).get(), r.frames_total);
-        assert_eq!(obs.counter(names::FOV_HITS).get(), r.fov_hits);
-        assert_eq!(obs.counter(names::FOV_MISSES).get(), r.fov_misses);
-        assert_eq!(obs.counter(names::FALLBACK_FRAMES).get(), r.fallback_frames);
-        assert_eq!(obs.counter(names::REBUFFER_EVENTS).get(), r.rebuffer_events);
-        assert_eq!(obs.counter(names::FETCH_BYTES).get(), r.bytes_received);
-        assert!((obs.gauge(names::REBUFFER_SECONDS).get() - r.rebuffer_time_s).abs() < 1e-12);
-        // Frame latency histogram saw every frame.
-        let hist = obs.histogram(names::FRAME_SECONDS, &evr_obs::LATENCY_BOUNDS_S);
-        assert_eq!(hist.snapshot().count, r.frames_total);
-        // Per-stage pipeline timings cover every segment.
-        let segments = obs.counter(names::SEGMENTS).get();
-        for stage in ["plan", "fetch", "render", "account"] {
-            let h = obs
-                .histogram(&names::pipeline_stage_seconds(stage), &evr_obs::LATENCY_BOUNDS_S)
-                .snapshot();
-            assert_eq!(h.count, segments, "stage {stage}");
-        }
-        // PTE renderer: every fallback frame went through the engine mirror.
-        assert_eq!(obs.counter(names::PT_PTE_FRAMES).get(), r.fallback_frames);
-        assert_eq!(obs.counter(names::PT_GPU_FRAMES).get(), 0);
-        if r.fallback_frames > 0 {
-            assert!(obs.counter(names::PTE_ACTIVE_CYCLES).get() > 0);
-        }
-        // Energy gauges mirror the ledger per component.
-        for c in Component::ALL {
-            let gauge = obs.gauge(&names::energy_gauge(&c.to_string()));
+            use evr_obs::names;
+            assert_eq!(obs.counter(names::FRAMES).get(), r.frames_total, "{label}");
+            assert_eq!(obs.counter(names::FOV_HITS).get(), r.fov_hits, "{label}");
+            assert_eq!(obs.counter(names::FOV_MISSES).get(), r.fov_misses, "{label}");
+            assert_eq!(obs.counter(names::FALLBACK_FRAMES).get(), r.fallback_frames, "{label}");
+            assert_eq!(obs.counter(names::REBUFFER_EVENTS).get(), r.rebuffer_events, "{label}");
+            assert_eq!(obs.counter(names::FETCH_BYTES).get(), r.bytes_received, "{label}");
             assert!(
-                (gauge.get() - r.ledger.component_total(c)).abs() < 1e-9,
-                "{c}: gauge {} vs ledger {}",
-                gauge.get(),
-                r.ledger.component_total(c)
+                (obs.gauge(names::REBUFFER_SECONDS).get() - r.rebuffer_time_s).abs() < 1e-12,
+                "{label}"
             );
+            // Frame latency histogram saw every frame.
+            let hist = obs.histogram(names::FRAME_SECONDS, &evr_obs::LATENCY_BOUNDS_S);
+            assert_eq!(hist.snapshot().count, r.frames_total, "{label}");
+            // Per-stage pipeline timings cover every segment.
+            let segments = obs.counter(names::SEGMENTS).get();
+            for stage in ["plan", "fetch", "render", "account"] {
+                let h = obs
+                    .histogram(&names::pipeline_stage_seconds(stage), &evr_obs::LATENCY_BOUNDS_S)
+                    .snapshot();
+                assert_eq!(h.count, segments, "{label}: stage {stage}");
+            }
+            // PTE renderer: every fallback frame went through the engine mirror.
+            assert_eq!(obs.counter(names::PT_PTE_FRAMES).get(), r.fallback_frames, "{label}");
+            assert_eq!(obs.counter(names::PT_GPU_FRAMES).get(), 0, "{label}");
+            if r.fallback_frames > 0 {
+                assert!(obs.counter(names::PTE_ACTIVE_CYCLES).get() > 0, "{label}");
+            }
+            // Energy gauges mirror the ledger per component.
+            for c in Component::ALL {
+                let gauge = obs.gauge(&names::energy_gauge(&c.to_string()));
+                assert!(
+                    (gauge.get() - r.ledger.component_total(c)).abs() < 1e-9,
+                    "{label} {c}: gauge {} vs ledger {}",
+                    gauge.get(),
+                    r.ledger.component_total(c)
+                );
+            }
         }
-        // Spans cover every frame, hit/miss marks every check.
-        let events = obs.events();
-        let frame_begins = events
-            .iter()
-            .filter(|e| e.name == names::SPAN_FRAME && e.kind == evr_obs::EventKind::SpanBegin)
-            .count() as u64;
-        assert_eq!(frame_begins, r.frames_total);
-        let hits = events.iter().filter(|e| e.name == names::MARK_FOV_HIT).count() as u64;
-        let misses = events.iter().filter(|e| e.name == names::MARK_FOV_MISS).count() as u64;
-        assert_eq!((hits, misses), (r.fov_hits, r.fov_misses));
     }
 
     #[test]

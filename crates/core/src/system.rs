@@ -208,8 +208,9 @@ impl EvrSystem {
 
     /// Threads `observer` through the whole pipeline: the SAS server's
     /// request counters and every session built by
-    /// [`EvrSystem::session_for`] from now on (per-frame spans, FOV
-    /// outcomes, PTE stats, energy gauges). A no-op observer detaches
+    /// [`EvrSystem::session_for`] from now on (frame and stage timings,
+    /// FOV outcomes, PTE stats, energy gauges, and stage intervals when
+    /// the observer carries a timeline). A no-op observer detaches
     /// everything again.
     pub fn instrument(&mut self, observer: &evr_obs::Observer) {
         self.server.set_observer(observer);

@@ -1,5 +1,5 @@
-//! Exporters: JSONL event dump, Prometheus text exposition, and a
-//! human-readable end-of-run summary table.
+//! Exporters: Prometheus text exposition, a human-readable end-of-run
+//! summary table and a single-object JSON run report.
 //!
 //! Everything here is hand-rolled over `std::fmt::Write` so the crate
 //! stays dependency-free. JSON strings are escaped per RFC 8259;
@@ -8,7 +8,6 @@
 use std::fmt::Write as _;
 
 use crate::metrics::MetricSnapshot;
-use crate::tracer::Event;
 
 /// Escapes `s` as the body of a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -36,24 +35,6 @@ fn json_num(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// One JSON object per line for each trace event, oldest first.
-pub(crate) fn events_jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let _ = writeln!(
-            out,
-            "{{\"ts_ns\":{},\"kind\":\"{}\",\"name\":\"{}\",\"frame\":{},\"segment\":{},\"value\":{}}}",
-            e.ts_ns,
-            e.kind.label(),
-            json_escape(e.name),
-            e.frame,
-            e.segment,
-            json_num(e.value),
-        );
-    }
-    out
 }
 
 /// Prometheus-style text exposition of every registered metric.
@@ -89,11 +70,12 @@ pub(crate) fn prometheus(metrics: &[(String, MetricSnapshot)]) -> String {
     out
 }
 
-/// Human-readable end-of-run summary table.
+/// Human-readable end-of-run summary table; the `trace:` line counts
+/// the timeline intervals `retained` in its ring and `dropped` from it.
 pub(crate) fn summary(
     metrics: &[(String, MetricSnapshot)],
-    events_recorded: usize,
-    events_dropped: u64,
+    retained: usize,
+    dropped: u64,
 ) -> String {
     let name_width = metrics
         .iter()
@@ -125,20 +107,18 @@ pub(crate) fn summary(
             }
         }
     }
-    let _ = writeln!(
-        out,
-        "trace: {events_recorded} events retained, {events_dropped} dropped (ring full)"
-    );
+    let _ = writeln!(out, "trace: {retained} events retained, {dropped} dropped (ring full)");
     out
 }
 
 /// Machine-readable run report: one JSON object with metric snapshots
-/// and trace totals, suitable for writing next to experiment outputs.
+/// and the timeline's trace totals, suitable for writing next to
+/// experiment outputs.
 pub(crate) fn report_json(
     label: &str,
     metrics: &[(String, MetricSnapshot)],
-    events_recorded: usize,
-    events_dropped: u64,
+    retained: usize,
+    dropped: u64,
 ) -> String {
     let mut out = String::new();
     let _ = write!(out, "{{\"label\":\"{}\",", json_escape(label));
@@ -178,10 +158,8 @@ pub(crate) fn report_json(
     let _ = write!(out, "\"counters\":{{{}}},", counters.join(","));
     let _ = write!(out, "\"gauges\":{{{}}},", gauges.join(","));
     let _ = write!(out, "\"histograms\":{{{}}},", histograms.join(","));
-    let _ = write!(
-        out,
-        "\"trace\":{{\"events_recorded\":{events_recorded},\"events_dropped\":{events_dropped}}}}}"
-    );
+    let _ =
+        write!(out, "\"trace\":{{\"events_recorded\":{retained},\"events_dropped\":{dropped}}}}}");
     out.push('\n');
     out
 }

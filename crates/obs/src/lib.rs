@@ -2,12 +2,13 @@
 //!
 //! This crate is the observability layer threaded through the playback
 //! pipeline: a lock-cheap metrics registry (counters, gauges,
-//! fixed-bucket histograms), a structured span/event tracer with a
-//! bounded ring buffer, and three exporters (JSONL event dump,
-//! Prometheus-style text exposition, human-readable summary table).
+//! fixed-bucket histograms), an opt-in per-worker [`Timeline`] of stage
+//! intervals in a bounded ring, and the exporters over them (Prometheus
+//! text exposition, a human-readable summary table, a JSON run report,
+//! and the timeline's Chrome trace and exemplar table).
 //!
 //! The entry point is [`Observer`], a cheaply clonable handle that is
-//! either *enabled* (backed by a shared registry + tracer) or a *no-op*
+//! either *enabled* (backed by a shared registry) or a *no-op*
 //! (`Observer::noop()`, the default). Every recording method on a no-op
 //! observer — and on any handle obtained from one — is a branch on an
 //! `Option` that is `None`, so uninstrumented runs pay effectively
@@ -15,45 +16,42 @@
 //! pre-resolved from one) and never needs to know which kind it holds.
 //!
 //! ```
-//! use evr_obs::Observer;
+//! use evr_obs::{Observer, Timeline, TraceCtx};
 //!
-//! let obs = Observer::enabled();
+//! let obs = Observer::enabled().with_timeline(Timeline::bounded(64));
 //! let frames = obs.counter("evr_frames_total");
 //! let latency = obs.histogram("evr_frame_seconds", &[1e-4, 1e-3, 1e-2]);
+//! let tl = obs.timeline();
 //! for frame in 0..3 {
-//!     let _span = obs.span("frame", frame, 0);
+//!     let t0 = tl.now_ns();
 //!     frames.inc();
 //!     latency.observe(2e-4);
+//!     tl.record("frame", TraceCtx::anonymous().with_segment(frame), t0, tl.now_ns());
 //! }
 //! assert_eq!(frames.get(), 3);
 //! assert!(obs.prometheus().contains("evr_frames_total 3"));
-//! assert_eq!(obs.events().len(), 6); // begin + end per frame
+//! assert_eq!(tl.events().len(), 3); // one interval per frame
 //! ```
 
 mod export;
 mod metrics;
 pub mod timeline;
-mod tracer;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot};
 pub use timeline::{Timeline, TimelineEvent, TraceCtx, DEFAULT_TIMELINE_CAPACITY};
-pub use tracer::{Event, EventKind};
 
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-
-/// Default number of trace events retained before the ring overwrites
-/// the oldest.
-pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 /// Default latency bucket bounds in seconds (1 µs .. 100 ms), for
 /// frame-scale processing-time histograms.
 pub const LATENCY_BOUNDS_S: [f64; 15] =
     [1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 5e-2, 1e-1];
 
-/// Canonical metric and span names, so the crates instrumenting the
-/// pipeline and the tests/exporters reading it agree on spelling.
+/// Canonical metric and timeline stage names, so the crates
+/// instrumenting the pipeline and the tests/exporters reading it agree
+/// on spelling.
 pub mod names {
     // Playback session (evr-client).
     pub const FRAMES: &str = "evr_frames_total";
@@ -150,10 +148,9 @@ pub mod names {
         format!("{FLEET_WORKER_BUSY_PREFIX}{worker}")
     }
 
-    // Observability self-monitoring: events lost to the bounded rings.
-    // Mirrored into the registry at snapshot time so every exporter
-    // reports whether the trace is complete.
-    pub const OBS_SPANS_DROPPED: &str = "evr_obs_spans_dropped_total";
+    // Observability self-monitoring: intervals lost to the timeline's
+    // bounded ring. Mirrored into the registry at snapshot time so every
+    // exporter reports whether the trace is complete.
     pub const OBS_TIMELINE_DROPPED: &str = "evr_obs_timeline_events_dropped_total";
 
     // Timeline stage names (crate::timeline). The pipeline stages reuse
@@ -189,66 +186,31 @@ pub mod names {
         name.extend(component.chars().map(|c| c.to_ascii_lowercase()));
         name
     }
-
-    // Span / mark names used by the playback session tracer.
-    pub const SPAN_SEGMENT: &str = "segment";
-    pub const SPAN_FRAME: &str = "frame";
-    pub const SPAN_FOV_CHECK: &str = "fov_check";
-    pub const SPAN_PT: &str = "perspective_transform";
-    pub const MARK_FOV_HIT: &str = "fov_hit";
-    pub const MARK_FOV_MISS: &str = "fov_miss";
-    pub const MARK_REBUFFER: &str = "rebuffer";
-    pub const MARK_DEGRADE: &str = "degrade";
-    pub const MARK_FAULT_TIMEOUT: &str = "fault_timeout";
-    pub const MARK_FRONT_SHED: &str = "front_shed";
-    pub const MARK_FRONT_UNAVAILABLE: &str = "front_unavailable";
-}
-
-#[derive(Debug)]
-struct Inner {
-    registry: metrics::Registry,
-    tracer: tracer::Tracer,
 }
 
 /// Handle to the observability layer: clonable, shareable across
 /// threads, and a no-op by default.
 ///
 /// See the crate docs for usage; construction goes through
-/// [`Observer::enabled`], [`Observer::with_trace_capacity`], or
-/// [`Observer::noop`].
+/// [`Observer::enabled`] or [`Observer::noop`].
 #[derive(Debug, Clone, Default)]
 pub struct Observer {
-    inner: Option<Arc<Inner>>,
+    registry: Option<Arc<metrics::Registry>>,
     /// The per-worker timeline profiler, no-op unless attached with
-    /// [`Observer::with_timeline`]. Lives beside `inner` so the handle
-    /// rides along wherever the observer is threaded.
+    /// [`Observer::with_timeline`]. Lives beside the registry so the
+    /// handle rides along wherever the observer is threaded.
     timeline: Timeline,
 }
 
 impl Observer {
     /// An observer that records nothing and costs (almost) nothing.
     pub fn noop() -> Self {
-        Observer { inner: None, timeline: Timeline::noop() }
+        Observer { registry: None, timeline: Timeline::noop() }
     }
 
-    /// An enabled observer with the default trace capacity.
+    /// An enabled observer: a fresh metrics registry, no timeline.
     pub fn enabled() -> Self {
-        Self::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// An enabled observer retaining at most `capacity` trace events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        Observer {
-            inner: Some(Arc::new(Inner {
-                registry: metrics::Registry::default(),
-                tracer: tracer::Tracer::new(capacity),
-            })),
-            timeline: Timeline::noop(),
-        }
+        Observer { registry: Some(Arc::default()), timeline: Timeline::noop() }
     }
 
     /// This observer with `timeline` attached; subsequent clones share
@@ -270,92 +232,44 @@ impl Observer {
     /// Whether this handle records anything.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.registry.is_some()
     }
 
     /// Resolves (registering on first use) the counter named `name`.
     /// Detached (no-op) when the observer is a no-op.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.inner.as_ref().map(|i| i.registry.counter(name)))
+        Counter(self.registry.as_ref().map(|r| r.counter(name)))
     }
 
     /// Resolves (registering on first use) the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.inner.as_ref().map(|i| i.registry.gauge(name)))
+        Gauge(self.registry.as_ref().map(|r| r.gauge(name)))
     }
 
     /// Resolves (registering on first use) the histogram named `name`
     /// with ascending bucket `bounds`.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        Histogram(self.inner.as_ref().map(|i| i.registry.histogram(name, bounds)))
-    }
-
-    /// Opens a timed span; the guard records `SpanBegin` now and
-    /// `SpanEnd` (with the duration in seconds as its value) on drop.
-    /// Use -1 for `frame`/`segment` when the span is not scoped to one.
-    #[inline]
-    pub fn span(&self, name: &'static str, frame: i64, segment: i64) -> Span {
-        let start_ns = match &self.inner {
-            Some(inner) => {
-                inner.tracer.record(EventKind::SpanBegin, name, frame, segment, 0.0);
-                inner.tracer.now_ns()
-            }
-            None => 0,
-        };
-        Span { inner: self.inner.clone(), name, frame, segment, start_ns }
-    }
-
-    /// Records a point event carrying `value`.
-    #[inline]
-    pub fn mark(&self, name: &'static str, frame: i64, segment: i64, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner.tracer.record(EventKind::Mark, name, frame, segment, value);
-        }
-    }
-
-    /// Trace events in oldest-to-newest order (empty for a no-op).
-    pub fn events(&self) -> Vec<Event> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| i.tracer.events())
-    }
-
-    /// Events overwritten because the trace ring was full.
-    pub fn events_dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.tracer.dropped())
-    }
-
-    /// Maximum number of retained trace events (0 for a no-op).
-    pub fn trace_capacity(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.tracer.capacity())
+        Histogram(self.registry.as_ref().map(|r| r.histogram(name, bounds)))
     }
 
     /// Name-sorted snapshot of every registered metric (empty for a
     /// no-op).
     ///
-    /// Ring-buffer losses are mirrored into the registry here
-    /// ([`names::OBS_SPANS_DROPPED`], and
-    /// [`names::OBS_TIMELINE_DROPPED`] when a timeline is attached), so
-    /// every exporter reports whether the trace window is complete
-    /// instead of dropping events silently.
+    /// When a timeline is attached, its ring losses are mirrored into
+    /// the registry here ([`names::OBS_TIMELINE_DROPPED`]), so every
+    /// exporter reports whether the trace window is complete instead of
+    /// dropping intervals silently.
     pub fn metrics(&self) -> Vec<(String, MetricSnapshot)> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| {
-            let raise_to = |name: &str, value: u64| {
-                let c = i.registry.counter(name);
-                let cur = c.get();
-                if value > cur {
-                    c.add(value - cur);
-                }
-            };
-            raise_to(names::OBS_SPANS_DROPPED, i.tracer.dropped());
+        self.registry.as_ref().map_or_else(Vec::new, |r| {
             if self.timeline.is_enabled() {
-                raise_to(names::OBS_TIMELINE_DROPPED, self.timeline.dropped());
+                let c = r.counter(names::OBS_TIMELINE_DROPPED);
+                let (dropped, cur) = (self.timeline.dropped(), c.get());
+                if dropped > cur {
+                    c.add(dropped - cur);
+                }
             }
-            i.registry.snapshot()
+            r.snapshot()
         })
-    }
-
-    /// Trace events as JSON Lines, one object per event.
-    pub fn jsonl(&self) -> String {
-        export::events_jsonl(&self.events())
     }
 
     /// Prometheus-style text exposition of every registered metric.
@@ -363,44 +277,26 @@ impl Observer {
         export::prometheus(&self.metrics())
     }
 
-    /// Human-readable end-of-run summary table.
+    /// Human-readable end-of-run summary table; its `trace:` line
+    /// counts the attached timeline's retained and dropped intervals.
     pub fn summary(&self) -> String {
-        export::summary(&self.metrics(), self.events().len(), self.events_dropped())
+        export::summary(&self.metrics(), self.timeline.retained(), self.timeline.dropped())
     }
 
-    /// Machine-readable run report as a single JSON object.
+    /// Machine-readable run report as a single JSON object; its `trace`
+    /// section counts the attached timeline's intervals.
     pub fn report_json(&self, label: &str) -> String {
-        export::report_json(label, &self.metrics(), self.events().len(), self.events_dropped())
-    }
-
-    /// Writes [`Observer::jsonl`] to `path`.
-    pub fn write_jsonl(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.jsonl())
+        export::report_json(
+            label,
+            &self.metrics(),
+            self.timeline.retained(),
+            self.timeline.dropped(),
+        )
     }
 
     /// Writes [`Observer::report_json`] to `path`.
     pub fn write_report(&self, path: impl AsRef<Path>, label: &str) -> io::Result<()> {
         std::fs::write(path, self.report_json(label))
-    }
-}
-
-/// Guard for a timed pipeline stage; see [`Observer::span`].
-#[derive(Debug)]
-pub struct Span {
-    inner: Option<Arc<Inner>>,
-    name: &'static str,
-    frame: i64,
-    segment: i64,
-    start_ns: u64,
-}
-
-impl Drop for Span {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(inner) = &self.inner {
-            let elapsed_s = inner.tracer.now_ns().saturating_sub(self.start_ns) as f64 / 1e9;
-            inner.tracer.record(EventKind::SpanEnd, self.name, self.frame, self.segment, elapsed_s);
-        }
     }
 }
 
@@ -415,11 +311,10 @@ mod tests {
         c.add(10);
         obs.gauge("g").set(1.0);
         obs.histogram("h", &[1.0]).observe(0.5);
-        obs.mark("m", 0, 0, 1.0);
-        drop(obs.span("s", 0, 0));
+        obs.timeline().record("s", TraceCtx::anonymous(), 0, 1);
         assert_eq!(c.get(), 0);
         assert!(obs.metrics().is_empty());
-        assert!(obs.events().is_empty());
+        assert!(obs.timeline().events().is_empty());
         assert!(!obs.is_enabled());
         assert!(obs.prometheus().is_empty());
     }
@@ -504,36 +399,28 @@ mod tests {
         a.inc();
         b.inc();
         assert_eq!(a.get(), 2);
-        // One entry for "shared" plus the self-monitoring drop counter
-        // mirrored in at snapshot time.
-        let metrics = obs.metrics();
-        assert_eq!(metrics.iter().filter(|(n, _)| n == "shared").count(), 1);
-        assert_eq!(metrics.len(), 2);
+        assert_eq!(obs.metrics(), vec![("shared".to_string(), MetricSnapshot::Counter(2))]);
     }
 
     #[test]
     fn snapshot_mirrors_ring_drops_as_counters() {
-        let obs = Observer::with_trace_capacity(2);
-        for i in 0..5 {
-            obs.mark("m", i, -1, 0.0);
-        }
-        assert_eq!(obs.counter(names::OBS_SPANS_DROPPED).get(), 0, "not yet snapshotted");
-        let _ = obs.metrics();
-        assert_eq!(obs.counter(names::OBS_SPANS_DROPPED).get(), 3);
-        // Repeated snapshots don't double-count.
-        let _ = obs.metrics();
-        assert_eq!(obs.counter(names::OBS_SPANS_DROPPED).get(), 3);
         // No timeline attached: its drop counter is not registered.
+        let obs = Observer::enabled();
         assert!(obs.metrics().iter().all(|(n, _)| n != names::OBS_TIMELINE_DROPPED));
 
         let timed = Observer::enabled().with_timeline(Timeline::bounded(2));
         for _ in 0..7 {
             timed.timeline().record("s", TraceCtx::anonymous(), 0, 1);
         }
+        let dropped = timed.counter(names::OBS_TIMELINE_DROPPED);
+        assert_eq!(dropped.get(), 0, "not yet snapshotted");
         let metrics = timed.metrics();
         assert!(metrics
             .iter()
             .any(|(n, s)| n == names::OBS_TIMELINE_DROPPED && *s == MetricSnapshot::Counter(5)));
+        // Repeated snapshots don't double-count.
+        let _ = timed.metrics();
+        assert_eq!(dropped.get(), 5);
         assert!(timed.prometheus().contains("evr_obs_timeline_events_dropped_total 5"));
     }
 
@@ -545,56 +432,6 @@ mod tests {
         let clone = obs.clone();
         clone.timeline().record("s", TraceCtx::for_user(1), 0, 10);
         assert_eq!(obs.timeline().events().len(), 1);
-    }
-
-    #[test]
-    fn ring_buffer_wraps_and_counts_drops() {
-        let obs = Observer::with_trace_capacity(4);
-        for i in 0..10 {
-            obs.mark("m", i, -1, i as f64);
-        }
-        let events = obs.events();
-        assert_eq!(events.len(), 4);
-        // Oldest-to-newest order, holding the newest window (frames 6..9).
-        let frames: Vec<i64> = events.iter().map(|e| e.frame).collect();
-        assert_eq!(frames, vec![6, 7, 8, 9]);
-        assert_eq!(obs.events_dropped(), 6);
-        assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-    }
-
-    #[test]
-    fn spans_emit_paired_events_with_duration() {
-        let obs = Observer::enabled();
-        {
-            let _outer = obs.span("outer", 3, 7);
-            obs.mark("inside", 3, 7, 42.0);
-        }
-        let events = obs.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, EventKind::SpanBegin);
-        assert_eq!(events[0].name, "outer");
-        assert_eq!(events[1].kind, EventKind::Mark);
-        assert_eq!(events[1].value, 42.0);
-        assert_eq!(events[2].kind, EventKind::SpanEnd);
-        assert_eq!((events[2].frame, events[2].segment), (3, 7));
-        assert!(events[2].value >= 0.0);
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_event() {
-        let obs = Observer::enabled();
-        obs.mark("a", 0, 1, 2.5);
-        drop(obs.span("b", -1, -1));
-        let jsonl = obs.jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            assert!(line.starts_with('{') && line.ends_with('}'), "bad line: {line}");
-        }
-        assert!(lines[0].contains("\"kind\":\"mark\""));
-        assert!(lines[0].contains("\"value\":2.5"));
-        assert!(lines[1].contains("\"kind\":\"span_begin\""));
-        assert!(lines[2].contains("\"kind\":\"span_end\""));
     }
 
     #[test]
@@ -614,20 +451,28 @@ mod tests {
         assert!(text.contains("h_count 1\n"));
     }
 
+    /// An observer whose attached two-slot timeline saw five intervals.
+    fn observer_with_overflowed_timeline() -> Observer {
+        let obs = Observer::enabled().with_timeline(Timeline::bounded(2));
+        for i in 0..5 {
+            obs.timeline().record("s", TraceCtx::for_user(i), 0, 1);
+        }
+        obs
+    }
+
     #[test]
     fn summary_lists_every_metric_and_trace_totals() {
-        let obs = Observer::with_trace_capacity(2);
+        let obs = observer_with_overflowed_timeline();
         obs.counter("frames").add(12);
         obs.gauge("joules").set(0.25);
         obs.histogram("lat", &[1.0]).observe(0.5);
-        for i in 0..5 {
-            obs.mark("m", i, -1, 0.0);
-        }
         let s = obs.summary();
         assert!(s.contains("frames"));
         assert!(s.contains("joules"));
         assert!(s.contains("lat"));
         assert!(s.contains("2 events retained, 3 dropped"));
+        // Without a timeline there is no event record to count.
+        assert!(Observer::enabled().summary().contains("0 events retained, 0 dropped"));
     }
 
     #[test]
@@ -638,12 +483,17 @@ mod tests {
         obs.histogram("h", &[1.0]).observe(2.0);
         let report = obs.report_json("unit \"test\"");
         assert!(report.contains("\"label\":\"unit \\\"test\\\"\""));
-        assert!(report.contains("\"counters\":{\"c\":1,\"evr_obs_spans_dropped_total\":0}"));
+        assert!(report.contains("\"counters\":{\"c\":1}"));
         assert!(report.contains("\"gauges\":{\"g\":1}"));
         assert!(report.contains("\"mean\":2"));
         assert!(report.contains("\"overflow\":1"));
         assert!(report.contains("\"trace\":{\"events_recorded\":0,\"events_dropped\":0}"));
+        assert!(!report.contains("evr_obs_spans_dropped_total"));
         assert!(report.ends_with("}\n"));
+
+        let timed = observer_with_overflowed_timeline().report_json("timed");
+        assert!(timed.contains("\"evr_obs_timeline_events_dropped_total\":3"));
+        assert!(timed.contains("\"trace\":{\"events_recorded\":2,\"events_dropped\":3}"));
     }
 
     #[test]
@@ -652,8 +502,6 @@ mod tests {
         let clone = obs.clone();
         clone.counter("shared").inc();
         assert_eq!(obs.counter("shared").get(), 1);
-        clone.mark("m", 0, 0, 0.0);
-        assert_eq!(obs.events().len(), 1);
     }
 
     #[test]

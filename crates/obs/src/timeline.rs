@@ -17,10 +17,10 @@
 //! slowest-N exemplar table possible: not just "p99 of fetch is 4 ms"
 //! but "the worst fetch was 4 ms, for user 17, segment 3, request 2041".
 //!
-//! Like the event tracer, the ring is bounded: a long run degrades to
-//! the newest window plus a drop count, never unbounded memory. The
-//! whole module follows the crate's no-op discipline — a
-//! [`Timeline::noop`] handle makes every recording call a `None` branch.
+//! The ring is bounded: a long run degrades to the newest window plus a
+//! drop count, never unbounded memory. The whole module follows the
+//! crate's no-op discipline — a [`Timeline::noop`] handle makes every
+//! recording call a `None` branch.
 
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -38,7 +38,7 @@ pub const DEFAULT_TIMELINE_CAPACITY: usize = 262_144;
 ///
 /// `Copy` and three words wide, so it is threaded by value through the
 /// pipeline stages with no allocation. `-1` / `0` mean "not scoped":
-/// a fleet-level span has no segment, an un-traced request no id.
+/// a fleet-level interval has no segment, an un-traced request no id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCtx {
     /// User index the work belongs to, or -1 when not user-scoped.
@@ -206,21 +206,6 @@ impl Timeline {
         }
     }
 
-    /// Records one interval on an explicit worker lane.
-    #[inline]
-    pub fn record_on(
-        &self,
-        worker: u32,
-        stage: &'static str,
-        ctx: TraceCtx,
-        start_ns: u64,
-        end_ns: u64,
-    ) {
-        if let Some(inner) = &self.inner {
-            inner.push(TimelineEvent { worker, stage, start_ns, end_ns, ctx });
-        }
-    }
-
     /// Recorded events in oldest-to-newest order (empty for a no-op).
     pub fn events(&self) -> Vec<TimelineEvent> {
         self.inner.as_ref().map_or_else(Vec::new, |i| {
@@ -234,6 +219,11 @@ impl Timeline {
                 out
             }
         })
+    }
+
+    /// Number of events the ring holds now (0 for a no-op).
+    pub(crate) fn retained(&self) -> usize {
+        self.inner.as_ref().map_or(0, |i| i.ring.lock().expect("timeline ring poisoned").len)
     }
 
     /// Events overwritten because the ring was full.

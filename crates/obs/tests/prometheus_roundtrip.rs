@@ -65,13 +65,11 @@ proptest! {
         }
 
         // No phantom metrics: every # TYPE line corresponds to a
-        // registered name (or the self-monitoring drop counter the
-        // snapshot mirrors in).
+        // registered name.
         for line in text.lines().filter(|l| l.starts_with("# TYPE ")) {
             let declared = line.split_whitespace().nth(2).expect("TYPE line has a name");
             prop_assert!(
-                declared == evr_obs::names::OBS_SPANS_DROPPED
-                    || names.iter().any(|(n, _)| n == declared),
+                names.iter().any(|(n, _)| n == declared),
                 "unregistered metric {} in exposition", declared
             );
         }

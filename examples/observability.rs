@@ -1,15 +1,16 @@
 //! Observability — tracing and metrics threaded through the pipeline.
 //!
 //! Runs one online-streaming session per variant with a live
-//! [`evr_obs::Observer`] attached, prints the per-variant metric summary
-//! (FOV outcomes, PTE cycle stats, per-component energy gauges) and
-//! writes each variant's span/event trace as JSONL.
+//! [`evr_obs::Observer`] and worker timeline attached, prints the
+//! per-variant metric summary (FOV outcomes, PTE cycle stats,
+//! per-component energy gauges) and writes each variant's run report,
+//! including its stage intervals as a Chrome trace.
 //!
 //! ```sh
 //! cargo run --release -p evr-core --example observability
 //! ```
 
-use evr_core::{EvrSystem, UseCase, Variant};
+use evr_core::{write_run_report, EvrSystem, UseCase, Variant};
 use evr_obs::names;
 use evr_sas::SasConfig;
 use evr_video::library::VideoId;
@@ -19,7 +20,6 @@ fn main() {
     let duration = 6.0;
     let user = 3;
     let out_dir = std::env::temp_dir().join("evr-observability");
-    std::fs::create_dir_all(&out_dir).expect("create trace dir");
 
     println!("== ingesting {video} ({duration} s) ==");
     let mut system = EvrSystem::build(video, SasConfig::default(), duration);
@@ -27,7 +27,8 @@ fn main() {
     for variant in [Variant::Baseline, Variant::S, Variant::H, Variant::SPlusH] {
         // One fresh observer per variant: each summary and trace covers
         // exactly one session.
-        let obs = evr_obs::Observer::enabled();
+        let timeline = evr_obs::Timeline::bounded(evr_obs::DEFAULT_TIMELINE_CAPACITY);
+        let obs = evr_obs::Observer::enabled().with_timeline(timeline.clone());
         system.instrument(&obs);
         let report = system.run_user_in(UseCase::OnlineStreaming, variant, user);
 
@@ -46,9 +47,9 @@ fn main() {
         let fallback = obs.counter(names::FALLBACK_FRAMES).get();
         println!("fov hits {hits}, fallback frames {fallback}");
 
-        let trace = out_dir.join(format!("{video:?}-{variant}.trace.jsonl").replace('+', "_"));
-        obs.write_jsonl(&trace).expect("write JSONL trace");
-        let lines = std::fs::read_to_string(&trace).unwrap().lines().count();
-        println!("trace: {} ({lines} events)", trace.display());
+        let (report, _) = write_run_report(&obs, &format!("{video:?}-{variant}"), &out_dir)
+            .expect("write run report");
+        let trace = report.with_extension("").with_extension("trace_events.json");
+        println!("trace: {} ({} intervals)", trace.display(), timeline.events().len());
     }
 }
