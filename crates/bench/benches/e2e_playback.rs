@@ -4,14 +4,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evr_client::session::{ContentPath, PlaybackSession, Renderer, SessionConfig};
-use evr_sas::{ingest_video, SasConfig, SasServer};
+use evr_sas::{ingest_video_with, IngestOptions, SasConfig, SasServer};
 use evr_trace::behavior::{generate_user_trace, params_for};
 use evr_video::library::{scene_for, VideoId};
 
 fn bench_playback(c: &mut Criterion) {
     let scene = scene_for(VideoId::Rhino);
     let sas = SasConfig::tiny_for_tests();
-    let server = SasServer::new(ingest_video(&scene, &sas, 4.0));
+    let catalog = ingest_video_with(&scene, &sas, 4.0, &IngestOptions::default());
+    let server = SasServer::new(catalog.expect("tiny config ingests"));
     let trace = generate_user_trace(&scene, &params_for(VideoId::Rhino), 5, 4.0, 30.0);
 
     let mut group = c.benchmark_group("e2e_playback_4s");

@@ -9,7 +9,7 @@ use evr_bench::{header, scale_from_args};
 use evr_client::abr::{simulate_abr, AbrPolicy, BandwidthTrace};
 use evr_core::EvrSystem;
 use evr_math::EulerAngles;
-use evr_sas::ingest_ladder;
+use evr_sas::ingest_ladder_with;
 use evr_video::library::{scene_for, VideoId};
 
 fn main() {
@@ -18,7 +18,9 @@ fn main() {
     header("Ablation", "ABR on a fluctuating 4G-class link (video: Rhino)");
 
     // Real rung sizes for the original stream (coarsest first).
-    let ladder = ingest_ladder(&scene_for(video), &scale.sas, &[24, 16, 10], scale.duration_s);
+    let ladder =
+        ingest_ladder_with(&scene_for(video), &scale.sas, &[24, 16, 10], scale.duration_s, 0)
+            .unwrap_or_else(|e| panic!("ladder ingest failed: {e}"));
     eprintln!(
         "rung bitrates: {:.1} / {:.1} / {:.1} Mbps",
         ladder.rung_bitrate_bps(0) / 1e6,
@@ -38,7 +40,7 @@ fn main() {
                 .or_else(|| catalog.clusters_in_segment(seg).first().copied());
             match cluster {
                 Some(c) => vec![catalog.fov_target_bytes(catalog.fov_stream(seg, c).unwrap())],
-                None => vec![catalog.original_target_bytes(seg)],
+                None => vec![catalog.original_target_bytes(seg).expect("segment in range")],
             }
         })
         .collect();

@@ -43,7 +43,6 @@ use evr_bench::scaling::{
     simulate_chunked_makespan, simulate_interleave_makespan, stage_scaling, ScalingPoint,
     ScalingSummary,
 };
-use evr_client::pipeline::CleanTransport;
 use evr_client::refine::run_refinement_session;
 use evr_energy::DeviceParams;
 use evr_obs::{names, Observer, Timeline, TimelineEvent, DEFAULT_TIMELINE_CAPACITY};
@@ -370,7 +369,7 @@ fn main() {
     let device = DeviceParams::default();
     let play = |ladder: FovPrerenderStore| {
         let server = SasServer::with_store(cold.clone(), ladder);
-        run_refinement_session(&CleanTransport, &server, &picks, rungs[0], &device)
+        run_refinement_session(&server, &picks, rungs[0], false, &device)
             .expect("refinement session over the bench catalog")
     };
     let ladder_parity = play(full_ladder) == play(delta_ladder);
@@ -412,11 +411,13 @@ fn main() {
     // Full bitrate ladder: the content provider's ABR encode of the same
     // upload, serial vs parallel, byte-identical like every fan-out.
     let start = Instant::now();
-    let ladder_serial = ingest_ladder_with(&scene, &cfg, LADDER_RUNGS, args.duration_s, 1);
+    let ladder_serial = ingest_ladder_with(&scene, &cfg, LADDER_RUNGS, args.duration_s, 1)
+        .expect("bench ladder ingests");
     let ladder_serial_s = start.elapsed().as_secs_f64();
     let start = Instant::now();
     let ladder_parallel =
-        ingest_ladder_with(&scene, &cfg, LADDER_RUNGS, args.duration_s, args.max_workers);
+        ingest_ladder_with(&scene, &cfg, LADDER_RUNGS, args.duration_s, args.max_workers)
+            .expect("bench ladder ingests");
     let ladder_parallel_s = start.elapsed().as_secs_f64();
     let ladder = LadderResult {
         rungs: LADDER_RUNGS.len(),

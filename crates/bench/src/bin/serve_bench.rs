@@ -29,8 +29,8 @@ use evr_bench::header;
 use evr_faults::FrontProfile;
 use evr_obs::{Observer, Timeline, DEFAULT_TIMELINE_CAPACITY};
 use evr_sas::{
-    ingest_video, BatchReport, FovPrerenderStore, FrontRequest, Request, SasCatalog, SasConfig,
-    SasFront, SasServer,
+    ingest_video_with, BatchReport, FovPrerenderStore, FrontRequest, IngestOptions, Request,
+    SasCatalog, SasConfig, SasFront, SasServer,
 };
 use evr_video::library::{scene_for, VideoId};
 
@@ -241,7 +241,10 @@ fn main() {
         args.requests, args.factor, args.seed, args.workers
     );
 
-    let catalog = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0);
+    let cfg = SasConfig::tiny_for_tests();
+    let catalog =
+        ingest_video_with(&scene_for(VideoId::Rhino), &cfg, 1.0, &IngestOptions::default())
+            .expect("tiny config ingests");
     let requests = storm(&catalog, &args);
 
     let parity_ok = parity_check(&catalog, &args, &requests);

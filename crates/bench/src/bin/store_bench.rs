@@ -9,10 +9,10 @@
 //! the delta store reconstructs bit-identically to the full store's,
 //! for any worker count. On the wire side it replays a per-user
 //! coarse-then-upgrade refinement session ([`run_refinement_session`])
-//! once over the full wire and once over the delta wire
-//! ([`DeltaWire`]), pinning that the played-out content digests match
-//! while the delta arm moves fewer upgrade bytes and visibly charges
-//! the on-device reconstruction to the energy ledger.
+//! once over the full wire and once over the delta wire, pinning that
+//! the played-out content digests match while the delta arm moves fewer
+//! upgrade bytes and visibly charges the on-device reconstruction to
+//! the energy ledger.
 //!
 //! Emits `BENCH_store.json`; `bench_gate` pins `resident_reduction`
 //! and `wire_reduction` against `benches/baselines/store.json`. Both
@@ -27,7 +27,6 @@
 use std::time::Instant;
 
 use evr_bench::header;
-use evr_client::pipeline::{CleanTransport, DeltaWire};
 use evr_client::refine::run_refinement_session;
 use evr_energy::{Activity, DeviceParams};
 use evr_sas::{
@@ -169,16 +168,10 @@ fn run_wire(server: &SasServer, coarse_quantizer: u8) -> WireResult {
         .filter_map(|s| catalog.clusters_in_segment(s).first().map(|&c| (s, c)))
         .collect();
     let device = DeviceParams::default();
-    let full = run_refinement_session(&CleanTransport, server, &picks, coarse_quantizer, &device)
+    let full = run_refinement_session(server, &picks, coarse_quantizer, false, &device)
         .expect("full-wire refinement session");
-    let delta = run_refinement_session(
-        &DeltaWire(CleanTransport),
-        server,
-        &picks,
-        coarse_quantizer,
-        &device,
-    )
-    .expect("delta-wire refinement session");
+    let delta = run_refinement_session(server, &picks, coarse_quantizer, true, &device)
+        .expect("delta-wire refinement session");
 
     let delta_reconstruct_j = delta.ledger.activity_total(Activity::DeltaReconstruct);
     let parity_ok = full.content_digest == delta.content_digest

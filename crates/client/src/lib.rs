@@ -18,17 +18,19 @@
 //!
 //! ```
 //! use evr_client::session::{ContentPath, PlaybackSession, Renderer, SessionConfig};
-//! use evr_sas::{ingest_video, SasConfig, SasServer};
+//! use evr_sas::{ingest_video_with, IngestOptions, SasConfig, SasServer};
 //! use evr_trace::behavior::{generate_user_trace, params_for};
 //! use evr_video::library::{scene_for, VideoId};
 //!
 //! let scene = scene_for(VideoId::Rs);
-//! let server = SasServer::new(ingest_video(&scene, &SasConfig::tiny_for_tests(), 1.0));
+//! let sas = SasConfig::tiny_for_tests();
+//! let server = SasServer::new(ingest_video_with(&scene, &sas, 1.0, &IngestOptions::default())?);
 //! let trace = generate_user_trace(&scene, &params_for(VideoId::Rs), 0, 1.0, 30.0);
-//! let cfg = SessionConfig::new(ContentPath::OnlineSas, Renderer::Pte, SasConfig::tiny_for_tests());
+//! let cfg = SessionConfig::new(ContentPath::OnlineSas, Renderer::Pte, sas);
 //! let report = PlaybackSession::new(cfg).run(&server, &trace);
 //! assert!(report.frames_total > 0);
 //! assert!(report.ledger.total() > 0.0);
+//! # Ok::<(), evr_sas::IngestError>(())
 //! ```
 
 pub mod abr;
@@ -40,8 +42,8 @@ pub mod session;
 pub use abr::{allocate_tile_rungs, TileAllocation};
 pub use network::NetworkModel;
 pub use pipeline::{
-    CleanTransport, DeltaWire, FaultedTransport, FovPassthrough, GpuBackend, PteBackend,
-    RenderBackend, SegmentLink, StageIo, Transport,
+    CleanTransport, FaultedTransport, FovPassthrough, GpuBackend, PteBackend, RenderBackend,
+    SegmentLink, StageIo, Transport,
 };
 pub use refine::{fetch_fov_refined, run_refinement_session, RefineReport, RefinedFetch};
 pub use session::{

@@ -212,57 +212,6 @@ pub trait Transport {
     fn front_gate(&mut self, _media_t: f64, _stall_s: f64, _seg: u32, _content: u64) -> FrontGate {
         FrontGate::Serve { queue_delay_s: 0.0 }
     }
-
-    /// Whether this transport moves delta representations on the wire
-    /// (DESIGN.md §16): FOV upgrades arrive as sparse residuals against
-    /// the rung the client already holds whenever the server's delta is
-    /// smaller, and the client pays the reconstruction energy. Off by
-    /// default — every stock transport ships full encodings, and
-    /// playback reports are pinned bit-identical either way.
-    fn delta_wire(&self) -> bool {
-        false
-    }
-}
-
-/// Opts any transport into the delta wire format
-/// ([`Transport::delta_wire`]) without changing its link, fault or
-/// admission behaviour.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeltaWire<T>(pub T);
-
-impl<T: Transport> Transport for DeltaWire<T> {
-    const PER_SEGMENT_WIRE: bool = T::PER_SEGMENT_WIRE;
-
-    fn segment_link(&mut self, base: &NetworkModel, media_t: f64, stall_s: f64) -> SegmentLink {
-        self.0.segment_link(base, media_t, stall_s)
-    }
-
-    fn fetch(
-        &mut self,
-        io: &mut StageIo<'_>,
-        link: &SegmentLink,
-        media_t: f64,
-        seg: u32,
-        wire_payload: u64,
-    ) -> bool {
-        self.0.fetch(io, link, media_t, seg, wire_payload)
-    }
-
-    fn corrupts(&mut self, seg: u32) -> bool {
-        self.0.corrupts(seg)
-    }
-
-    fn low_rung_scale(&self) -> f64 {
-        self.0.low_rung_scale()
-    }
-
-    fn front_gate(&mut self, media_t: f64, stall_s: f64, seg: u32, content: u64) -> FrontGate {
-        self.0.front_gate(media_t, stall_s, seg, content)
-    }
-
-    fn delta_wire(&self) -> bool {
-        true
-    }
 }
 
 /// A fault-free network (or local storage): every request is served
@@ -678,11 +627,13 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         for seg in 0..catalog.segment_count() {
             let mut ctx = self.ctx.with_segment(seg as i64);
             m.segments.inc();
-            let original = catalog.original_segment(seg);
+            let original = catalog
+                .try_original_segment(seg)
+                .expect("every segment below segment_count has an original");
             let n = original.frames.len() as u64;
             let seg_start_t = original.start_index as f64 / FPS;
             let seg_duration = n as f64 / FPS;
-            let orig_bytes = catalog.original_target_bytes(seg);
+            let orig_bytes = original.scaled_bytes(catalog.config().src_byte_scale());
 
             // plan: sample the segment's link; pick the FOV stream, or
             // classify the tiles against the selection pose and allocate

@@ -3,13 +3,13 @@
 //! The device-side half of DESIGN.md §16: a client opens each segment on
 //! a coarse FOV rung ([`SasServer::fetch_fov_rung`]) and upgrades to the
 //! top rung before scan-out ([`SasServer::fetch_fov_upgrade`]). A
-//! transport that opts into the delta wire ([`Transport::delta_wire`],
-//! e.g. [`DeltaWire`]) receives the upgrade as sparse quantised-residual
-//! deltas against the rung it already holds whenever the server's delta
-//! is smaller at target scale; the client then reconstructs the top rung
-//! bit-exactly and the reconstruction work — byte-proportional codec
-//! effort plus a DRAM pass over the residual stream — is charged to the
-//! energy ledger under [`Activity::DeltaReconstruct`]. With the delta
+//! session on the delta wire (`delta_wire: true`) receives the upgrade
+//! as sparse quantised-residual deltas against the rung it already holds
+//! whenever the server's delta is smaller at target scale; the client
+//! then reconstructs the top rung bit-exactly and the reconstruction
+//! work — byte-proportional codec effort plus a DRAM pass over the
+//! residual stream — is charged to the energy ledger under
+//! [`Activity::DeltaReconstruct`]. With the delta
 //! wire off the session shape is identical but every upgrade moves the
 //! full top encoding, which is what makes the two arms comparable
 //! byte-for-byte and bit-for-bit ([`RefineReport::content_digest`]).
@@ -18,14 +18,12 @@
 //! coarse rung is a transcode of it and the upgrade a one-pass delta from
 //! it. The server keeps no lower rung in its store, so neither answer
 //! depends on what the store holds.
-//!
-//! [`DeltaWire`]: crate::pipeline::DeltaWire
 
 use evr_energy::{Activity, Component, DeviceParams, EnergyLedger};
 use evr_sas::{SasError, SasServer};
 use evr_video::delta::{segment_digest, SegmentRepr};
 
-use crate::pipeline::{account_decode, Transport};
+use crate::pipeline::account_decode;
 
 /// Byte accounting and integrity digest of one coarse-then-upgrade
 /// fetch.
@@ -45,18 +43,19 @@ pub struct RefinedFetch {
 }
 
 /// Fetches `(segment, cluster)` coarse-first and upgrades to the top
-/// rung, charging wire, decode and (for delta upgrades) reconstruction
-/// energy to `ledger`.
+/// rung, as a delta when `delta_wire` is set and the server's delta is
+/// smaller, charging wire, decode and (for delta upgrades)
+/// reconstruction energy to `ledger`.
 ///
 /// # Errors
 ///
 /// Propagates the server's typed lookup errors.
-pub fn fetch_fov_refined<T: Transport>(
-    transport: &T,
+pub fn fetch_fov_refined(
     server: &SasServer,
     segment: u32,
     cluster: usize,
     coarse_quantizer: u8,
+    delta_wire: bool,
     device: &DeviceParams,
     ledger: &mut EnergyLedger,
 ) -> Result<RefinedFetch, SasError> {
@@ -69,8 +68,7 @@ pub fn fetch_fov_refined<T: Transport>(
     account_rx(device, ledger, coarse_wire_bytes);
     account_decode(device, ledger, segment_px, coarse_wire_bytes);
 
-    let upgrade =
-        server.fetch_fov_upgrade(segment, cluster, coarse_quantizer, transport.delta_wire())?;
+    let upgrade = server.fetch_fov_upgrade(segment, cluster, coarse_quantizer, delta_wire)?;
     account_rx(device, ledger, upgrade.wire_bytes);
     let (top, via_delta) = match upgrade.repr {
         SegmentRepr::Full(full) => (full, false),
@@ -124,16 +122,17 @@ pub struct RefineReport {
     pub content_digest: u64,
 }
 
-/// Runs a refinement session over `picks`, in order.
+/// Runs a refinement session over `picks`, in order, on the delta wire
+/// when `delta_wire` is set (see [`fetch_fov_refined`]).
 ///
 /// # Errors
 ///
 /// Propagates the first lookup error.
-pub fn run_refinement_session<T: Transport>(
-    transport: &T,
+pub fn run_refinement_session(
     server: &SasServer,
     picks: &[(u32, usize)],
     coarse_quantizer: u8,
+    delta_wire: bool,
     device: &DeviceParams,
 ) -> Result<RefineReport, SasError> {
     let mut ledger = EnergyLedger::new();
@@ -149,11 +148,11 @@ pub fn run_refinement_session<T: Transport>(
     };
     for &(segment, cluster) in picks {
         let fetched = fetch_fov_refined(
-            transport,
             server,
             segment,
             cluster,
             coarse_quantizer,
+            delta_wire,
             device,
             &mut ledger,
         )?;
@@ -181,12 +180,16 @@ fn account_rx(device: &DeviceParams, ledger: &mut EnergyLedger, bytes: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{CleanTransport, DeltaWire};
-    use evr_sas::{fov_rung_quantizers, ingest_video, FovPrerenderStore, SasConfig};
+    use evr_sas::{
+        fov_rung_quantizers, ingest_video_with, FovPrerenderStore, IngestOptions, SasConfig,
+    };
     use evr_video::library::{scene_for, VideoId};
 
     fn server() -> SasServer {
-        let catalog = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0);
+        let cfg = SasConfig::tiny_for_tests();
+        let catalog =
+            ingest_video_with(&scene_for(VideoId::Rhino), &cfg, 1.0, &IngestOptions::default())
+                .expect("tiny config ingests");
         SasServer::with_store(catalog, FovPrerenderStore::new())
     }
 
@@ -204,11 +207,8 @@ mod tests {
         let coarse_q = fov_rung_quantizers(server.catalog().config())[0];
         let device = DeviceParams::default();
 
-        let full =
-            run_refinement_session(&CleanTransport, &server, &picks, coarse_q, &device).unwrap();
-        let delta =
-            run_refinement_session(&DeltaWire(CleanTransport), &server, &picks, coarse_q, &device)
-                .unwrap();
+        let full = run_refinement_session(&server, &picks, coarse_q, false, &device).unwrap();
+        let delta = run_refinement_session(&server, &picks, coarse_q, true, &device).unwrap();
 
         // Same shape, bit-identical played-out content.
         assert_eq!(full.segments, delta.segments);
@@ -241,7 +241,7 @@ mod tests {
         let server = server();
         let device = DeviceParams::default();
         let mut ledger = EnergyLedger::new();
-        let err = fetch_fov_refined(&CleanTransport, &server, 999, 0, 30, &device, &mut ledger);
+        let err = fetch_fov_refined(&server, 999, 0, 30, false, &device, &mut ledger);
         assert_eq!(err, Err(SasError::UnknownSegment { segment: 999 }));
     }
 }

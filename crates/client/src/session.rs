@@ -459,17 +459,24 @@ pub fn segment_wire_bytes(segment: &EncodedSegment, scale: f64) -> u64 {
     segment.frames.iter().map(|f| frame_wire_bytes(f, scale)).sum()
 }
 
+/// `secs` seconds of `scene` ingested under `sas`: the catalog the
+/// session tests play against.
+#[cfg(test)]
+fn ingest(scene: &evr_video::Scene, sas: &SasConfig, secs: f64) -> evr_sas::SasCatalog {
+    evr_sas::ingest_video_with(scene, sas, secs, &evr_sas::IngestOptions::default())
+        .expect("valid config")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use evr_energy::{Activity, Component};
-    use evr_sas::{ingest_video, SasConfig};
     use evr_trace::behavior::{generate_user_trace, params_for};
     use evr_video::library::{scene_for, VideoId};
 
     fn setup(video: VideoId, secs: f64) -> (SasServer, HeadTrace) {
         let scene = scene_for(video);
-        let server = SasServer::new(ingest_video(&scene, &SasConfig::tiny_for_tests(), secs));
+        let server = SasServer::new(ingest(&scene, &SasConfig::tiny_for_tests(), secs));
         let trace = generate_user_trace(&scene, &params_for(video), 3, secs, 30.0);
         (server, trace)
     }
@@ -532,7 +539,7 @@ mod tests {
         // A user who stares at the herd never misses; SAS then streams
         // only the (smaller) FOV videos — the Fig. 13 bandwidth effect.
         let scene = scene_for(VideoId::Rhino);
-        let server = SasServer::new(ingest_video(&scene, &SasConfig::tiny_for_tests(), 2.0));
+        let server = SasServer::new(ingest(&scene, &SasConfig::tiny_for_tests(), 2.0));
         let herd = scene.objects()[0].position(0.0);
         let s = evr_math::SphericalCoord::from_vector(herd).unwrap();
         let pose = evr_math::EulerAngles::new(s.lon, s.lat, evr_math::Radians(0.0));
@@ -563,7 +570,7 @@ mod tests {
         let scene = scene_for(VideoId::Rs);
         let mut sas_cfg = SasConfig::tiny_for_tests();
         sas_cfg.fov_margin = evr_math::Degrees(0.5);
-        let server = SasServer::new(ingest_video(&scene, &sas_cfg, 2.0));
+        let server = SasServer::new(ingest(&scene, &sas_cfg, 2.0));
         let trace = generate_user_trace(&scene, &params_for(VideoId::Rs), 9, 2.0, 30.0);
         let cfg = SessionConfig::new(ContentPath::OnlineSas, Renderer::Gpu, sas_cfg);
         let r = PlaybackSession::new(cfg).run(&server, &trace);
@@ -578,7 +585,8 @@ mod tests {
     fn observed_run_mirrors_report_counters() {
         let (server, trace) = setup(VideoId::Rhino, 1.0);
         let sas = SasConfig::tiny_for_tests();
-        let tiles = Arc::new(evr_sas::ingest_tiled_rates(&scene_for(VideoId::Rhino), &sas, 1.0));
+        let tiles =
+            Arc::new(evr_sas::ingest_tiled_rates_with(&scene_for(VideoId::Rhino), &sas, 1.0, 0));
         let session = |path| PlaybackSession::new(SessionConfig::new(path, Renderer::Pte, sas));
         let whole = session(ContentPath::OnlineSas);
         let tiled = session(ContentPath::OnlineBaseline).with_tiles(tiles);
@@ -708,13 +716,12 @@ mod resilience_tests {
     use evr_energy::{Activity, Component};
     use evr_faults::{FaultEvent, FaultPlan, GilbertElliott, LinkProcess, RetryPolicy};
     use evr_obs::names;
-    use evr_sas::{ingest_video, SasConfig};
     use evr_trace::behavior::{generate_user_trace, params_for};
     use evr_video::library::{scene_for, VideoId};
 
     fn setup(video: VideoId, secs: f64) -> (SasServer, HeadTrace) {
         let scene = scene_for(video);
-        let server = SasServer::new(ingest_video(&scene, &SasConfig::tiny_for_tests(), secs));
+        let server = SasServer::new(ingest(&scene, &SasConfig::tiny_for_tests(), secs));
         let trace = generate_user_trace(&scene, &params_for(video), 3, secs, 30.0);
         (server, trace)
     }
@@ -855,7 +862,6 @@ mod resilience_tests {
 #[cfg(test)]
 mod selection_tests {
     use super::*;
-    use evr_sas::{ingest_video, SasConfig};
     use evr_trace::PoseSample;
     use evr_video::library::{scene_for, VideoId};
 
@@ -878,7 +884,7 @@ mod selection_tests {
     fn linear_prediction_does_not_hurt_a_sweeping_user() {
         let scene = scene_for(VideoId::Paris);
         let sas = SasConfig::tiny_for_tests();
-        let server = SasServer::new(ingest_video(&scene, &sas, 2.0));
+        let server = SasServer::new(ingest(&scene, &sas, 2.0));
         let trace = sweeping_trace(2.0);
 
         let run = |selection: SelectionPolicy| {
@@ -900,7 +906,7 @@ mod selection_tests {
     fn prediction_with_zero_lookahead_equals_current_pose() {
         let scene = scene_for(VideoId::Rhino);
         let sas = SasConfig::tiny_for_tests();
-        let server = SasServer::new(ingest_video(&scene, &sas, 1.0));
+        let server = SasServer::new(ingest(&scene, &sas, 1.0));
         let trace = sweeping_trace(1.0);
         let run = |selection: SelectionPolicy| {
             let mut cfg = SessionConfig::new(ContentPath::OnlineSas, Renderer::Pte, sas);

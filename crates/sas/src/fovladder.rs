@@ -125,11 +125,13 @@ pub fn populate_fov_ladder(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::ingest_video;
+    use crate::ingest::{ingest_video_with, IngestOptions};
     use evr_video::library::{scene_for, VideoId};
 
-    fn catalog() -> SasCatalog {
-        ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0)
+    fn catalog(video: VideoId) -> SasCatalog {
+        let cfg = SasConfig::tiny_for_tests();
+        ingest_video_with(&scene_for(video), &cfg, 1.0, &IngestOptions::default())
+            .expect("tiny config ingests")
     }
 
     fn keys(catalog: &SasCatalog, quantizers: &[u8]) -> Vec<PrerenderKey> {
@@ -155,7 +157,7 @@ mod tests {
 
     #[test]
     fn delta_ladder_shrinks_residency_and_reconstructs_bit_exactly() {
-        let catalog = catalog();
+        let catalog = catalog(VideoId::Rhino);
         let rungs = fov_rung_quantizers(catalog.config());
         assert!(rungs.len() >= 2, "the test needs lower rungs");
 
@@ -191,7 +193,7 @@ mod tests {
     #[test]
     fn every_lower_rung_goes_delta_resident() {
         for video in [VideoId::Paris, VideoId::Rhino] {
-            let catalog = ingest_video(&scene_for(video), &SasConfig::tiny_for_tests(), 1.0);
+            let catalog = catalog(video);
             let rungs = fov_rung_quantizers(catalog.config());
             let streams: usize =
                 (0..catalog.segment_count()).map(|s| catalog.clusters_in_segment(s).len()).sum();
@@ -205,7 +207,7 @@ mod tests {
 
     #[test]
     fn ladder_population_is_worker_independent() {
-        let catalog = catalog();
+        let catalog = catalog(VideoId::Rhino);
         let rungs = fov_rung_quantizers(catalog.config());
         let serial = FovPrerenderStore::new();
         populate_fov_ladder(&catalog, &serial, &rungs, 1, true);
@@ -225,7 +227,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fov_quantizer")]
     fn ladder_not_ending_at_the_catalog_rung_panics() {
-        let catalog = catalog();
+        let catalog = catalog(VideoId::Rhino);
         let _ = populate_fov_ladder(&catalog, &FovPrerenderStore::new(), &[40, 20], 1, true);
     }
 }

@@ -555,9 +555,7 @@ impl SasFront {
     fn shed_wire_bytes(&self, request: Request) -> u64 {
         let full = match request {
             Request::Fov { segment, .. } => {
-                let catalog = self.server.catalog();
-                let Some(data) = catalog.try_original_segment(segment) else { return 0 };
-                data.scaled_bytes(catalog.config().src_byte_scale())
+                self.server.catalog().original_target_bytes(segment).unwrap_or(0)
             }
             Request::Tile { segment, tile, .. } => {
                 let Some(tiles) = self.server.tiles() else { return 0 };
@@ -580,13 +578,16 @@ impl SasFront {
 mod tests {
     use super::*;
     use crate::config::SasConfig;
-    use crate::ingest::ingest_video;
+    use crate::ingest::{ingest_video_with, IngestOptions};
     use crate::prerender::FovPrerenderStore;
     use evr_faults::ServerFaultEvent;
     use evr_video::library::{scene_for, VideoId};
 
     fn test_server() -> SasServer {
-        let catalog = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0);
+        let cfg = SasConfig::tiny_for_tests();
+        let catalog =
+            ingest_video_with(&scene_for(VideoId::Rhino), &cfg, 1.0, &IngestOptions::default())
+                .expect("tiny config ingests");
         SasServer::with_store(catalog, FovPrerenderStore::new())
     }
 
@@ -792,10 +793,11 @@ mod tests {
 
     fn tiled_server() -> SasServer {
         let mut s = test_server();
-        let tiles = crate::tiles::ingest_tiled_rates(
+        let tiles = crate::tiles::ingest_tiled_rates_with(
             &scene_for(VideoId::Rhino),
             &SasConfig::tiny_for_tests(),
             1.0,
+            0,
         );
         s.attach_tiles(Arc::new(tiles));
         s
@@ -910,7 +912,10 @@ mod tests {
             let Disposition::Shed { wire_bytes, .. } = o.disposition else { continue };
             match o.request.request {
                 Request::Fov { segment, .. } => {
-                    assert_eq!(wire_bytes, scaled(direct.catalog().original_target_bytes(segment)));
+                    assert_eq!(
+                        wire_bytes,
+                        scaled(direct.catalog().original_target_bytes(segment).unwrap())
+                    );
                     shed.0 += 1;
                 }
                 Request::Tile { segment, tile, .. } => {

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use evr_math::Vec3;
-use evr_projection::{FilterMode, FovFrameMeta, Transformer, Viewport};
+use evr_projection::{FilterMode, FovFrameMeta, ImageBuffer, Transformer, Viewport};
 use evr_semantics::cluster::ClusterTrajectory;
 use evr_semantics::detector::validate_detections;
 use evr_semantics::kmeans::select_k;
@@ -178,17 +178,6 @@ impl SasCatalog {
         self.original_log.read(id)
     }
 
-    /// The original encoded segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment` is out of range — callers serving untrusted
-    /// requests use [`SasCatalog::try_original_segment`].
-    pub fn original_segment(&self, segment: u32) -> &EncodedSegment {
-        self.try_original_segment(segment)
-            .unwrap_or_else(|| panic!("segment {segment} out of range"))
-    }
-
     /// Wire bytes of an FOV segment at target (paper) scale (0 if the
     /// record is missing).
     pub fn fov_target_bytes(&self, stream: &FovStream) -> u64 {
@@ -197,9 +186,11 @@ impl SasCatalog {
             .map_or(0, |seg| seg.scaled_bytes(self.config.fov_byte_scale()))
     }
 
-    /// Wire bytes of an original segment at target (paper) scale.
-    pub fn original_target_bytes(&self, segment: u32) -> u64 {
-        self.original_segment(segment).scaled_bytes(self.config.src_byte_scale())
+    /// Wire bytes of an original segment at target (paper) scale, or
+    /// `None` where [`SasCatalog::try_original_segment`] finds no segment.
+    pub fn original_target_bytes(&self, segment: u32) -> Option<u64> {
+        let scale = self.config.src_byte_scale();
+        self.try_original_segment(segment).map(|seg| seg.scaled_bytes(scale))
     }
 
     /// Total stored FOV bytes at target scale (live streams only — the
@@ -286,20 +277,7 @@ impl SasCatalog {
     }
 }
 
-/// Runs the full ingestion pipeline over `duration_s` seconds of `scene`
-/// with default options (one worker per core, no pre-render store).
-///
-/// # Panics
-///
-/// Panics if the configuration fails [`SasConfig::validate`] or the
-/// duration covers no complete frame — use [`ingest_video_with`] for
-/// fallible ingestion.
-pub fn ingest_video(scene: &Scene, config: &SasConfig, duration_s: f64) -> SasCatalog {
-    ingest_video_with(scene, config, duration_s, &IngestOptions::default())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs the full ingestion pipeline with explicit [`IngestOptions`].
+/// Runs the full ingestion pipeline over `duration_s` seconds of `scene`.
 ///
 /// The catalog is byte-identical for any worker count and with or
 /// without a pre-render store (`ingest_bench` enforces this at run
@@ -317,13 +295,7 @@ pub fn ingest_video_with(
     duration_s: f64,
     options: &IngestOptions,
 ) -> Result<SasCatalog, IngestError> {
-    config.validate().map_err(IngestError::InvalidConfig)?;
-    let duration = duration_s.min(scene.duration());
-    let total_frames = (duration * FPS).floor() as u64;
-    if total_frames == 0 {
-        return Err(IngestError::NoFrames);
-    }
-
+    let plan = SegmentPlan::new(scene, config, duration_s)?;
     let (src_w, src_h) = config.analysis_src;
     let original_meta = VideoMeta::new(src_w, src_h, FPS, evr_projection::Projection::Erp);
     let (fov_w, fov_h) = config.analysis_fov;
@@ -339,7 +311,7 @@ pub fn ingest_video_with(
         Viewport::new(fov_w * 2, fov_h * 2),
     );
 
-    let content_id = content_fingerprint(scene.name(), total_frames, config);
+    let content_id = content_fingerprint(scene.name(), plan.total_frames, config);
     let mut catalog = SasCatalog {
         config: *config,
         fov_log: LogStore::new(),
@@ -352,17 +324,11 @@ pub fn ingest_video_with(
         degraded_segments: Vec::new(),
     };
 
-    let seg_len = config.segment_frames as u64;
-    let segment_count = total_frames.div_ceil(seg_len);
+    let segment_count = plan.segment_count();
     let ctx = SegmentContext {
-        scene,
-        config,
+        plan: &plan,
         fov_renderer: &fov_renderer,
         stream_fov,
-        seg_len,
-        total_frames,
-        src_w,
-        src_h,
         content_id,
         store: options.store.as_ref(),
     };
@@ -426,16 +392,96 @@ pub fn ingest_video_with(
     Ok(catalog)
 }
 
-/// Everything an ingest worker needs, shared immutably across the pool.
-struct SegmentContext<'a> {
+/// The segmentation rule every ingest catalog shares — the FOV catalog,
+/// the ABR ladder ([`crate::ladder`]) and the tiled-rate catalog
+/// ([`crate::tiles`]): the duration clamped to the scene and floored to
+/// whole frames, cut into GOP-aligned segments of
+/// [`SasConfig::segment_frames`] (the last one may be shorter; paper
+/// §5.3). A segment is a pure function of `(scene, config, index)`, so
+/// every catalog fans its segments out through `evr_sched::run_chunked`
+/// and stays byte-identical for any worker count.
+pub(crate) struct SegmentPlan<'a> {
     scene: &'a Scene,
     config: &'a SasConfig,
+    total_frames: u64,
+}
+
+/// One segment of a [`SegmentPlan`].
+pub(crate) struct Segment {
+    /// Index of the segment's first frame in the video.
+    pub(crate) start: u64,
+    /// Media time of each frame, seconds.
+    pub(crate) times: Vec<f64>,
+    /// Each frame's ERP source at [`SasConfig::analysis_src`].
+    pub(crate) sources: Vec<ImageBuffer>,
+}
+
+impl<'a> SegmentPlan<'a> {
+    /// Plans `duration_s` seconds of `scene` under `config`.
+    ///
+    /// # Errors
+    ///
+    /// [`IngestError::InvalidConfig`] if `config` fails
+    /// [`SasConfig::validate`], [`IngestError::NoFrames`] if the clamped
+    /// duration covers no complete frame.
+    pub(crate) fn new(
+        scene: &'a Scene,
+        config: &'a SasConfig,
+        duration_s: f64,
+    ) -> Result<Self, IngestError> {
+        config.validate().map_err(IngestError::InvalidConfig)?;
+        let total_frames = (duration_s.min(scene.duration()) * FPS).floor() as u64;
+        if total_frames == 0 {
+            return Err(IngestError::NoFrames);
+        }
+        Ok(SegmentPlan { scene, config, total_frames })
+    }
+
+    /// Number of segments.
+    pub(crate) fn segment_count(&self) -> u64 {
+        self.total_frames.div_ceil(u64::from(self.config.segment_frames))
+    }
+
+    /// Duration of a full segment, seconds.
+    pub(crate) fn segment_duration(&self) -> f64 {
+        f64::from(self.config.segment_frames) / FPS
+    }
+
+    /// Segment `seg`'s frame times and rendered ERP sources.
+    pub(crate) fn segment(&self, seg: u64) -> Segment {
+        let seg_len = u64::from(self.config.segment_frames);
+        let start = seg * seg_len;
+        let end = (start + seg_len).min(self.total_frames);
+        let (w, h) = self.config.analysis_src;
+        let times: Vec<f64> = (start..end).map(|i| i as f64 / FPS).collect();
+        let sources = times
+            .iter()
+            .map(|&t| self.scene.render_image(t, evr_projection::Projection::Erp, w, h))
+            .collect();
+        Segment { start, times, sources }
+    }
+}
+
+/// Encodes `frames` as the segment starting at frame `start`: a fresh
+/// encoder under `codec`, intra-coded first (GOP-aligned).
+pub(crate) fn encode_segment(
+    codec: CodecConfig,
+    start: u64,
+    frames: &[ImageBuffer],
+) -> EncodedSegment {
+    let mut enc = Encoder::new(codec);
+    enc.force_intra();
+    EncodedSegment {
+        start_index: start,
+        frames: frames.iter().map(|f| enc.encode_frame(f)).collect(),
+    }
+}
+
+/// Everything an ingest worker needs, shared immutably across the pool.
+struct SegmentContext<'a> {
+    plan: &'a SegmentPlan<'a>,
     fov_renderer: &'a Transformer,
     stream_fov: evr_projection::FovSpec,
-    seg_len: u64,
-    total_frames: u64,
-    src_w: u32,
-    src_h: u32,
     content_id: u64,
     store: Option<&'a FovPrerenderStore>,
 }
@@ -458,24 +504,12 @@ fn snap_orientation(o: evr_math::EulerAngles) -> evr_math::EulerAngles {
 }
 
 fn ingest_segment(ctx: &SegmentContext<'_>, seg: u64) -> SegmentResult {
-    let scene = ctx.scene;
-    let config = ctx.config;
-    let start = seg * ctx.seg_len;
-    let end = (start + ctx.seg_len).min(ctx.total_frames);
-    let times: Vec<f64> = (start..end).map(|i| i as f64 / FPS).collect();
-
-    // Render the segment's source frames once; they feed both the
+    let (scene, config) = (ctx.plan.scene, ctx.plan.config);
+    // The segment's source frames are rendered once; they feed both the
     // original encoding and every cluster's FOV rendering.
-    let sources: Vec<_> = times
-        .iter()
-        .map(|&t| scene.render_image(t, evr_projection::Projection::Erp, ctx.src_w, ctx.src_h))
-        .collect();
-
-    // Original segment encoding (GOP-aligned: fresh intra at start).
-    let mut enc = Encoder::new(config.codec);
-    enc.force_intra();
-    let frames: Vec<_> = sources.iter().map(|img| enc.encode_frame(img)).collect();
-    let original = EncodedSegment { start_index: start, frames };
+    let segment = ctx.plan.segment(seg);
+    let times = &segment.times;
+    let original = encode_segment(config.codec, segment.start, &segment.sources);
     let mut result = SegmentResult { original, fovs: Vec::new(), degraded: false };
 
     // Key-frame detection + segment-long tracking. The detector is an
@@ -483,7 +517,7 @@ fn ingest_segment(ctx: &SegmentContext<'_>, seg: u64) -> SegmentResult {
     // boundary check runs per frame and a rejected frame degrades the
     // whole segment to original-only serving.
     let mut tracker = Tracker::new(evr_math::Radians(0.2), 3);
-    for &t in &times {
+    for &t in times {
         let detections = config.detector.detect(scene, t);
         if validate_detections(&detections).is_err() {
             result.degraded = true;
@@ -508,7 +542,7 @@ fn ingest_segment(ctx: &SegmentContext<'_>, seg: u64) -> SegmentResult {
         return result;
     };
     let mut trajectories =
-        ClusterTrajectory::build_all(&clustering, &tracks, &times, config.smoothing);
+        ClusterTrajectory::build_all(&clustering, &tracks, times, config.smoothing);
 
     // Object-utilisation knob: keep the largest clusters until the
     // requested fraction of objects is covered (Fig. 14).
@@ -530,8 +564,8 @@ fn ingest_segment(ctx: &SegmentContext<'_>, seg: u64) -> SegmentResult {
     // the key), a miss renders and publishes it for later ingests and
     // for serving.
     for traj in &trajectories {
-        let render = || render_cluster_fov(ctx, traj, &sources, &times, start);
-        let (segment, meta) = match ctx.store {
+        let render = || render_cluster_fov(ctx, traj, &segment);
+        let (encoded, meta) = match ctx.store {
             Some(store) => {
                 let key = PrerenderKey {
                     content: ctx.content_id,
@@ -547,7 +581,7 @@ fn ingest_segment(ctx: &SegmentContext<'_>, seg: u64) -> SegmentResult {
             }
             None => render(),
         };
-        result.fovs.push((traj.cluster, traj.members.len() as u32, segment, meta));
+        result.fovs.push((traj.cluster, traj.members.len() as u32, encoded, meta));
     }
     result
 }
@@ -556,21 +590,17 @@ fn ingest_segment(ctx: &SegmentContext<'_>, seg: u64) -> SegmentResult {
 fn render_cluster_fov(
     ctx: &SegmentContext<'_>,
     traj: &ClusterTrajectory,
-    sources: &[evr_projection::pixel::ImageBuffer],
-    times: &[f64],
-    start: u64,
+    segment: &Segment,
 ) -> (EncodedSegment, Vec<FovFrameMeta>) {
-    let config = ctx.config;
-    let mut enc = Encoder::new(CodecConfig::new(config.segment_frames, config.fov_quantizer));
-    enc.force_intra();
-    let mut meta = Vec::with_capacity(times.len());
-    let mut frames = Vec::with_capacity(times.len());
+    let config = ctx.plan.config;
+    let mut meta = Vec::with_capacity(segment.times.len());
+    let mut images = Vec::with_capacity(segment.times.len());
     // Orientations snap to a grid, so consecutive frames — and other
     // clusters, segments and worker threads tracking the same grid
     // points — share coordinate maps through the process-wide
     // sampling-map cache.
     let lut = evr_projection::lut::SamplingMapCache::shared();
-    for (src, &t) in sources.iter().zip(times) {
+    for (src, &t) in segment.sources.iter().zip(&segment.times) {
         let orientation = snap_orientation(traj.orientation_at(t));
         let (map, _) = lut.reference_map(ctx.fov_renderer, orientation, 1);
         // Reference lookups always yield reference maps; if one ever
@@ -579,12 +609,13 @@ fn render_cluster_fov(
         let Some(coords) = map.as_reference() else {
             break;
         };
-        let image =
-            evr_projection::pixel::downsample2x(&ctx.fov_renderer.render_with_map(src, coords));
+        images.push(evr_projection::pixel::downsample2x(
+            &ctx.fov_renderer.render_with_map(src, coords),
+        ));
         meta.push(FovFrameMeta::new(orientation, ctx.stream_fov));
-        frames.push(enc.encode_frame(&image));
     }
-    (EncodedSegment { start_index: start, frames }, meta)
+    let codec = CodecConfig::new(config.segment_frames, config.fov_quantizer);
+    (encode_segment(codec, segment.start, &images), meta)
 }
 
 #[cfg(test)]
@@ -592,8 +623,12 @@ mod tests {
     use super::*;
     use evr_video::library::{scene_for, VideoId};
 
+    fn ingest(scene: &Scene, cfg: &SasConfig, secs: f64) -> SasCatalog {
+        ingest_video_with(scene, cfg, secs, &IngestOptions::default()).expect("valid config")
+    }
+
     fn tiny_catalog(video: VideoId, secs: f64) -> SasCatalog {
-        ingest_video(&scene_for(video), &SasConfig::tiny_for_tests(), secs)
+        ingest(&scene_for(video), &SasConfig::tiny_for_tests(), secs)
     }
 
     #[test]
@@ -602,7 +637,7 @@ mod tests {
         // 60 frames at 8 per segment → 8 segments.
         assert_eq!(c.segment_count(), 8);
         for seg in 0..c.segment_count() {
-            let orig = c.original_segment(seg);
+            let orig = c.try_original_segment(seg).unwrap();
             assert_eq!(orig.start_index, seg as u64 * 8);
             assert!(!orig.frames.is_empty());
         }
@@ -640,10 +675,10 @@ mod tests {
         let scene = scene_for(VideoId::Rhino);
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.object_utilization = 0.0;
-        let none = ingest_video(&scene, &cfg, 1.0);
+        let none = ingest(&scene, &cfg, 1.0);
         assert!(none.clusters_in_segment(0).is_empty());
         cfg.object_utilization = 1.0;
-        let all = ingest_video(&scene, &cfg, 1.0);
+        let all = ingest(&scene, &cfg, 1.0);
         assert!(!all.clusters_in_segment(0).is_empty());
         assert!(all.total_fov_target_bytes() > 0);
     }
@@ -654,9 +689,9 @@ mod tests {
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.max_clusters = 4;
         cfg.object_utilization = 1.0;
-        let full = ingest_video(&scene, &cfg, 1.0);
+        let full = ingest(&scene, &cfg, 1.0);
         cfg.object_utilization = 0.25;
-        let quarter = ingest_video(&scene, &cfg, 1.0);
+        let quarter = ingest(&scene, &cfg, 1.0);
         assert!(quarter.total_fov_target_bytes() < full.total_fov_target_bytes());
     }
 
@@ -665,14 +700,6 @@ mod tests {
         let c = tiny_catalog(VideoId::Timelapse, 2.0);
         let overhead = c.storage_overhead();
         assert!(overhead > 0.1, "overhead {overhead}");
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid SAS configuration")]
-    fn invalid_config_panics() {
-        let mut cfg = SasConfig::tiny_for_tests();
-        cfg.smoothing = 2.0;
-        let _ = ingest_video(&scene_for(VideoId::Rs), &cfg, 1.0);
     }
 
     #[test]
@@ -733,7 +760,7 @@ mod tests {
         assert!(c.segment_count() > 0);
         for seg in 0..c.segment_count() {
             assert!(c.clusters_in_segment(seg).is_empty());
-            assert!(!c.original_segment(seg).frames.is_empty());
+            assert!(!c.try_original_segment(seg).unwrap().frames.is_empty());
         }
         // No detections is normal empty content, not degradation.
         assert!(c.degraded_segments().is_empty());
@@ -748,7 +775,7 @@ mod tests {
         assert!(c.segment_count() > 0);
         for seg in 0..c.segment_count() {
             assert!(c.clusters_in_segment(seg).is_empty(), "segment {seg} kept a FOV stream");
-            assert!(!c.original_segment(seg).frames.is_empty());
+            assert!(!c.try_original_segment(seg).unwrap().frames.is_empty());
         }
         assert_eq!(c.degraded_segments().len(), c.segment_count() as usize);
     }
@@ -765,7 +792,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.segment_count(), 2);
-        assert_eq!(c.original_segment(1).frames.len(), 1);
+        assert_eq!(c.try_original_segment(1).unwrap().frames.len(), 1);
         for cluster in c.clusters_in_segment(1) {
             let stream = c.fov_stream(1, cluster).unwrap();
             let (data, meta) = c.read_fov(stream).unwrap();
@@ -790,6 +817,7 @@ mod tests {
     fn out_of_range_reads_are_none_not_panics() {
         let c = tiny_catalog(VideoId::Rs, 1.0);
         assert!(c.try_original_segment(10_000).is_none());
+        assert_eq!(c.original_target_bytes(10_000), None);
         let bogus = FovStream {
             segment_index: 0,
             cluster: 0,
@@ -810,7 +838,10 @@ mod compaction_tests {
 
     #[test]
     fn compaction_reclaims_dropped_streams_and_preserves_reads() {
-        let full = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0);
+        let cfg = SasConfig::tiny_for_tests();
+        let full =
+            ingest_video_with(&scene_for(VideoId::Rhino), &cfg, 1.0, &IngestOptions::default())
+                .expect("tiny config ingests");
         let mut reduced = full.with_utilization(0.5);
         let live_bytes = reduced.total_fov_target_bytes();
         let reclaimed = reduced.compact();
@@ -838,7 +869,10 @@ mod compaction_tests {
 
     #[test]
     fn compacting_a_full_catalog_is_a_noop() {
-        let mut full = ingest_video(&scene_for(VideoId::Rs), &SasConfig::tiny_for_tests(), 1.0);
+        let cfg = SasConfig::tiny_for_tests();
+        let mut full =
+            ingest_video_with(&scene_for(VideoId::Rs), &cfg, 1.0, &IngestOptions::default())
+                .expect("tiny config ingests");
         assert_eq!(full.compact(), 0);
     }
 }

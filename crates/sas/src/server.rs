@@ -429,12 +429,17 @@ fn upgrade_delta(
 mod tests {
     use super::*;
     use crate::config::SasConfig;
-    use crate::ingest::ingest_video;
+    use crate::ingest::{ingest_video_with, IngestOptions};
     use evr_video::library::{scene_for, VideoId};
 
+    /// One second of `video` ingested under `cfg`.
+    fn ingest(video: VideoId, cfg: &SasConfig) -> SasCatalog {
+        ingest_video_with(&scene_for(video), cfg, 1.0, &IngestOptions::default())
+            .expect("valid config")
+    }
+
     fn server(video: VideoId) -> SasServer {
-        let catalog = ingest_video(&scene_for(video), &SasConfig::tiny_for_tests(), 1.0);
-        SasServer::new(catalog)
+        SasServer::new(ingest(video, &SasConfig::tiny_for_tests()))
     }
 
     #[test]
@@ -451,7 +456,7 @@ mod tests {
         let s = server(VideoId::Rhino);
         let original = s.catalog().try_original_segment(1).expect("segment 1 exists");
         assert_eq!(original.start_index, 8);
-        assert!(s.catalog().original_target_bytes(1) > 0);
+        assert!(s.catalog().original_target_bytes(1) > Some(0));
     }
 
     #[test]
@@ -482,7 +487,7 @@ mod tests {
         let s = server(VideoId::Rhino);
         let cluster = s.catalog().clusters_in_segment(0)[0];
         let (_, fov_bytes) = s.fetch_fov(0, cluster).expect("listed stream");
-        let orig_bytes = s.catalog().original_target_bytes(0);
+        let orig_bytes = s.catalog().original_target_bytes(0).expect("segment 0 exists");
         assert!(fov_bytes < orig_bytes, "fov {fov_bytes} orig {orig_bytes}");
     }
 
@@ -517,7 +522,7 @@ mod tests {
 
     #[test]
     fn fetch_fov_misses_cold_then_hits_warm_and_matches_try_handle() {
-        let catalog = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0);
+        let catalog = ingest(VideoId::Rhino, &SasConfig::tiny_for_tests());
         let store = crate::prerender::FovPrerenderStore::new();
         let s = SasServer::with_store(catalog, store.clone());
         let cluster = s.catalog().clusters_in_segment(0)[0];
@@ -544,7 +549,7 @@ mod tests {
 
     #[test]
     fn fetch_fov_reports_unknown_streams_as_typed_errors() {
-        let catalog = ingest_video(&scene_for(VideoId::Rs), &SasConfig::tiny_for_tests(), 1.0);
+        let catalog = ingest(VideoId::Rs, &SasConfig::tiny_for_tests());
         let s = SasServer::with_store(catalog, crate::prerender::FovPrerenderStore::new());
         assert_eq!(s.fetch_fov(0, 99), Err(SasError::UnknownCluster { segment: 0, cluster: 99 }));
         assert_eq!(s.fetch_fov(999, 0), Err(SasError::UnknownSegment { segment: 999 }));
@@ -556,7 +561,6 @@ mod tests {
 
     #[test]
     fn store_populated_at_ingest_serves_without_re_reading() {
-        use crate::ingest::{ingest_video_with, IngestOptions};
         let store = crate::prerender::FovPrerenderStore::new();
         let options =
             IngestOptions { workers: 2, store: Some(store.clone()), ..IngestOptions::default() };
@@ -586,7 +590,7 @@ mod tests {
         use crate::fovladder::populate_fov_ladder;
         use crate::prerender::FovPrerenderStore;
         let cfg = SasConfig::tiny_for_tests();
-        let catalog = ingest_video(&scene_for(VideoId::Rhino), &cfg, 1.0);
+        let catalog = ingest(VideoId::Rhino, &cfg);
         let rungs = fov_rung_quantizers(&cfg);
         let scale = cfg.fov_byte_scale();
         let filled = |delta| {
@@ -640,7 +644,7 @@ mod tests {
     fn serving_rungs_never_evicts_a_top_rung() {
         use crate::prerender::FovPrerenderStore;
         let cfg = SasConfig::tiny_for_tests();
-        let catalog = ingest_video(&scene_for(VideoId::Rhino), &cfg, 1.0);
+        let catalog = ingest(VideoId::Rhino, &cfg);
         let rungs = fov_rung_quantizers(&cfg);
         let streams: Vec<(u32, usize)> = (0..catalog.segment_count())
             .flat_map(|s| catalog.clusters_in_segment(s).into_iter().map(move |c| (s, c)))
@@ -685,7 +689,7 @@ mod tests {
 
     #[test]
     fn quantizers_outside_the_ladder_are_refused_without_touching_the_store() {
-        let catalog = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0);
+        let catalog = ingest(VideoId::Rhino, &SasConfig::tiny_for_tests());
         let store = crate::prerender::FovPrerenderStore::new();
         let obs = evr_obs::Observer::enabled();
         let mut s = SasServer::with_store(catalog, store.clone());
@@ -712,7 +716,7 @@ mod tests {
 
     #[test]
     fn fetch_fov_upgrade_delta_reconstructs_the_exact_top_rung() {
-        let catalog = ingest_video(&scene_for(VideoId::Rhino), &SasConfig::tiny_for_tests(), 1.0);
+        let catalog = ingest(VideoId::Rhino, &SasConfig::tiny_for_tests());
         let store = crate::prerender::FovPrerenderStore::new();
         let s = SasServer::with_store(catalog, store.clone());
         let cluster = s.catalog().clusters_in_segment(0)[0];
@@ -749,7 +753,7 @@ mod tests {
         use crate::fovladder::populate_fov_ladder;
         use crate::prerender::FovPrerenderStore;
         let cfg = SasConfig::tiny_for_tests();
-        let catalog = ingest_video(&scene_for(VideoId::Rhino), &cfg, 1.0);
+        let catalog = ingest(VideoId::Rhino, &cfg);
         let rungs = fov_rung_quantizers(&cfg);
         let filled = |delta| {
             let store = FovPrerenderStore::new();
@@ -820,7 +824,7 @@ mod tests {
         assert_eq!(s.fetch_tile(0, 0, 0), Err(SasError::UnknownTile { segment: 0, tile: 0 }));
 
         let cfg = SasConfig::tiny_for_tests();
-        let tiles = crate::tiles::ingest_tiled_rates(&scene_for(VideoId::Rhino), &cfg, 1.0);
+        let tiles = crate::tiles::ingest_tiled_rates_with(&scene_for(VideoId::Rhino), &cfg, 1.0, 0);
         s.attach_tiles(Arc::new(tiles));
         assert!(s.has_tiles());
         let grid = s.tiles().unwrap().grid();
@@ -843,10 +847,9 @@ mod tests {
 
     #[test]
     fn best_cluster_none_when_segment_empty() {
-        let scene = scene_for(VideoId::Rs);
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.object_utilization = 0.0;
-        let s = SasServer::new(ingest_video(&scene, &cfg, 1.0));
+        let s = SasServer::new(ingest(VideoId::Rs, &cfg));
         assert_eq!(s.best_cluster(0, evr_math::EulerAngles::default()), None);
     }
 

@@ -18,11 +18,11 @@ use serde::{Deserialize, Serialize};
 
 use evr_math::{Degrees, EulerAngles, Radians};
 use evr_projection::{FovSpec, ImageBuffer};
-use evr_video::codec::{CodecConfig, EncodedSegment, Encoder};
+use evr_video::codec::{CodecConfig, EncodedSegment};
 use evr_video::scene::Scene;
 
 use crate::config::SasConfig;
-use crate::ingest::FPS;
+use crate::ingest::{encode_segment, SegmentPlan};
 
 /// Angular margin around the device FOV inside which tiles count as
 /// *peripheral* for rate allocation: likely to enter view within a
@@ -255,8 +255,10 @@ impl TiledRateCatalog {
     }
 }
 
-/// Ingests a video for multi-rate tiled delivery: per segment, every
-/// tile of `config.tile_grid` is independently encoded at each rung of
+/// Ingests `duration_s` seconds of `scene` for multi-rate tiled
+/// delivery with `workers` segment workers (`0` = one per core; clamped
+/// to `1..=64` like every fan-out): per segment, every tile of
+/// `config.tile_grid` is independently encoded at each rung of
 /// [`SasConfig::tiled_rung_quantizers`]. The top rung is the
 /// full-resolution crop at the production quantiser; every lower rung is
 /// additionally 2× spatially downsampled (quarter the pixel data), so
@@ -271,58 +273,32 @@ impl TiledRateCatalog {
 ///
 /// # Panics
 ///
-/// Panics if the analysis frame does not divide into 8-aligned tiles.
-pub fn ingest_tiled_rates(scene: &Scene, config: &SasConfig, duration_s: f64) -> TiledRateCatalog {
-    ingest_tiled_rates_with(scene, config, duration_s, 0)
-}
-
-/// [`ingest_tiled_rates`] with an explicit worker count (`0` = one per
-/// core; clamped to `1..=64` like every fan-out).
+/// Panics with the [`IngestError`](crate::IngestError) message wherever
+/// [`ingest_video_with`](crate::ingest_video_with) would return that
+/// error: a configuration failing [`SasConfig::validate`] (which
+/// includes a grid that does not cut the analysis frame into 8-aligned
+/// tiles) or a duration covering no complete frame.
 pub fn ingest_tiled_rates_with(
     scene: &Scene,
     config: &SasConfig,
     duration_s: f64,
     workers: usize,
 ) -> TiledRateCatalog {
+    let plan = SegmentPlan::new(scene, config, duration_s).unwrap_or_else(|e| panic!("{e}"));
     let grid = config.tile_grid;
     let quantizers = config.tiled_rung_quantizers();
-    assert!(
-        !quantizers.is_empty() && quantizers.windows(2).all(|w| w[0] > w[1]),
-        "rung quantisers must be strictly descending (coarsest first)"
-    );
-    let (src_w, src_h) = config.analysis_src;
-    assert!(
-        src_w.is_multiple_of(grid.cols) && src_h.is_multiple_of(grid.rows),
-        "analysis frame {src_w}x{src_h} must divide into the {}x{} grid",
-        grid.cols,
-        grid.rows
-    );
-    let tile_w = src_w / grid.cols;
-    let tile_h = src_h / grid.rows;
-    assert!(
-        tile_w.is_multiple_of(8) && tile_h.is_multiple_of(8),
-        "tiles of {tile_w}x{tile_h} are not 8-aligned; choose a finer analysis raster"
-    );
-    let duration = duration_s.min(scene.duration());
-    let total_frames = (duration * FPS).floor() as u64;
-    let seg_len = config.segment_frames as u64;
-    let segment_count = total_frames.div_ceil(seg_len);
+    let tile_w = config.analysis_src.0 / grid.cols;
+    let tile_h = config.analysis_src.1 / grid.rows;
     let scale = config.src_byte_scale();
 
-    let segments = evr_sched::run_chunked(segment_count, workers, 0, |seg| {
-        let start = seg * seg_len;
-        let end = (start + seg_len).min(total_frames);
-        let sources: Vec<ImageBuffer> = (start..end)
-            .map(|i| {
-                scene.render_image(i as f64 / FPS, evr_projection::Projection::Erp, src_w, src_h)
-            })
-            .collect();
-
+    let segments = evr_sched::run_chunked(plan.segment_count(), workers, 0, |seg| {
+        let segment = plan.segment(seg);
         let mut tiles = Vec::with_capacity(grid.len());
         for row in 0..grid.rows {
             for col in 0..grid.cols {
                 let (x0, y0) = (col * tile_w, row * tile_h);
-                let crops: Vec<ImageBuffer> = sources
+                let crops: Vec<ImageBuffer> = segment
+                    .sources
                     .iter()
                     .map(|img| ImageBuffer::from_fn(tile_w, tile_h, |x, y| img.get(x0 + x, y0 + y)))
                     .collect();
@@ -335,13 +311,8 @@ pub fn ingest_tiled_rates_with(
                         let top = i + 1 == quantizers.len();
                         let (imgs, rung_scale) =
                             if top { (&crops, scale) } else { (&halved, scale / 4.0) };
-                        let mut enc = Encoder::new(CodecConfig::new(config.segment_frames, q));
-                        enc.force_intra();
-                        let encoded = EncodedSegment {
-                            start_index: start,
-                            frames: imgs.iter().map(|i| enc.encode_frame(i)).collect(),
-                        };
-                        (encoded, rung_scale)
+                        let codec = CodecConfig::new(config.segment_frames, q);
+                        (encode_segment(codec, segment.start, imgs), rung_scale)
                     })
                     .collect();
                 // Delta reference: the finest *downsampled* rung — the top
@@ -362,9 +333,9 @@ pub fn ingest_tiled_rates_with(
                             })
                             .collect();
                         let wire_bytes = encoded.scaled_bytes(*rung_scale);
-                        // Fallback compares at the accounting scale, like
-                        // the ladder: headers do not scale, so the winner
-                        // can differ from the analysis-scale one.
+                        // Fallback compares at the accounting scale:
+                        // headers do not scale, so the winner can differ
+                        // from the analysis-scale one.
                         let delta_wire_bytes = match reference {
                             Some(r) if i < r => {
                                 evr_video::delta::DeltaSegment::encode(encoded, &encoded_rungs[r].0)
@@ -395,7 +366,7 @@ mod tests {
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.analysis_src = (128, 64);
         cfg.tile_grid = TileGrid::default();
-        ingest_tiled_rates(&scene_for(VideoId::Rhino), &cfg, 1.0)
+        ingest_tiled_rates_with(&scene_for(VideoId::Rhino), &cfg, 1.0, 0)
     }
 
     /// Wire bytes of segment `seg` for a viewer at `pose`: visible tiles
@@ -462,7 +433,7 @@ mod tests {
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.analysis_src = (100, 48);
         cfg.tile_grid = TileGrid::default();
-        let _ = ingest_tiled_rates(&scene_for(VideoId::Rs), &cfg, 0.5);
+        let _ = ingest_tiled_rates_with(&scene_for(VideoId::Rs), &cfg, 0.5, 1);
     }
 
     #[test]
@@ -471,7 +442,34 @@ mod tests {
         let mut cfg = SasConfig::tiny_for_tests();
         cfg.analysis_src = (96, 48); // 12×12 tiles: divides, but pads the DCT
         cfg.tile_grid = TileGrid::default();
-        let _ = ingest_tiled_rates(&scene_for(VideoId::Rs), &cfg, 0.5);
+        let _ = ingest_tiled_rates_with(&scene_for(VideoId::Rs), &cfg, 0.5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment_frames must be non-zero")]
+    fn zero_segment_frames_panic_with_the_config_error() {
+        let mut cfg = SasConfig::tiny_for_tests();
+        cfg.segment_frames = 0;
+        let _ = ingest_tiled_rates_with(&scene_for(VideoId::Rs), &cfg, 0.5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "smoothing must be in [0, 1)")]
+    fn every_config_check_applies() {
+        let mut cfg = SasConfig::tiny_for_tests();
+        cfg.smoothing = 2.0;
+        let _ = ingest_tiled_rates_with(&scene_for(VideoId::Rs), &cfg, 0.5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "duration covers no frames")]
+    fn zero_frame_duration_panics() {
+        let _ = ingest_tiled_rates_with(
+            &scene_for(VideoId::Rs),
+            &SasConfig::tiny_for_tests(),
+            0.001,
+            1,
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use evr_client::abr::{simulate_abr, AbrPolicy, BandwidthTrace};
 use evr_core::{EvrSystem, Variant};
 use evr_energy::Battery;
 use evr_pte::regs::{PteDevice, Reg, CTRL_START, STATUS_FRAME_DONE};
-use evr_sas::{ingest_ladder, SasConfig};
+use evr_sas::{ingest_ladder_with, SasConfig};
 use evr_trace::io::{read_csv, write_csv, TraceFormat};
 use evr_video::library::{scene_for, VideoId};
 
@@ -34,7 +34,7 @@ fn csv_traces_drive_real_playback() {
 fn ladder_and_abr_agree_with_the_catalog_scale() {
     let scene = scene_for(VideoId::Timelapse);
     let cfg = SasConfig::tiny_for_tests();
-    let ladder = ingest_ladder(&scene, &cfg, &[24, 12], 1.0);
+    let ladder = ingest_ladder_with(&scene, &cfg, &[24, 12], 1.0, 0).expect("valid ladder");
     assert_eq!(ladder.segment_count(), 4);
     // The finest rung's bitrate bounds the coarsest's from above.
     assert!(ladder.rung_bitrate_bps(1) > ladder.rung_bitrate_bps(0));

@@ -13,7 +13,10 @@ use evr_core::{
     Variant,
 };
 use evr_faults::{FaultEvent, FaultPlan, FaultSetup};
-use evr_sas::{ingest_tiled_rates, ingest_video, SasConfig, SasServer, TileGrid, PERIPHERY_MARGIN};
+use evr_sas::{
+    ingest_tiled_rates_with, ingest_video_with, IngestOptions, SasConfig, SasServer, TileGrid,
+    PERIPHERY_MARGIN,
+};
 use evr_trace::behavior::{generate_user_trace, params_for};
 use evr_video::library::{scene_for, VideoId};
 
@@ -35,8 +38,9 @@ fn tiny_system() -> EvrSystem {
 fn single_tile_grid_matches_the_plain_baseline() {
     let scene = scene_for(VideoId::Rhino);
     let sas = single_tile_config();
-    let server = SasServer::new(ingest_video(&scene, &sas, 1.0));
-    let tiles = Arc::new(ingest_tiled_rates(&scene, &sas, 1.0));
+    let catalog = ingest_video_with(&scene, &sas, 1.0, &IngestOptions::default());
+    let server = SasServer::new(catalog.expect("single-tile config ingests"));
+    let tiles = Arc::new(ingest_tiled_rates_with(&scene, &sas, 1.0, 0));
     let trace = generate_user_trace(&scene, &params_for(VideoId::Rhino), 3, 1.0, 30.0);
     for renderer in [Renderer::Gpu, Renderer::Pte] {
         let mut cfg = SessionConfig::new(ContentPath::OnlineBaseline, renderer, sas);
@@ -130,7 +134,7 @@ fn fleet_results_are_worker_count_independent() {
 fn allocation_respects_the_link_budget_end_to_end() {
     let scene = scene_for(VideoId::Rs);
     let sas = SasConfig::tiny_for_tests();
-    let tiles = ingest_tiled_rates(&scene, &sas, 1.0);
+    let tiles = ingest_tiled_rates_with(&scene, &sas, 1.0, 0);
     let grid = tiles.grid();
     let weights = grid.tile_weights();
     let poses = [
