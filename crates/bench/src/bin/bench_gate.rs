@@ -1,12 +1,12 @@
 //! The CI perf-regression gate.
 //!
-//! Compares fresh `fleet_bench` / `ingest_bench` / `serve_bench` /
-//! `tiled_bench` / `store_bench` JSON reports against
-//! the committed baselines in `benches/baselines/` and exits non-zero
-//! if any noise-tolerant threshold is violated (see
-//! [`evr_bench::gate`]): >15% throughput drop, >0.1 absolute parallel
-//! efficiency drop, a parity break in the current run, or (store) a
-//! >2% drop in the delta store's residency / wire-byte reductions.
+//! Compares fresh `fleet_bench` / `ingest_bench` / `tiled_bench` /
+//! `store_bench` JSON reports against the committed baselines in
+//! `benches/baselines/` and exits non-zero if any noise-tolerant
+//! threshold is violated (see [`evr_bench::gate`]): >15% throughput
+//! drop, >0.1 absolute parallel efficiency drop, a parity break in the
+//! current run, or (store) a >2% drop in the delta store's residency /
+//! wire-byte reductions.
 //!
 //! ```text
 //! # gate a run against the committed baselines
@@ -27,15 +27,12 @@
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use evr_bench::gate::{
-    check_fleet, check_ingest, check_serve, check_store, check_tiled, GateThresholds,
-};
+use evr_bench::gate::{check_fleet, check_ingest, check_store, check_tiled, GateThresholds};
 use evr_bench::json::Json;
 
 struct GateArgs {
     fleet: Option<String>,
     ingest: Option<String>,
-    serve: Option<String>,
     tiled: Option<String>,
     store: Option<String>,
     baselines: PathBuf,
@@ -46,7 +43,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> GateArgs {
     let mut out = GateArgs {
         fleet: None,
         ingest: None,
-        serve: None,
         tiled: None,
         store: None,
         baselines: PathBuf::from("benches/baselines"),
@@ -57,8 +53,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> GateArgs {
             out.fleet = Some(v.to_string());
         } else if let Some(v) = arg.strip_prefix("ingest=") {
             out.ingest = Some(v.to_string());
-        } else if let Some(v) = arg.strip_prefix("serve=") {
-            out.serve = Some(v.to_string());
         } else if let Some(v) = arg.strip_prefix("tiled=") {
             out.tiled = Some(v.to_string());
         } else if let Some(v) = arg.strip_prefix("store=") {
@@ -70,21 +64,14 @@ fn parse_args(args: impl Iterator<Item = String>) -> GateArgs {
         } else {
             eprintln!(
                 "unknown argument {arg:?}; expected `fleet=PATH`, `ingest=PATH`, \
-                 `serve=PATH`, `tiled=PATH`, `store=PATH`, `baselines=DIR` or \
-                 `--update-baseline`"
+                 `tiled=PATH`, `store=PATH`, `baselines=DIR` or `--update-baseline`"
             );
             exit(2);
         }
     }
-    if out.fleet.is_none()
-        && out.ingest.is_none()
-        && out.serve.is_none()
-        && out.tiled.is_none()
-        && out.store.is_none()
-    {
+    if out.fleet.is_none() && out.ingest.is_none() && out.tiled.is_none() && out.store.is_none() {
         eprintln!(
-            "nothing to gate: pass `fleet=PATH`, `ingest=PATH`, `serve=PATH`, `tiled=PATH` \
-             and/or `store=PATH`"
+            "nothing to gate: pass `fleet=PATH`, `ingest=PATH`, `tiled=PATH` and/or `store=PATH`"
         );
         exit(2);
     }
@@ -143,9 +130,6 @@ fn main() {
     }
     if let Some(ingest) = &args.ingest {
         violations.extend(gate_one(&args, ingest, "ingest.json", check_ingest));
-    }
-    if let Some(serve) = &args.serve {
-        violations.extend(gate_one(&args, serve, "serve.json", check_serve));
     }
     if let Some(tiled) = &args.tiled {
         violations.extend(gate_one(&args, tiled, "tiled.json", check_tiled));

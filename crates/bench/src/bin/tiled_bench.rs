@@ -8,8 +8,7 @@
 //! pure function of `(scene, config)`, the allocator of its inputs, and
 //! the fleet runs of `(system, variant, users)` — so the parity flags
 //! reproduce bit-for-bit anywhere. The gated throughput numbers
-//! (tile-rung encodes/s, allocations/s) are best-of-N wall clocks like
-//! `serve_bench`'s:
+//! (tile-rung encodes/s, allocations/s) are best-of-N wall clocks:
 //!
 //! ```text
 //! cargo run --release -p evr-bench --bin tiled_bench -- --smoke json=BENCH_tiled.json
@@ -33,7 +32,7 @@ use evr_video::library::{scene_for, VideoId};
 const SMOKE_DURATION_S: f64 = 10.0;
 
 /// Timed repetitions; best-of-N damps scheduler noise in the gated
-/// numbers, exactly like `serve_bench`.
+/// numbers.
 const TIMING_REPS: usize = 3;
 
 struct TiledArgs {
@@ -197,7 +196,7 @@ fn main() {
     // Ingest worker sweep: every count must reproduce the serial catalog
     // byte for byte. The gated throughput is tile-rung encodes per
     // second from the best wall clock of the sweep (best-of-N per
-    // count), like serve_bench's gated requests/s.
+    // count).
     let mut sweep: Vec<IngestResult> = Vec::new();
     let mut reference = None;
     for workers in worker_counts(args.max_workers) {

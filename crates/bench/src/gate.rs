@@ -134,23 +134,6 @@ pub fn check_ingest(current: &Json, baseline: &Json, t: &GateThresholds) -> Vec<
     )
 }
 
-/// Gates a `serve_bench` report. Returns one message per violation;
-/// empty means the gate passes. Only the worker-parity flag and the
-/// widest-sweep throughput are load-bearing — shed rate and simulated
-/// latency are deterministic model outputs, pinned by tests rather
-/// than the perf gate.
-pub fn check_serve(current: &Json, baseline: &Json, t: &GateThresholds) -> Vec<String> {
-    run_checks(
-        "serve",
-        current,
-        baseline,
-        &[
-            Check::MustBeTrue { path: "parity_ok" },
-            Check::MinRatio { path: "scaling.requests_per_s", drop: t.throughput_drop },
-        ],
-    )
-}
-
 /// Gates a `tiled_bench` report. Returns one message per violation;
 /// empty means the gate passes. `parity_ok` covers both the ingest
 /// worker sweep and the tiled fleet runs; the gated throughputs are the
@@ -212,13 +195,6 @@ mod tests {
         .unwrap()
     }
 
-    fn serve_report(requests_per_s: f64, parity_ok: bool) -> Json {
-        Json::parse(&format!(
-            "{{\"parity_ok\":{parity_ok},\"scaling\":{{\"requests_per_s\":{requests_per_s:.6},\"shed_rate\":0.5}}}}"
-        ))
-        .unwrap()
-    }
-
     fn tiled_report(tile_rungs_per_s: f64, allocations_per_s: f64, parity_ok: bool) -> Json {
         Json::parse(&format!(
             "{{\"parity_ok\":{parity_ok},\"scaling\":{{\"tile_rungs_per_s\":{tile_rungs_per_s:.6},\"allocations_per_s\":{allocations_per_s:.6}}}}}"
@@ -271,22 +247,6 @@ mod tests {
         assert!(check_fleet(&base, &base, &GateThresholds::default()).is_empty());
         let base = ingest_report(40.0, 0.75, true);
         assert!(check_ingest(&base, &base, &GateThresholds::default()).is_empty());
-        let base = serve_report(50_000.0, true);
-        assert!(check_serve(&base, &base, &GateThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn serve_gate_fails_on_parity_break_or_throughput_collapse() {
-        let baseline = serve_report(50_000.0, true);
-        let broken = serve_report(60_000.0, false);
-        let violations = check_serve(&broken, &baseline, &GateThresholds::default());
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("parity_ok"), "{violations:?}");
-
-        let slow = serve_report(40_000.0, true); // -20%: past the 15% tolerance
-        let violations = check_serve(&slow, &baseline, &GateThresholds::default());
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("requests_per_s"), "{violations:?}");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use evr_sas::SasConfig;
 use evr_sas::SasServer;
 use evr_sas::TiledRateCatalog;
 use evr_trace::HeadTrace;
-use evr_video::codec::{EncodedFrame, EncodedSegment};
+use evr_video::codec::EncodedFrame;
 
 use crate::network::NetworkModel;
 use crate::pipeline::{
@@ -451,12 +451,6 @@ impl PlaybackSession {
 
 pub(crate) fn frame_wire_bytes(frame: &EncodedFrame, scale: f64) -> u64 {
     (frame.payload_bytes() as f64 * scale) as u64 + (frame.bytes - frame.payload_bytes())
-}
-
-/// Total target-scale wire bytes of a segment (helper shared with tests
-/// and experiment drivers).
-pub fn segment_wire_bytes(segment: &EncodedSegment, scale: f64) -> u64 {
-    segment.frames.iter().map(|f| frame_wire_bytes(f, scale)).sum()
 }
 
 /// `secs` seconds of `scene` ingested under `sas`: the catalog the

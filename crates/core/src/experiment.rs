@@ -108,7 +108,7 @@ impl AggregateReport {
         // Scale the merged ledger down to a per-user mean.
         let mut mean = EnergyLedger::new();
         for c in evr_energy::Component::ALL {
-            for a in ACTIVITIES {
+            for a in evr_energy::Activity::ALL {
                 let j = ledger.get(c, a) / n;
                 if j > 0.0 {
                     mean.add(c, a, j);
@@ -134,18 +134,6 @@ impl AggregateReport {
         }
     }
 }
-
-const ACTIVITIES: [evr_energy::Activity; 9] = [
-    evr_energy::Activity::Decode,
-    evr_energy::Activity::ProjectiveTransform,
-    evr_energy::Activity::Base,
-    evr_energy::Activity::DisplayScan,
-    evr_energy::Activity::NetworkRx,
-    evr_energy::Activity::StorageIo,
-    evr_energy::Activity::HeadMotionPrediction,
-    evr_energy::Activity::QualityAssessment,
-    evr_energy::Activity::Resilience,
-];
 
 /// Runs `variant` for all users in `use_case`, in parallel, and averages.
 pub fn run_variant(
@@ -254,6 +242,15 @@ mod tests {
         assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
         // Average device power is in the watts range the paper measures.
         assert!((2.0..8.0).contains(&agg.ledger.total_power()), "{}", agg.ledger.total_power());
+    }
+
+    #[test]
+    fn aggregate_keeps_every_activity() {
+        use evr_energy::{Activity, Component};
+        let mut report = PlaybackReport { duration_s: 1.0, ..PlaybackReport::empty() };
+        report.ledger.add(Component::Compute, Activity::DeltaReconstruct, 2.0);
+        let agg = AggregateReport::from_reports(vec![report.clone(), report]);
+        assert_eq!(agg.ledger.get(Component::Compute, Activity::DeltaReconstruct), 2.0);
     }
 
     #[test]

@@ -73,6 +73,22 @@ pub enum Activity {
     DeltaReconstruct,
 }
 
+impl Activity {
+    /// All activities, in declaration order.
+    pub const ALL: [Activity; 10] = [
+        Activity::Decode,
+        Activity::ProjectiveTransform,
+        Activity::Base,
+        Activity::DisplayScan,
+        Activity::NetworkRx,
+        Activity::StorageIo,
+        Activity::HeadMotionPrediction,
+        Activity::QualityAssessment,
+        Activity::Resilience,
+        Activity::DeltaReconstruct,
+    ];
+}
+
 impl fmt::Display for Activity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

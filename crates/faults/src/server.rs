@@ -25,9 +25,6 @@ pub struct FrontProfile {
     /// Queueing delay beyond which the front sheds even if the queue
     /// has room, seconds.
     pub shed_latency_s: f64,
-    /// Wire-byte fraction of a shed (low-rung original) response
-    /// relative to the full-quality original, in `(0, 1]`.
-    pub shed_byte_scale: f64,
     /// Extra service-time factor for every request during a
     /// [`ServerFaultEvent::StoreEvictionStorm`] (all reads become store
     /// misses that re-render).
@@ -43,7 +40,6 @@ impl Default for FrontProfile {
             service_time_s: 0.002,
             queue_capacity: 16,
             shed_latency_s: 0.02,
-            shed_byte_scale: 0.4,
             storm_miss_scale: 4.0,
             breaker: BreakerPolicy::default(),
         }
@@ -67,10 +63,6 @@ impl FrontProfile {
         assert!(
             self.shed_latency_s.is_finite() && self.shed_latency_s >= 0.0,
             "shed_latency_s must be finite and non-negative"
-        );
-        assert!(
-            self.shed_byte_scale > 0.0 && self.shed_byte_scale <= 1.0,
-            "shed_byte_scale must be in (0, 1]"
         );
         assert!(
             self.storm_miss_scale.is_finite() && self.storm_miss_scale >= 1.0,
@@ -216,12 +208,6 @@ impl ServerFaultPlan {
     /// The scheduled events.
     pub fn events(&self) -> &[ServerFaultEvent] {
         &self.events
-    }
-
-    /// Whether nothing is scheduled (the front still models queueing,
-    /// but no shard ever fails or slows).
-    pub fn is_quiet(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Whether `shard` is inside an outage window at `t`.

@@ -192,11 +192,6 @@ impl FxCtx {
         self.saturations.load(Ordering::Relaxed)
     }
 
-    /// Resets the saturation counter.
-    pub fn reset_saturation_count(&self) {
-        self.saturations.store(0, Ordering::Relaxed);
-    }
-
     fn saturate(&self, wide: i128) -> Fx {
         let max = self.format.max_raw() as i128;
         let min = self.format.min_raw() as i128;

@@ -40,8 +40,6 @@ pub mod timeline;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot};
 pub use timeline::{Timeline, TimelineEvent, TraceCtx, DEFAULT_TIMELINE_CAPACITY};
 
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Default latency bucket bounds in seconds (1 µs .. 100 ms), for
@@ -101,11 +99,6 @@ pub mod names {
     pub const SAS_PRERENDER_DELTA_ENTRIES: &str = "evr_sas_prerender_delta_entries";
 
     // Sharded serving front (evr-sas front.rs).
-    pub const SAS_FRONT_REQUESTS: &str = "evr_sas_front_requests_total";
-    pub const SAS_FRONT_SERVED: &str = "evr_sas_front_served_total";
-    pub const SAS_FRONT_SHED: &str = "evr_sas_front_shed_total";
-    pub const SAS_FRONT_UNAVAILABLE: &str = "evr_sas_front_unavailable_total";
-    pub const SAS_FRONT_COALESCED: &str = "evr_sas_front_coalesced_total";
     pub const SAS_FRONT_BREAKER_TRIPS: &str = "evr_sas_front_breaker_trips_total";
     pub const SAS_FRONT_PEAK_QUEUE_DEPTH: &str = "evr_sas_front_peak_queue_depth";
 
@@ -160,7 +153,6 @@ pub mod names {
     pub const TIMELINE_USER: &str = "user";
     pub const TIMELINE_SAS_FETCH: &str = "sas_fetch_fov";
     pub const TIMELINE_INGEST_SEGMENT: &str = "ingest_segment";
-    pub const TIMELINE_FRONT_SERVE: &str = "front_serve";
 
     // Staged segment pipeline (evr-client): one wall-clock histogram per
     // stage, named `evr_pipeline_stage_seconds_<stage>` via
@@ -292,11 +284,6 @@ impl Observer {
             self.timeline.retained(),
             self.timeline.dropped(),
         )
-    }
-
-    /// Writes [`Observer::report_json`] to `path`.
-    pub fn write_report(&self, path: impl AsRef<Path>, label: &str) -> io::Result<()> {
-        std::fs::write(path, self.report_json(label))
     }
 }
 

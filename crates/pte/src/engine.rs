@@ -186,11 +186,6 @@ impl Pte {
         }
     }
 
-    /// Creates an engine with explicit energy parameters.
-    pub fn with_energy(config: PteConfig, energy: PteEnergyParams) -> Self {
-        Pte { config, energy, metrics: PteMetrics::default(), lut: SamplingMapCache::shared() }
-    }
-
     /// Replaces the sampling-map cache (default: the process-wide shared
     /// cache). Tests use a private cache so hit/miss counts are observed
     /// in isolation.

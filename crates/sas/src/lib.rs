@@ -16,8 +16,8 @@
 //!    segment starts, at any ladder rung or as an upgrade) and tile
 //!    requests, each answered by one typed fetch out of the server's
 //!    pre-render store; the original segment of an FOV miss is read
-//!    straight from the catalog. The sharded front batches both request
-//!    kinds through one admission path.
+//!    straight from the catalog. The sharded front admits every request
+//!    before its one fetch.
 //! 4. **Client checking** ([`checker`]) — the client-side FOV checker
 //!    comparing the IMU pose against each FOV frame's metadata (§5.4).
 //!
@@ -58,10 +58,7 @@ pub mod tiles;
 pub use checker::FovChecker;
 pub use config::SasConfig;
 pub use fovladder::{fov_rung_quantizers, populate_fov_ladder, FovLadderStats};
-pub use front::{
-    Admission, BatchOutcome, BatchReport, Disposition, FrontRequest, Payload, Request, SasFront,
-    ShardStats, ShedReason,
-};
+pub use front::{Admission, SasFront, ShardStats, ShedReason};
 pub use ingest::{ingest_video_with, FovStream, IngestError, IngestOptions, SasCatalog};
 pub use ladder::{ingest_ladder_with, LadderCatalog};
 pub use prerender::{FovPrerenderStore, PrerenderKey, PrerenderedFov, StoreStats};

@@ -33,8 +33,8 @@ mkdir -p "$OUT"
 run() { echo "+ $*" >&2; "$@"; }
 
 run cargo build --release -q -p evr-bench \
-    --bin pt_bench --bin fleet_bench --bin ingest_bench --bin serve_bench \
-    --bin tiled_bench --bin store_bench --bin chaos_run --bin bench_gate
+    --bin pt_bench --bin fleet_bench --bin ingest_bench --bin tiled_bench \
+    --bin store_bench --bin chaos_run --bin bench_gate
 
 # Pinned-seed smokes: parity is load-bearing, timings informational.
 run target/release/pt_bench --smoke seed=7 json="$OUT/BENCH_pt.json"
@@ -42,20 +42,18 @@ run target/release/chaos_run quick tiny seed=7 json=target/chaos_smoke.json
 run diff -u tests/golden/chaos_smoke.json target/chaos_smoke.json
 
 # The gated benches: scaling sweep + Amdahl summary + Chrome trace for
-# fleet/ingest, shard-count overload sweep for the serving front.
+# fleet/ingest, then the tiled and delta-store benches.
 # Worker counts are pinned (not auto-detected) so the swept
 # configurations — and thus the gate's efficiency comparison — are the
 # same on every machine.
 run target/release/fleet_bench --smoke workers=8 json="$OUT/BENCH_fleet.json"
 run target/release/ingest_bench --smoke workers=8 json="$OUT/BENCH_ingest.json"
-run target/release/serve_bench --smoke workers=4 seed=7 json="$OUT/BENCH_serve.json"
 run target/release/tiled_bench --smoke workers=8 json="$OUT/BENCH_tiled.json"
 run target/release/store_bench --smoke workers=8 json="$OUT/BENCH_store.json"
 
 run target/release/bench_gate \
     fleet="$OUT/BENCH_fleet.json" ingest="$OUT/BENCH_ingest.json" \
-    serve="$OUT/BENCH_serve.json" tiled="$OUT/BENCH_tiled.json" \
-    store="$OUT/BENCH_store.json" \
+    tiled="$OUT/BENCH_tiled.json" store="$OUT/BENCH_store.json" \
     baselines="$BASELINES" $UPDATE
 
 echo "bench reports in $OUT/ (traces: *.trace_events.json)"
