@@ -243,8 +243,11 @@ fn ingest_outputs_match_golden_digest() {
 /// geometry against `tests/golden/kernel_digest.txt`: the FOV pre-render
 /// `downsample2x(render_with_map)` (a 224×224 map over a 320×160 Paris
 /// frame, seam and pole poses included), the 320×160 ERP scene render of
-/// every library scene, and I+P `encode_frame` at three sizes and
-/// quantisers, one of them odd. `ingest_digest.txt` pins only the tiny
+/// every library scene, and `encode_frame` runs of an intra frame and
+/// its predicted followers: at three sizes and quantisers, at a size
+/// odd in both axes, and on one tile of the default grid at every tiled
+/// rung (the full-resolution crop at the top quantiser, the halved crop
+/// at the lower ones). `ingest_digest.txt` pins only the tiny
 /// 96×48 configuration, where border taps dominate. The digests come
 /// from the pre-fast-path kernels (the `#[cfg(test)]` oracles of
 /// DESIGN.md §7 and §11); regenerate them only for a deliberate output
@@ -288,23 +291,43 @@ fn ingest_kernels_match_golden_digest() {
         }
     }
 
-    let encode = |q: u8, frames: [ImageBuffer; 2]| {
+    let encode = |q: u8, frames: &[ImageBuffer]| {
         let mut enc = Encoder::new(CodecConfig::new(30, q));
-        debug_digest(&frames.map(|f| enc.encode_frame(&f)))
+        debug_digest(&frames.iter().map(|f| enc.encode_frame(f)).collect::<Vec<_>>())
     };
     let source = |scene: &evr_video::Scene, t: f64, w: u32, h: u32| {
         scene.render_image(t, Projection::Erp, w, h)
     };
     let original = [source(&paris, 0.0, src_w, src_h), source(&paris, 1.0 / 30.0, src_w, src_h)];
-    writeln!(got, "encode {src_w}x{src_h} q12 {}", encode(12, original)).unwrap();
+    writeln!(got, "encode {src_w}x{src_h} q12 {}", encode(12, &original)).unwrap();
     let fov = [
         fov_frame(&source(&paris, 0.0, src_w, src_h), -6.0, -9.0, 0.0),
         fov_frame(&source(&paris, 1.0 / 30.0, src_w, src_h), -3.0, -9.0, 0.0),
     ];
-    writeln!(got, "encode {fov_w}x{fov_h} q15 {}", encode(15, fov)).unwrap();
+    writeln!(got, "encode {fov_w}x{fov_h} q15 {}", encode(15, &fov)).unwrap();
     let rhino = scene_for(VideoId::Rhino);
     let odd = [source(&rhino, 0.0, 100, 60), source(&rhino, 0.9, 100, 60)];
-    writeln!(got, "encode 100x60 q30 {}", encode(30, odd)).unwrap();
+    writeln!(got, "encode 100x60 q30 {}", encode(30, &odd)).unwrap();
+    // Odd in both axes: one- and two-sample chroma averages, and partial
+    // blocks in every plane.
+    let odd = [0.0, 0.4, 0.8].map(|t| source(&rhino, t, 57, 33));
+    writeln!(got, "encode 57x33 q12 {}", encode(12, &odd)).unwrap();
+    // One tile of the default grid as the tiled ingest codes it: the
+    // full-resolution crop at the top rung, the halved crop below it.
+    let (tile_w, tile_h) = (src_w / cfg.tile_grid.cols, src_h / cfg.tile_grid.rows);
+    let (x0, y0) = (3 * tile_w, tile_h);
+    let crops = [0.0, 1.0 / 30.0, 2.0 / 30.0].map(|t| {
+        let src = source(&paris, t, src_w, src_h);
+        ImageBuffer::from_fn(tile_w, tile_h, |x, y| src.get(x0 + x, y0 + y))
+    });
+    let halved = crops.each_ref().map(downsample2x);
+    let rungs = cfg.tiled_rung_quantizers();
+    let (top, lower) = rungs.split_last().expect("the tiled ladder has a top rung");
+    writeln!(got, "encode tile {tile_w}x{tile_h} q{top} {}", encode(*top, &crops)).unwrap();
+    for &q in lower {
+        let (w, h) = (tile_w / 2, tile_h / 2);
+        writeln!(got, "encode tile {w}x{h} q{q} {}", encode(q, &halved)).unwrap();
+    }
 
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/golden/kernel_digest.txt");
