@@ -1,7 +1,9 @@
-//! Codec-model throughput: intra and predicted coding, global motion
-//! estimation, decode. `encode_predicted_112` is the FOV-video size:
-//! 240 of the 270 frames an ingest segment encodes at the default
-//! configuration are 112×112 P- and I-frames of the FOV streams.
+//! Codec-model throughput: colour conversion, intra and predicted
+//! coding, decode. `encode_predicted_112` is the FOV-video size: 240 of
+//! the 270 frames an ingest segment encodes at the default configuration
+//! are 112×112 P- and I-frames of the FOV streams, and
+//! `encode_segment_112` encodes one whole such stream segment, 30
+//! rendered Rhino FOV frames at the top rung's q15.
 //!
 //! The `serving_112` group times the coefficient-domain kernels of the
 //! FOV rung ladder on one 30-frame 112×112 FOV segment at the top
@@ -17,6 +19,7 @@ use evr_projection::pixel::downsample2x;
 use evr_projection::{FilterMode, FovSpec, ImageBuffer, Projection, Rgb, Transformer, Viewport};
 use evr_video::codec::{CodecConfig, Decoder, EncodedSegment, Encoder};
 use evr_video::library::{scene_for, VideoId};
+use evr_video::yuv::rgb_to_yuv420;
 use evr_video::{transcode_segment, DeltaSegment};
 
 fn frame(phase: f64) -> ImageBuffer {
@@ -37,6 +40,7 @@ fn bench_codec(c: &mut Criterion) {
     let f0 = frame(0.0);
     let f1 = frame(0.8);
 
+    group.bench_function("rgb_to_yuv420", |b| b.iter(|| rgb_to_yuv420(std::hint::black_box(&f0))));
     group.bench_function("encode_intra", |b| {
         b.iter(|| Encoder::new(CodecConfig::default()).encode_frame(std::hint::black_box(&f0)))
     });
@@ -60,13 +64,17 @@ fn bench_codec(c: &mut Criterion) {
     group.bench_function("decode_intra", |b| {
         b.iter(|| Decoder::new().decode_frame(std::hint::black_box(&encoded)))
     });
+    let fov = fov_frames();
+    group.bench_function("encode_segment_112", |b| {
+        b.iter(|| fov_segment(std::hint::black_box(&fov)))
+    });
     group.finish();
 }
 
 /// One second of a Rhino FOV stream as the SAS cloud pre-renders it: a
 /// 224×224 render of the ERP source, downsampled to 112×112, panning
-/// with its cluster, encoded at the top rung's q15.
-fn fov_segment() -> EncodedSegment {
+/// with its cluster.
+fn fov_frames() -> Vec<ImageBuffer> {
     let scene = scene_for(VideoId::Rhino);
     let t = Transformer::new(
         Projection::Erp,
@@ -74,23 +82,26 @@ fn fov_segment() -> EncodedSegment {
         FovSpec::hdk2().expanded(evr_math::Degrees(10.0)),
         Viewport::new(224, 224),
     );
-    let mut enc = Encoder::new(CodecConfig::new(30, 15));
-    let frames = (0..30)
+    (0..30)
         .map(|i| {
             let time = i as f64 / 30.0;
             let src = scene.render_image(time, Projection::Erp, 320, 160);
             let pose = EulerAngles::from_degrees(-5.0 + 6.0 * time, -10.0, 0.0);
-            let fov = downsample2x(&t.render_with_map(&src, &t.coordinate_map(pose)));
-            enc.encode_frame(&fov)
+            downsample2x(&t.render_with_map(&src, &t.coordinate_map(pose)))
         })
-        .collect();
-    EncodedSegment { start_index: 0, frames }
+        .collect()
+}
+
+/// `frames` encoded as one segment at the top rung's q15, intra first.
+fn fov_segment(frames: &[ImageBuffer]) -> EncodedSegment {
+    let mut enc = Encoder::new(CodecConfig::new(30, 15));
+    EncodedSegment { start_index: 0, frames: frames.iter().map(|f| enc.encode_frame(f)).collect() }
 }
 
 fn bench_serving(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving_112");
     group.sample_size(20);
-    let top = fov_segment();
+    let top = fov_segment(&fov_frames());
     let rung = transcode_segment(&top, 30);
     let down = DeltaSegment::encode(&rung, &top).expect("same shape");
 

@@ -155,6 +155,18 @@ impl SasConfig {
         if self.segment_frames == 0 {
             return Err("segment_frames must be non-zero".into());
         }
+        if self.codec.gop_len == 0 {
+            return Err("codec.gop_len must be non-zero".into());
+        }
+        // The range `CodecConfig::new` enforces; the fields are public,
+        // so a literal can bypass it.
+        for (name, q) in
+            [("codec.quantizer", self.codec.quantizer), ("fov_quantizer", self.fov_quantizer)]
+        {
+            if !(1..=50).contains(&q) {
+                return Err(format!("{name} must be in 1..=50"));
+            }
+        }
         if !self.segment_frames.is_multiple_of(self.codec.gop_len)
             && !self.codec.gop_len.is_multiple_of(self.segment_frames)
         {
@@ -200,6 +212,9 @@ fn pixel_ratio(target: (u32, u32), analysis: (u32, u32)) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ingest_ladder_with, ingest_tiled_rates_with, ingest_video_with};
+    use crate::{IngestError, IngestOptions};
+    use evr_video::library::{scene_for, VideoId};
 
     #[test]
     fn default_config_is_valid() {
@@ -234,6 +249,45 @@ mod tests {
         assert!(c.validate().is_err());
         let c = SasConfig { object_utilization: 1.2, ..SasConfig::default() };
         assert!(c.validate().is_err());
+    }
+
+    /// Refuses `cfg` with a reason naming `field` in `validate`, in
+    /// `ingest_video_with` and in `ingest_ladder_with`, then runs the
+    /// tiled ingest, which panics with that error's message.
+    fn refused_by_every_ingest(cfg: SasConfig, field: &str) {
+        let reason = cfg.validate().unwrap_err();
+        assert!(reason.starts_with(field), "{reason}");
+        let scene = scene_for(VideoId::Rs);
+        let refused = IngestError::InvalidConfig(reason);
+        let options = IngestOptions::default();
+        assert_eq!(ingest_video_with(&scene, &cfg, 0.5, &options).unwrap_err(), refused);
+        assert_eq!(ingest_ladder_with(&scene, &cfg, &[30, 10], 0.5, 1).unwrap_err(), refused);
+        let _ = ingest_tiled_rates_with(&scene, &cfg, 0.5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SAS configuration: fov_quantizer must be in 1..=50")]
+    fn zero_fov_quantizer_is_refused() {
+        refused_by_every_ingest(
+            SasConfig { fov_quantizer: 0, ..SasConfig::tiny_for_tests() },
+            "fov_quantizer",
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SAS configuration: codec.gop_len must be non-zero")]
+    fn zero_gop_len_is_refused() {
+        let mut cfg = SasConfig::tiny_for_tests();
+        cfg.codec.gop_len = 0;
+        refused_by_every_ingest(cfg, "codec.gop_len");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SAS configuration: codec.quantizer must be in 1..=50")]
+    fn quantizer_above_the_codec_cap_is_refused() {
+        let mut cfg = SasConfig::tiny_for_tests();
+        cfg.codec.quantizer = 60;
+        refused_by_every_ingest(cfg, "codec.quantizer");
     }
 
     #[test]
