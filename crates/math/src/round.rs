@@ -3,18 +3,20 @@
 //! `f64::round` rounds half away from zero. Baseline x86-64 has no
 //! SSE4.1 `roundsd`, so it compiles to a call into libm, which the
 //! codec, scene and filtering kernels would pay once per coefficient or
-//! per channel. The helpers here truncate with a saturating cast and
-//! step one away from zero when the fraction reaches one half: for
-//! `|x| < 2^31` the truncation `t` is exact and so is `x − t` (every
-//! `f64` fraction below `2^52` is representable), so the step is
-//! exactly the half-away rule. Larger magnitudes and infinities saturate
-//! the cast and land outside the target range either way, and NaN
-//! truncates to 0 with a NaN fraction that steps nowhere, which is what
-//! `NaN as` gives. Each helper therefore equals
-//! `x.round().clamp(MIN, MAX) as T` for every `f64`.
+//! per channel. Each helper here equals `x.round().clamp(MIN, MAX) as T`
+//! for every `f64`, NaN and infinities included; the helpers' docs say
+//! why.
 
 /// `x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i16`, without
 /// calling libm.
+///
+/// Truncates with a saturating cast and steps one away from zero when
+/// the fraction reaches one half. For `|x| < 2^31` the truncation `t` is
+/// exact and so is `x − t` (every `f64` fraction below `2^52` is
+/// representable), so the step is exactly the half-away rule. Larger
+/// magnitudes and infinities saturate the cast and land outside the
+/// range either way, and NaN truncates to 0 with a NaN fraction that
+/// steps nowhere, which is what `NaN as` gives.
 ///
 /// # Example
 ///
@@ -26,10 +28,21 @@
 /// ```
 #[inline]
 pub fn round_to_i16(x: f64) -> i16 {
-    round_to(x, i64::from(i16::MIN), i64::from(i16::MAX)) as i16
+    let t = x as i32;
+    let f = x - f64::from(t);
+    let r = i64::from(t) + i64::from(f >= 0.5) - i64::from(f <= -0.5);
+    r.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16
 }
 
 /// `x.round().clamp(0.0, 255.0) as u8`, without calling libm.
+///
+/// A compare, a `min`, an add and one truncating cast. Below ½ the
+/// rounded value is at most 0, and NaN casts to 0, so both give 0; from
+/// 254.5 up the rounded value is at least 255. In between, `x` and ½ are both multiples of `x`'s ulp, so
+/// `x + ½` is exact while it stays in `x`'s binade; past the next power
+/// of two `2^k` it rounds into `[2^k, 2^k + ½]`. Either way the
+/// truncation is `⌊x + ½⌋`, which for a positive `x` is rounding half
+/// away from zero.
 ///
 /// # Example
 ///
@@ -41,17 +54,11 @@ pub fn round_to_i16(x: f64) -> i16 {
 /// ```
 #[inline]
 pub fn round_to_u8(x: f64) -> u8 {
-    round_to(x, 0, 255) as u8
-}
-
-/// Rounds half away from zero and clamps to `[lo, hi]` (see the module
-/// docs for why truncate-then-step is exact).
-#[inline]
-fn round_to(x: f64, lo: i64, hi: i64) -> i64 {
-    let t = x as i32;
-    let f = x - f64::from(t);
-    let r = i64::from(t) + i64::from(f >= 0.5) - i64::from(f <= -0.5);
-    r.clamp(lo, hi)
+    if x >= 0.5 {
+        (x.min(254.5) + 0.5) as u8
+    } else {
+        0
+    }
 }
 
 #[cfg(test)]
@@ -68,9 +75,11 @@ mod tests {
     }
 
     /// Signed zeros, ties and their neighbours, both ends of both target
-    /// ranges, the saturation points of the `i32` cast, values past
-    /// `2^52` where every `f64` is an integer, infinities and NaN.
-    const EDGES: [f64; 33] = [
+    /// ranges, the last doubles below powers of two (where `x + ½`
+    /// leaves `x`'s binade), the saturation points of the `i32` cast,
+    /// values past `2^52` where every `f64` is an integer, infinities
+    /// and NaN.
+    const EDGES: [f64; 37] = [
         0.0,
         -0.0,
         0.5,
@@ -79,6 +88,10 @@ mod tests {
         -0.49999999999999994,
         1.5,
         -2.5,
+        1.9999999999999998,
+        127.99999999999999,
+        127.49999999999999,
+        254.49999999999997,
         254.5,
         255.5,
         255.49999999999997,
