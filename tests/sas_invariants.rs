@@ -205,8 +205,9 @@ fn serving_digest(catalog: &SasCatalog, cfg: &SasConfig) -> String {
     debug_digest(&served)
 }
 
-/// Byte identity of the ingest stages (catalog, delta FOV ladder,
-/// tiled-rate catalog, ABR ladder) and of the serving kernels (transcode,
+/// Byte identity of the ingest stages (catalog, delta FOV ladder and the
+/// residency of the store it fills, tiled-rate catalog, ABR ladder) and
+/// of the serving kernels (transcode,
 /// delta encode, delta reconstruct) against `tests/golden/ingest_digest.txt`.
 /// The digests come from the exhaustive kernels that the motion-search,
 /// ERP-render and bilinear fast paths replace (DESIGN.md §7, §11), and
@@ -227,6 +228,8 @@ fn ingest_outputs_match_golden_digest() {
         let tiles = ingest_tiled_rates_with(&scene, &cfg, 1.0, 2);
         writeln!(got, "{video:?} catalog {}", debug_digest(&catalog)).unwrap();
         writeln!(got, "{video:?} ladder {}", debug_digest(&ladder)).unwrap();
+        let residency = (store.len(), store.delta_entries(), store.resident_bytes());
+        writeln!(got, "{video:?} ladder-store {}", debug_digest(&residency)).unwrap();
         writeln!(got, "{video:?} tiles {}", debug_digest(&tiles)).unwrap();
         writeln!(got, "{video:?} serve {}", serving_digest(&catalog, &cfg)).unwrap();
         let abr = ingest_ladder_with(&scene, &cfg, &[30, 18, 10], 1.0, 2).expect("valid ladder");
