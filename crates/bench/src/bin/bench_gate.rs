@@ -1,12 +1,10 @@
 //! The CI perf-regression gate.
 //!
-//! Compares fresh `fleet_bench` / `ingest_bench` / `tiled_bench` /
-//! `store_bench` JSON reports against the committed baselines in
-//! `benches/baselines/` and exits non-zero if any noise-tolerant
-//! threshold is violated (see [`evr_bench::gate`]): >15% throughput
-//! drop, >0.1 absolute parallel efficiency drop, a parity break in the
-//! current run, or (store) a >2% drop in the delta store's residency /
-//! wire-byte reductions.
+//! Compares fresh `fleet_bench` / `ingest_bench` / `tiled_bench` JSON
+//! reports against the committed baselines in `benches/baselines/` and
+//! exits non-zero if any noise-tolerant threshold is violated (see
+//! [`evr_bench::gate`]): >15% throughput drop, >0.1 absolute parallel
+//! efficiency drop, or a parity break in the current run.
 //!
 //! ```text
 //! # gate a run against the committed baselines
@@ -27,14 +25,13 @@
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use evr_bench::gate::{check_fleet, check_ingest, check_store, check_tiled, GateThresholds};
+use evr_bench::gate::{check_fleet, check_ingest, check_tiled, GateThresholds};
 use evr_bench::json::Json;
 
 struct GateArgs {
     fleet: Option<String>,
     ingest: Option<String>,
     tiled: Option<String>,
-    store: Option<String>,
     baselines: PathBuf,
     update: bool,
 }
@@ -44,7 +41,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> GateArgs {
         fleet: None,
         ingest: None,
         tiled: None,
-        store: None,
         baselines: PathBuf::from("benches/baselines"),
         update: false,
     };
@@ -55,8 +51,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> GateArgs {
             out.ingest = Some(v.to_string());
         } else if let Some(v) = arg.strip_prefix("tiled=") {
             out.tiled = Some(v.to_string());
-        } else if let Some(v) = arg.strip_prefix("store=") {
-            out.store = Some(v.to_string());
         } else if let Some(v) = arg.strip_prefix("baselines=") {
             out.baselines = PathBuf::from(v);
         } else if arg == "--update-baseline" {
@@ -64,15 +58,13 @@ fn parse_args(args: impl Iterator<Item = String>) -> GateArgs {
         } else {
             eprintln!(
                 "unknown argument {arg:?}; expected `fleet=PATH`, `ingest=PATH`, \
-                 `tiled=PATH`, `store=PATH`, `baselines=DIR` or `--update-baseline`"
+                 `tiled=PATH`, `baselines=DIR` or `--update-baseline`"
             );
             exit(2);
         }
     }
-    if out.fleet.is_none() && out.ingest.is_none() && out.tiled.is_none() && out.store.is_none() {
-        eprintln!(
-            "nothing to gate: pass `fleet=PATH`, `ingest=PATH`, `tiled=PATH` and/or `store=PATH`"
-        );
+    if out.fleet.is_none() && out.ingest.is_none() && out.tiled.is_none() {
+        eprintln!("nothing to gate: pass `fleet=PATH`, `ingest=PATH` and/or `tiled=PATH`");
         exit(2);
     }
     out
@@ -133,9 +125,6 @@ fn main() {
     }
     if let Some(tiled) = &args.tiled {
         violations.extend(gate_one(&args, tiled, "tiled.json", check_tiled));
-    }
-    if let Some(store) = &args.store {
-        violations.extend(gate_one(&args, store, "store.json", check_store));
     }
     if !violations.is_empty() {
         eprintln!("perf gate FAILED ({} violation(s)):", violations.len());

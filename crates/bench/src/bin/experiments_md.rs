@@ -9,79 +9,8 @@
 use std::fmt::Write as _;
 
 use evr_bench::context_from_env;
-use evr_client::refine::run_refinement_session;
 use evr_core::figures as f;
 use evr_core::report;
-use evr_energy::{Activity, DeviceParams};
-use evr_sas::{
-    fov_rung_quantizers, ingest_video_with, populate_fov_ladder, FovPrerenderStore, IngestOptions,
-    SasConfig, SasServer,
-};
-use evr_video::library::{scene_for, VideoId};
-
-/// The DESIGN.md §16 record: per evaluation video, the FOV rung
-/// ladder's residency as independent full encodings vs delta-resident
-/// lower rungs, and one user's coarse-then-upgrade session over the
-/// full vs delta wire (bench catalog shape: `tiny_for_tests`).
-/// Regeneration double-checks the bit-exactness claim — a content
-/// digest mismatch between the two wires panics here.
-fn delta_store_markdown(duration_s: f64) -> String {
-    let mut md = String::new();
-    md.push_str("## Delta-resident FOV pre-render ladder (DESIGN.md \u{a7}16)\n\n");
-    let _ = writeln!(
-        md,
-        "Lower FOV rungs held as sparse quantised-coefficient residuals against the \
-         top rung, in the store and optionally on the rung\u{2192}top upgrade wire; \
-         playback is bit-identical either way (checked during generation). {duration_s:.0} s \
-         of content per video, bench catalog shape; see `store_bench` for the gated numbers.\n"
-    );
-    md.push_str(
-        "| video | resident full | resident delta | saved | wire full/user | wire delta/user \
-         | saved | reconstruct J |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|\n",
-    );
-    let cfg = SasConfig::tiny_for_tests();
-    let device = DeviceParams::default();
-    for video in VideoId::ALL {
-        let catalog =
-            ingest_video_with(&scene_for(video), &cfg, duration_s, &IngestOptions::default())
-                .unwrap_or_else(|e| panic!("ingest of {video:?} failed: {e}"));
-        let rungs = fov_rung_quantizers(catalog.config());
-        let full_store = FovPrerenderStore::new();
-        populate_fov_ladder(&catalog, &full_store, &rungs, 0, false);
-        let delta_store = FovPrerenderStore::new();
-        populate_fov_ladder(&catalog, &delta_store, &rungs, 0, true);
-        let (full_resident, delta_resident) =
-            (full_store.resident_bytes(), delta_store.resident_bytes());
-
-        let picks: Vec<(u32, usize)> = (0..catalog.segment_count())
-            .filter_map(|s| catalog.clusters_in_segment(s).first().map(|&c| (s, c)))
-            .collect();
-        let server = SasServer::with_store(catalog, delta_store);
-        let full = run_refinement_session(&server, &picks, rungs[0], false, &device)
-            .expect("full-wire session");
-        let delta = run_refinement_session(&server, &picks, rungs[0], true, &device)
-            .expect("delta-wire session");
-        assert_eq!(
-            full.content_digest, delta.content_digest,
-            "delta wire diverged from full wire on {video:?}"
-        );
-        let _ = writeln!(
-            md,
-            "| {:?} | {} B | {} B | {:.1}% | {:.1} MB | {:.1} MB | {:.1}% | {:.2} |",
-            video,
-            full_resident,
-            delta_resident,
-            (1.0 - delta_resident as f64 / full_resident as f64) * 100.0,
-            full.wire_bytes as f64 / 1e6,
-            delta.wire_bytes as f64 / 1e6,
-            (1.0 - delta.wire_bytes as f64 / full.wire_bytes as f64) * 100.0,
-            delta.ledger.activity_total(Activity::DeltaReconstruct),
-        );
-    }
-    md.push('\n');
-    md
-}
 
 fn main() {
     let t0 = std::time::Instant::now();
@@ -101,29 +30,27 @@ fn main() {
         scale.users, scale.duration_s
     );
 
-    eprintln!("[1/11] figure 3...");
+    eprintln!("[1/10] figure 3...");
     md.push_str(&report::fig03_markdown(&f::fig03(&ctx)));
-    eprintln!("[2/11] figure 5... ({:?})", t0.elapsed());
+    eprintln!("[2/10] figure 5... ({:?})", t0.elapsed());
     md.push_str(&report::fig05_markdown(&f::fig05(&ctx)));
-    eprintln!("[3/11] figure 6... ({:?})", t0.elapsed());
+    eprintln!("[3/10] figure 6... ({:?})", t0.elapsed());
     md.push_str(&report::fig06_markdown(&f::fig06(&ctx)));
-    eprintln!("[4/11] figure 11... ({:?})", t0.elapsed());
+    eprintln!("[4/10] figure 11... ({:?})", t0.elapsed());
     md.push_str(&report::fig11_markdown(&f::fig11()));
-    eprintln!("[5/11] figure 12... ({:?})", t0.elapsed());
+    eprintln!("[5/10] figure 12... ({:?})", t0.elapsed());
     md.push_str(&report::fig12_markdown(&f::fig12(&ctx)));
-    eprintln!("[6/11] figure 13... ({:?})", t0.elapsed());
+    eprintln!("[6/10] figure 13... ({:?})", t0.elapsed());
     md.push_str(&report::fig13_markdown(&f::fig13(&ctx)));
-    eprintln!("[7/11] figure 14... ({:?})", t0.elapsed());
+    eprintln!("[7/10] figure 14... ({:?})", t0.elapsed());
     md.push_str(&report::fig14_markdown(&f::fig14(&ctx)));
-    eprintln!("[8/11] figure 15... ({:?})", t0.elapsed());
+    eprintln!("[8/10] figure 15... ({:?})", t0.elapsed());
     md.push_str(&report::fig15_markdown(&f::fig15(&ctx)));
-    eprintln!("[9/11] figure 16... ({:?})", t0.elapsed());
+    eprintln!("[9/10] figure 16... ({:?})", t0.elapsed());
     md.push_str(&report::fig16_markdown(&f::fig16(&ctx)));
-    eprintln!("[10/11] figure 17 + prototype... ({:?})", t0.elapsed());
+    eprintln!("[10/10] figure 17 + prototype... ({:?})", t0.elapsed());
     md.push_str(&report::fig17_markdown(&f::fig17()));
     md.push_str(&report::proto_markdown(&f::proto_pte()));
-    eprintln!("[11/11] delta-resident FOV ladder... ({:?})", t0.elapsed());
-    md.push_str(&delta_store_markdown(scale.duration_s));
 
     md.push_str("## Reading guide\n\n");
     md.push_str(

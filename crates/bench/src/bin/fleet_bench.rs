@@ -45,8 +45,8 @@ use std::time::Instant;
 
 use evr_bench::header;
 use evr_bench::scaling::{
-    simulate_chunked_makespan, simulate_interleave_makespan, stage_scaling, ScalingPoint,
-    ScalingSummary,
+    simulate_chunked_makespan, simulate_interleave_makespan, stage_scaling, worker_counts,
+    ScalingPoint, ScalingSummary,
 };
 use evr_client::session::PlaybackReport;
 use evr_core::{EvrSystem, FleetRunner, UseCase, Variant};
@@ -138,20 +138,6 @@ fn run_variant_case(sys: &EvrSystem, args: &FleetArgs, variant: Variant) -> Vari
 
     let parity_ok = serial == fleet && merge_all(&serial) == merge_all(&fleet);
     VariantResult { variant, serial_s, fleet_s, parity_ok }
-}
-
-/// Doubling worker counts from 1 up to and including `max`.
-fn worker_counts(max: usize) -> Vec<usize> {
-    let mut counts = vec![1usize];
-    let mut w = 2;
-    while w < max {
-        counts.push(w);
-        w *= 2;
-    }
-    if max > 1 {
-        counts.push(max);
-    }
-    counts
 }
 
 struct FleetScaling {

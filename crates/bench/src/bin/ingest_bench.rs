@@ -5,10 +5,7 @@
 //! a run-time parity check that every parallel catalog is
 //! byte-identical to the serial one; then the
 //! store-backed path — a cold ingest populating the shared FOV
-//! pre-render store and a warm re-ingest served out of it, plus a
-//! store-vs-delta-store playback parity check (a refinement session
-//! over a delta-resident FOV rung ladder must reproduce the
-//! full-encoding ladder's report bit for bit; DESIGN.md §16) — and a
+//! pre-render store and a warm re-ingest served out of it — and a
 //! full-bitrate-ladder pass through [`ingest_ladder_with`], both with
 //! the same parity discipline. Emits `BENCH_ingest.json` so the
 //! cloud-scaling trajectory has data points (ROADMAP: the cloud side
@@ -41,15 +38,12 @@ use std::time::Instant;
 
 use evr_bench::header;
 use evr_bench::scaling::{
-    simulate_chunked_makespan, simulate_interleave_makespan, stage_scaling, ScalingPoint,
-    ScalingSummary,
+    simulate_chunked_makespan, simulate_interleave_makespan, stage_scaling, worker_counts,
+    ScalingPoint, ScalingSummary,
 };
-use evr_client::refine::run_refinement_session;
-use evr_energy::DeviceParams;
 use evr_obs::{names, Observer, Timeline, TimelineEvent, DEFAULT_TIMELINE_CAPACITY};
 use evr_sas::{
-    fov_rung_quantizers, ingest_ladder_with, ingest_video_with, populate_fov_ladder,
-    FovPrerenderStore, IngestOptions, SasCatalog, SasConfig, SasServer,
+    ingest_ladder_with, ingest_video_with, FovPrerenderStore, IngestOptions, SasCatalog, SasConfig,
 };
 use evr_video::library::{scene_for, VideoId};
 use evr_video::scene::Scene;
@@ -117,10 +111,6 @@ struct StoreResult {
     evictions: u64,
     resident_bytes: u64,
     entries: usize,
-    /// Residency of the full FOV rung ladder with lower rungs held as
-    /// deltas against the top rung (DESIGN.md §16).
-    delta_resident_bytes: u64,
-    delta_entries: usize,
     parity_ok: bool,
 }
 
@@ -133,21 +123,6 @@ struct LadderResult {
 
 fn ingest(scene: &Scene, cfg: &SasConfig, duration_s: f64, options: &IngestOptions) -> SasCatalog {
     ingest_video_with(scene, cfg, duration_s, options).expect("bench ingest must succeed")
-}
-
-/// The worker-count sweep: 1 (the serial reference), then doubling up to
-/// the requested maximum, deduplicated.
-fn worker_counts(max: usize) -> Vec<usize> {
-    let mut counts = vec![1];
-    let mut w = 2;
-    while w < max {
-        counts.push(w);
-        w *= 2;
-    }
-    if max > 1 {
-        counts.push(max);
-    }
-    counts
 }
 
 struct IngestScaling {
@@ -268,8 +243,7 @@ fn bench_json(
     out.push_str(&format!(
         "  \"store\": {{\"parity_ok\": {}, \"cold_s\": {:.6}, \"warm_s\": {:.6}, \
          \"warm_speedup\": {:.6}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-         \"resident_bytes\": {}, \"entries\": {}, \"delta_resident_bytes\": {}, \
-         \"delta_entries\": {}}},\n",
+         \"resident_bytes\": {}, \"entries\": {}}},\n",
         store.parity_ok,
         store.cold_s,
         store.warm_s,
@@ -278,9 +252,7 @@ fn bench_json(
         store.misses,
         store.evictions,
         store.resident_bytes,
-        store.entries,
-        store.delta_resident_bytes,
-        store.delta_entries
+        store.entries
     ));
     out.push_str(&format!(
         "  \"ladder\": {{\"parity_ok\": {}, \"rungs\": {}, \"serial_s\": {:.6}, \
@@ -357,34 +329,10 @@ fn main() {
     let warm_s = start.elapsed().as_secs_f64();
     let warm_stats = fov_store.stats();
 
-    // Delta-resident rung ladder over the same catalog: lower FOV rungs
-    // held as residuals against the top rung must serve a playback
-    // session bit-identically to a ladder of independent full encodings
-    // (DESIGN.md §16) — the report compares everything, down to the
-    // energy ledger and the played-out content digest.
-    let rungs = fov_rung_quantizers(&cfg);
-    let full_ladder = FovPrerenderStore::new();
-    populate_fov_ladder(&cold, &full_ladder, &rungs, args.max_workers, false);
-    let delta_ladder = FovPrerenderStore::new();
-    populate_fov_ladder(&cold, &delta_ladder, &rungs, args.max_workers, true);
-    let delta_resident_bytes = delta_ladder.resident_bytes();
-    let delta_entries = delta_ladder.delta_entries();
-    let picks: Vec<(u32, usize)> = (0..cold.segment_count())
-        .filter_map(|s| cold.clusters_in_segment(s).first().map(|&c| (s, c)))
-        .collect();
-    let device = DeviceParams::default();
-    let play = |ladder: FovPrerenderStore| {
-        let server = SasServer::with_store(cold.clone(), ladder);
-        run_refinement_session(&server, &picks, rungs[0], false, &device)
-            .expect("refinement session over the bench catalog")
-    };
-    let ladder_parity = play(full_ladder) == play(delta_ladder);
-
     let parity_ok = reference == cold
         && reference == warm
         && warm_stats.misses == cold_stats.misses // warm ingest never re-renders
-        && warm_stats.hits > cold_stats.hits
-        && ladder_parity;
+        && warm_stats.hits > cold_stats.hits;
     let store = StoreResult {
         cold_s,
         warm_s,
@@ -393,14 +341,11 @@ fn main() {
         evictions: warm_stats.evictions,
         resident_bytes: fov_store.resident_bytes(),
         entries: fov_store.len(),
-        delta_resident_bytes,
-        delta_entries,
         parity_ok,
     };
     println!(
         "  store: cold {:.2}s, warm {:.2}s ({:.2}x), {} hits / {} misses, \
-         {} entries resident ({} bytes), delta ladder {} bytes \
-         ({} delta entries, playback parity {}), parity {}",
+         {} entries resident ({} bytes), parity {}",
         store.cold_s,
         store.warm_s,
         store.cold_s / store.warm_s,
@@ -408,9 +353,6 @@ fn main() {
         store.misses,
         store.entries,
         store.resident_bytes,
-        store.delta_resident_bytes,
-        store.delta_entries,
-        if ladder_parity { "ok" } else { "FAIL" },
         if store.parity_ok { "ok" } else { "FAIL" }
     );
 

@@ -21,6 +21,7 @@
 use std::time::Instant;
 
 use evr_bench::header;
+use evr_bench::scaling::worker_counts;
 use evr_client::allocate_tile_rungs;
 use evr_core::{run_variant, EvrSystem, ExperimentConfig, UseCase, Variant};
 use evr_math::EulerAngles;
@@ -72,19 +73,6 @@ struct IngestResult {
     workers: usize,
     wall_s: f64,
     parity_ok: bool,
-}
-
-fn worker_counts(max: usize) -> Vec<usize> {
-    let mut counts = vec![1];
-    let mut w = 2;
-    while w < max {
-        counts.push(w);
-        w *= 2;
-    }
-    if max > 1 {
-        counts.push(max);
-    }
-    counts
 }
 
 /// Allocator cost over every `(segment, pose)` of the catalog; returns

@@ -151,32 +151,6 @@ pub fn check_tiled(current: &Json, baseline: &Json, t: &GateThresholds) -> Vec<S
     )
 }
 
-/// The tolerated relative drop in the store gate's reduction fractions.
-/// Residency and wire bytes are deterministic byte accounting — not
-/// timings — so the gate holds them far tighter than the throughputs.
-const STORE_REDUCTION_DROP: f64 = 0.02;
-
-/// Gates a `store_bench` report. Returns one message per violation;
-/// empty means the gate passes. `parity_ok` covers bit-exact
-/// reconstruction of every delta-resident entry, worker independence of
-/// the ladder population, and the full-vs-delta wire content digests;
-/// the gated fractions are the delta ladder's residency saving and the
-/// per-user wire-byte saving (both deterministic, so the tolerance is
-/// tight), plus the ISSUE's ≥30% residency-reduction floor.
-pub fn check_store(current: &Json, baseline: &Json, _t: &GateThresholds) -> Vec<String> {
-    run_checks(
-        "store",
-        current,
-        baseline,
-        &[
-            Check::MustBeTrue { path: "parity_ok" },
-            Check::MustBeTrue { path: "store.meets_reduction_floor" },
-            Check::MinRatio { path: "store.resident_reduction", drop: STORE_REDUCTION_DROP },
-            Check::MinRatio { path: "wire.wire_reduction", drop: STORE_REDUCTION_DROP },
-        ],
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,45 +174,6 @@ mod tests {
             "{{\"parity_ok\":{parity_ok},\"scaling\":{{\"tile_rungs_per_s\":{tile_rungs_per_s:.6},\"allocations_per_s\":{allocations_per_s:.6}}}}}"
         ))
         .unwrap()
-    }
-
-    fn store_report(resident_reduction: f64, wire_reduction: f64, parity_ok: bool) -> Json {
-        let meets = resident_reduction >= 0.30;
-        Json::parse(&format!(
-            "{{\"parity_ok\":{parity_ok},\"store\":{{\"parity_ok\":{parity_ok},\
-             \"resident_reduction\":{resident_reduction:.6},\"meets_reduction_floor\":{meets}}},\
-             \"wire\":{{\"parity_ok\":{parity_ok},\"wire_reduction\":{wire_reduction:.6}}}}}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn store_gate_pins_parity_floor_and_both_reductions() {
-        let baseline = store_report(0.36, 0.09, true);
-        assert!(check_store(&baseline, &baseline, &GateThresholds::default()).is_empty());
-
-        let broken = store_report(0.36, 0.09, false);
-        let violations = check_store(&broken, &baseline, &GateThresholds::default());
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("parity_ok"), "{violations:?}");
-
-        // Below the 30% residency floor: both the floor flag and the
-        // tight reduction ratio trip.
-        let bloated = store_report(0.25, 0.09, true);
-        let violations = check_store(&bloated, &baseline, &GateThresholds::default());
-        assert_eq!(violations.len(), 2, "{violations:?}");
-        assert!(violations.iter().any(|v| v.contains("meets_reduction_floor")), "{violations:?}");
-        assert!(violations.iter().any(|v| v.contains("resident_reduction")), "{violations:?}");
-
-        // A wire-byte regression past the 2% tolerance trips on its own.
-        let chatty = store_report(0.36, 0.08, true);
-        let violations = check_store(&chatty, &baseline, &GateThresholds::default());
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("wire_reduction"), "{violations:?}");
-
-        // Deterministic numbers barely inside the tolerance still pass.
-        let nudged = store_report(0.355, 0.0885, true);
-        assert!(check_store(&nudged, &baseline, &GateThresholds::default()).is_empty());
     }
 
     #[test]

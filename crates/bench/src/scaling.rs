@@ -77,6 +77,21 @@ pub struct ScalingSummary {
     pub stages: Vec<StageScaling>,
 }
 
+/// The worker counts a bench sweeps: 1 (the serial reference), then
+/// doubling up to and including `max`.
+pub fn worker_counts(max: usize) -> Vec<usize> {
+    let mut counts = vec![1];
+    let mut w = 2;
+    while w < max {
+        counts.push(w);
+        w *= 2;
+    }
+    if max > 1 {
+        counts.push(max);
+    }
+    counts
+}
+
 /// Replays chunked self-scheduling over measured per-item `costs` in
 /// virtual time, one core per worker, and returns the makespan.
 ///
@@ -293,6 +308,13 @@ mod tests {
 
     fn pt(workers: usize, wall_s: f64) -> ScalingPoint {
         ScalingPoint { workers, wall_s }
+    }
+
+    #[test]
+    fn worker_counts_double_up_to_and_including_the_maximum() {
+        assert_eq!(worker_counts(1), vec![1]);
+        assert_eq!(worker_counts(6), vec![1, 2, 4, 6]);
+        assert_eq!(worker_counts(8), vec![1, 2, 4, 8]);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 pub mod abr;
 pub mod network;
 pub mod pipeline;
-pub mod refine;
 pub mod session;
 
 pub use abr::{allocate_tile_rungs, TileAllocation};
@@ -45,7 +44,6 @@ pub use pipeline::{
     CleanTransport, FaultedTransport, FovPassthrough, GpuBackend, PteBackend, RenderBackend,
     SegmentLink, StageIo, Transport,
 };
-pub use refine::{fetch_fov_refined, run_refinement_session, RefineReport, RefinedFetch};
 pub use session::{
     ContentPath, FaultSummary, PlaybackReport, PlaybackSession, Renderer, SelectionPolicy,
     SessionConfig,

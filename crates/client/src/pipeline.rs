@@ -1288,7 +1288,7 @@ fn selection_pose(cfg: &SessionConfig, trace: &HeadTrace, t: f64) -> evr_math::E
 }
 
 #[inline]
-pub(crate) fn account_decode(d: &DeviceParams, ledger: &mut EnergyLedger, pixels: u64, bytes: u64) {
+fn account_decode(d: &DeviceParams, ledger: &mut EnergyLedger, pixels: u64, bytes: u64) {
     ledger.add(Component::Compute, Activity::Decode, d.decode_energy(pixels, bytes));
     ledger.add(Component::Memory, Activity::Decode, d.dram_energy(d.decode_dram_bytes(pixels)));
 }

@@ -248,9 +248,17 @@ mod tests {
     fn aggregate_keeps_every_activity() {
         use evr_energy::{Activity, Component};
         let mut report = PlaybackReport { duration_s: 1.0, ..PlaybackReport::empty() };
-        report.ledger.add(Component::Compute, Activity::DeltaReconstruct, 2.0);
+        for c in Component::ALL {
+            for a in Activity::ALL {
+                report.ledger.add(c, a, 1.0);
+            }
+        }
         let agg = AggregateReport::from_reports(vec![report.clone(), report]);
-        assert_eq!(agg.ledger.get(Component::Compute, Activity::DeltaReconstruct), 2.0);
+        for c in Component::ALL {
+            for a in Activity::ALL {
+                assert_eq!(agg.ledger.get(c, a), 1.0, "the mean ledger dropped {c}/{a}");
+            }
+        }
     }
 
     #[test]

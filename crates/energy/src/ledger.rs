@@ -68,14 +68,11 @@ pub enum Activity {
     /// Fault handling: retry/backoff waits (radio idle + base power
     /// during stalls) and corruption-detection decodes.
     Resilience,
-    /// Reconstructing a delta-encoded segment against its reference on
-    /// the device (the client side of the delta wire format).
-    DeltaReconstruct,
 }
 
 impl Activity {
     /// All activities, in declaration order.
-    pub const ALL: [Activity; 10] = [
+    pub const ALL: [Activity; 9] = [
         Activity::Decode,
         Activity::ProjectiveTransform,
         Activity::Base,
@@ -85,7 +82,6 @@ impl Activity {
         Activity::HeadMotionPrediction,
         Activity::QualityAssessment,
         Activity::Resilience,
-        Activity::DeltaReconstruct,
     ];
 }
 
@@ -101,7 +97,6 @@ impl fmt::Display for Activity {
             Activity::HeadMotionPrediction => "head-motion-prediction",
             Activity::QualityAssessment => "quality-assessment",
             Activity::Resilience => "resilience",
-            Activity::DeltaReconstruct => "delta-reconstruct",
         };
         f.write_str(s)
     }

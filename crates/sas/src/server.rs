@@ -277,8 +277,8 @@ impl SasServer {
     }
 
     /// Serves the FOV video of `(segment, cluster)` at a lower-quality
-    /// rung `quantizer` (the coarse half of the coarse-then-upgrade
-    /// client path), together with its wire size at target scale.
+    /// rung `quantizer` (the coarse half of a coarse-then-upgrade
+    /// fetch), together with its wire size at target scale.
     ///
     /// Every call transcodes the resident top rung
     /// ([`transcode_segment`]) and keeps the top's metadata: a lower
@@ -308,9 +308,9 @@ impl SasServer {
     /// `(segment, cluster)` to the top rung. With `delta_wire` the
     /// response is a sparse residual delta against the held rung
     /// whenever that is smaller at target scale — the client
-    /// reconstructs ([`DeltaSegment::reconstruct`], bit-exact) and pays
-    /// the reconstruction energy; otherwise (and whenever the delta is
-    /// not smaller) the full top encoding moves instead. A
+    /// reconstructs ([`DeltaSegment::reconstruct`], bit-exact);
+    /// otherwise (and whenever the delta is not smaller) the full top
+    /// encoding moves instead. A
     /// `reference_quantizer` outside the ladder ([`fov_rung_quantizers`])
     /// is refused as [`SasError::UnknownRung`].
     ///
@@ -732,16 +732,14 @@ mod tests {
         assert_eq!(full.residual_coeffs, 0);
         assert_eq!(full.repr.reconstruct(None), top.data);
 
-        // With it, the upgrade is never larger, and reconstructing
-        // against the client-held coarse rung is bit-exact.
+        // With it, the upgrade moves as a smaller delta, and
+        // reconstructing against the client-held coarse rung is bit-exact.
         let upgrade = s.fetch_fov_upgrade(0, cluster, coarse_q, true).expect("delta upgrade");
-        assert!(upgrade.wire_bytes <= top_wire, "{} > {top_wire}", upgrade.wire_bytes);
+        assert!(upgrade.repr.is_delta(), "the delta wire moved the full top rung");
+        assert!(upgrade.residual_coeffs > 0);
+        assert!(upgrade.wire_bytes < top_wire, "{} >= {top_wire}", upgrade.wire_bytes);
         assert_eq!(upgrade.meta, top.meta);
         assert_eq!(upgrade.repr.reconstruct(Some(&coarse.data)), top.data);
-        if upgrade.repr.is_delta() {
-            assert!(upgrade.residual_coeffs > 0);
-            assert!(upgrade.wire_bytes < top_wire);
-        }
     }
 
     /// An upgrade is a function of the top rung alone: a cold store,

@@ -240,19 +240,6 @@ impl TiledRateCatalog {
             .map(|tile| tile.iter().map(|r| r.wire_bytes).collect())
             .collect()
     }
-
-    /// The `[tile][rung]` delta-representation wire-byte matrix for one
-    /// segment (see [`TileRung::delta_wire_bytes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg` is out of range.
-    pub fn tile_rung_delta_bytes(&self, seg: u32) -> Vec<Vec<u64>> {
-        self.segments[seg as usize]
-            .iter()
-            .map(|tile| tile.iter().map(|r| r.delta_wire_bytes).collect())
-            .collect()
-    }
 }
 
 /// Ingests `duration_s` seconds of `scene` for multi-rate tiled
@@ -562,22 +549,20 @@ mod tests {
         assert!(rungs >= 3, "tiny config should produce a 3-rung ladder");
         let mut any_delta_win = false;
         for seg in 0..cat.segment_count() {
-            let full = cat.tile_rung_bytes(seg);
-            let delta = cat.tile_rung_delta_bytes(seg);
-            for (tile, (f, d)) in full.iter().zip(&delta).enumerate() {
-                for r in 0..rungs {
+            for (tile, f) in cat.tile_rung_bytes(seg).iter().enumerate() {
+                let d = |r: usize| cat.rung(seg, tile, r).delta_wire_bytes;
+                for (r, &full) in f.iter().enumerate() {
                     assert!(
-                        d[r] <= f[r],
-                        "seg {seg} tile {tile} rung {r}: delta {} > full {}",
-                        d[r],
-                        f[r]
+                        d(r) <= full,
+                        "seg {seg} tile {tile} rung {r}: delta {} > full {full}",
+                        d(r)
                     );
                 }
                 // The reference (finest downsampled) rung and the
                 // full-resolution top rung can never be deltas.
-                assert_eq!(d[rungs - 2], f[rungs - 2]);
-                assert_eq!(d[rungs - 1], f[rungs - 1]);
-                any_delta_win |= (0..rungs - 2).any(|r| d[r] < f[r]);
+                assert_eq!(d(rungs - 2), f[rungs - 2]);
+                assert_eq!(d(rungs - 1), f[rungs - 1]);
+                any_delta_win |= (0..rungs - 2).any(|r| d(r) < f[r]);
             }
         }
         assert!(any_delta_win, "no tile rung ever delta-won");

@@ -1165,20 +1165,36 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// Sizes that are not multiples of 8, intra and predicted planes,
         /// vectors that leave the plane, every quantiser, luma and chroma,
-        /// and references of the coded plane's size or another one.
+        /// references of the coded plane's size or another one, and
+        /// planes close enough to their prediction that blocks skip.
         #[test]
         fn prop_code_plane_matches_reference(
             (w, h) in (1u32..41, 1u32..30),
             (mvx, mvy) in (-20i64..=20, -20i64..=20),
             q in 1u8..=50,
             (predicted, is_luma, same_size) in (any::<bool>(), any::<bool>(), 0u32..4),
+            (near, amplitude) in (any::<bool>(), 0u32..8),
             seed in any::<u32>(),
         ) {
-            let cur = noisy_plane(w, h, seed);
             // Mostly the coded plane's size (as the encoder guarantees),
             // sometimes another: the kernel must not assume it.
             let (rw, rh) = if same_size > 0 { (w, h) } else { (w + 5, h.max(2) - 1) };
             let reference = noisy_plane(rw, rh, seed ^ 0x5bd1_e995);
+            // Half the cases code the motion-compensated reference plus
+            // noise of at most `amplitude` (0 included), so a share of
+            // predicted blocks quantise to all zeros; the rest code an
+            // unrelated plane, whose blocks almost never do.
+            let cur = if near {
+                plane(w, h, |x, y| {
+                    let p = reference.sample_clamped(i64::from(x) + mvx, i64::from(y) + mvy);
+                    let k = (x.wrapping_mul(2654435761) ^ y.wrapping_mul(40503) ^ seed)
+                        .rotate_left(7);
+                    let noise = (k % (2 * amplitude + 1)) as i32 - amplitude as i32;
+                    (i32::from(p) + noise).clamp(0, 255) as u8
+                })
+            } else {
+                noisy_plane(w, h, seed)
+            };
             let kind = if predicted { FrameKind::Predicted } else { FrameKind::Intra };
             prop_assert_eq!(
                 code_plane(&cur, Some(&reference), kind, q, is_luma, (mvx, mvy)),

@@ -592,8 +592,8 @@ impl DeltaSegment {
         headers + (payload as f64 * pixel_ratio) as u64
     }
 
-    /// Total non-zero residual coefficients — the client-side
-    /// reconstruction cost proxy charged to the energy ledger.
+    /// Total non-zero residual coefficients — a proxy for the
+    /// client-side reconstruction cost.
     pub fn residual_coeffs(&self) -> u64 {
         self.frames.iter().map(DeltaFrame::residual_coeffs).sum()
     }

@@ -34,7 +34,7 @@ run() { echo "+ $*" >&2; "$@"; }
 
 run cargo build --release -q -p evr-bench \
     --bin pt_bench --bin fleet_bench --bin ingest_bench --bin tiled_bench \
-    --bin store_bench --bin chaos_run --bin bench_gate
+    --bin chaos_run --bin bench_gate
 
 # Pinned-seed smokes: parity is load-bearing, timings informational.
 run target/release/pt_bench --smoke seed=7 json="$OUT/BENCH_pt.json"
@@ -42,18 +42,17 @@ run target/release/chaos_run quick tiny seed=7 json=target/chaos_smoke.json
 run diff -u tests/golden/chaos_smoke.json target/chaos_smoke.json
 
 # The gated benches: scaling sweep + Amdahl summary + Chrome trace for
-# fleet/ingest, then the tiled and delta-store benches.
+# fleet/ingest, then the tiled bench.
 # Worker counts are pinned (not auto-detected) so the swept
 # configurations — and thus the gate's efficiency comparison — are the
 # same on every machine.
 run target/release/fleet_bench --smoke workers=8 json="$OUT/BENCH_fleet.json"
 run target/release/ingest_bench --smoke workers=8 json="$OUT/BENCH_ingest.json"
 run target/release/tiled_bench --smoke workers=8 json="$OUT/BENCH_tiled.json"
-run target/release/store_bench --smoke workers=8 json="$OUT/BENCH_store.json"
 
 run target/release/bench_gate \
     fleet="$OUT/BENCH_fleet.json" ingest="$OUT/BENCH_ingest.json" \
-    tiled="$OUT/BENCH_tiled.json" store="$OUT/BENCH_store.json" \
+    tiled="$OUT/BENCH_tiled.json" \
     baselines="$BASELINES" $UPDATE
 
 echo "bench reports in $OUT/ (traces: *.trace_events.json)"

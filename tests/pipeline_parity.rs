@@ -39,18 +39,6 @@ use evr_video::library::{scene_for, VideoId};
 
 const GOLDEN_PATH: &str = "../../tests/golden/pipeline_parity.txt";
 
-const ACTIVITIES: [Activity; 9] = [
-    Activity::Decode,
-    Activity::ProjectiveTransform,
-    Activity::Base,
-    Activity::DisplayScan,
-    Activity::NetworkRx,
-    Activity::StorageIo,
-    Activity::HeadMotionPrediction,
-    Activity::QualityAssessment,
-    Activity::Resilience,
-];
-
 /// Exact, endian-stable text encoding of a report: u64 counters in
 /// decimal, every f64 as its IEEE-754 bit pattern in hex.
 fn fingerprint(label: &str, r: &PlaybackReport) -> String {
@@ -85,7 +73,7 @@ fn fingerprint(label: &str, r: &PlaybackReport) -> String {
     .unwrap();
     write!(s, "|ldur={}", b(r.ledger.duration())).unwrap();
     for c in Component::ALL {
-        for a in ACTIVITIES {
+        for a in Activity::ALL {
             let j = r.ledger.get(c, a);
             if j != 0.0 {
                 write!(s, "|{c}:{a}={}", b(j)).unwrap();

@@ -207,8 +207,8 @@ fn serving_digest(catalog: &SasCatalog, cfg: &SasConfig) -> String {
 
 /// Byte identity of the ingest stages (catalog, delta FOV ladder and the
 /// residency of the store it fills, tiled-rate catalog, ABR ladder) and
-/// of the serving kernels (transcode,
-/// delta encode, delta reconstruct) against `tests/golden/ingest_digest.txt`.
+/// of the serving kernels (transcode, delta encode, delta reconstruct)
+/// against `tests/golden/ingest_digest.txt`.
 /// The digests come from the exhaustive kernels that the motion-search,
 /// ERP-render and bilinear fast paths replace (DESIGN.md §7, §11), and
 /// from the per-coefficient `predict_coeff` rescale that the step-ratio
