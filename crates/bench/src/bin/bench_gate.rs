@@ -10,12 +10,12 @@
 //! # gate a run against the committed baselines
 //! cargo run --release -p evr-bench --bin bench_gate -- \
 //!     fleet=target/BENCH_fleet.json ingest=target/BENCH_ingest.json \
-//!     baselines=benches/baselines
+//!     tiled=target/BENCH_tiled.json baselines=benches/baselines
 //!
 //! # accept the current numbers as the new baseline
 //! cargo run --release -p evr-bench --bin bench_gate -- \
 //!     fleet=target/BENCH_fleet.json ingest=target/BENCH_ingest.json \
-//!     baselines=benches/baselines --update-baseline
+//!     tiled=target/BENCH_tiled.json baselines=benches/baselines --update-baseline
 //! ```
 //!
 //! Exit codes: `0` pass (or baseline updated), `1` threshold

@@ -41,22 +41,6 @@ impl BandwidthTrace {
         BandwidthTrace { points }
     }
 
-    /// Bridges a fault-model [`evr_faults::BandwidthProfile`] into an
-    /// ABR trace. Profiles may carry zero-bandwidth outage windows,
-    /// which a trace cannot express; those are clamped up to
-    /// `floor_bps` (the ABR loop models outages as arbitrarily slow,
-    /// not absent, links).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `floor_bps` is not positive.
-    pub fn from_profile(profile: &evr_faults::BandwidthProfile, floor_bps: f64) -> Self {
-        assert!(floor_bps > 0.0, "floor bandwidth must be positive");
-        BandwidthTrace::from_points(
-            profile.points().iter().map(|&(t, bps)| (t, bps.max(floor_bps))).collect(),
-        )
-    }
-
     /// A link that alternates between `high_bps` and `low_bps` every
     /// `period_s/2` seconds — the classic congestion sawtooth.
     pub fn square_wave(high_bps: f64, low_bps: f64, period_s: f64, total_s: f64) -> Self {
@@ -148,30 +132,6 @@ pub fn simulate_abr(
     link: &BandwidthTrace,
     policy: AbrPolicy,
 ) -> AbrOutcome {
-    simulate_abr_observed(
-        segment_ladder,
-        segment_duration_s,
-        link,
-        policy,
-        &evr_obs::Observer::noop(),
-    )
-}
-
-/// Like [`simulate_abr`], but counting ladder switches and stalls into
-/// `observer` (`evr_abr_*` names).
-///
-/// # Panics
-///
-/// Panics if the ladder is empty or ragged.
-pub fn simulate_abr_observed(
-    segment_ladder: &[Vec<u64>],
-    segment_duration_s: f64,
-    link: &BandwidthTrace,
-    policy: AbrPolicy,
-    observer: &evr_obs::Observer,
-) -> AbrOutcome {
-    let switches_c = observer.counter(evr_obs::names::ABR_SWITCHES);
-    let stalls_c = observer.counter(evr_obs::names::ABR_STALLS);
     assert!(!segment_ladder.is_empty(), "ladder must contain segments");
     let rungs = segment_ladder[0].len();
     assert!(rungs > 0, "segments need at least one rung");
@@ -202,7 +162,6 @@ pub fn simulate_abr_observed(
         };
         if pick != rung {
             outcome.switches += 1;
-            switches_c.inc();
             rung = pick;
         }
         outcome.mean_rung += rung as f64;
@@ -217,7 +176,6 @@ pub fn simulate_abr_observed(
             if buffer < 0.0 {
                 outcome.stall_time_s += -buffer;
                 outcome.stalls += 1;
-                stalls_c.inc();
                 buffer = 0.0;
             }
         } else {
@@ -421,29 +379,6 @@ mod tests {
         let link = BandwidthTrace::from_points(vec![(0.0, 1e6), (1.0, 9e6)]);
         let t = link.download_time(0.0, 250_000);
         assert!((t - (1.0 + 1.0 / 9.0)).abs() < 1e-9, "{t}");
-    }
-
-    #[test]
-    fn observed_simulation_counts_switches_and_stalls() {
-        let obs = evr_obs::Observer::enabled();
-        let link = BandwidthTrace::square_wave(20e6, 1.0e6, 20.0, 100.0);
-        let long: Vec<Vec<u64>> = (0..60).map(|_| vec![125_000, 250_000, 500_000]).collect();
-        let policy = AbrPolicy { safety: 0.8, smoothing: 0.3 };
-        let out = simulate_abr_observed(&long, 1.0, &link, policy, &obs);
-        assert_eq!(obs.counter(evr_obs::names::ABR_SWITCHES).get(), out.switches);
-        assert_eq!(obs.counter(evr_obs::names::ABR_STALLS).get(), out.stalls);
-        // The observed run is behaviourally identical to the silent one.
-        assert_eq!(out, simulate_abr(&long, 1.0, &link, policy));
-    }
-
-    #[test]
-    fn profile_bridge_clamps_outages_to_the_floor() {
-        let profile =
-            evr_faults::BandwidthProfile::step_drop(20e6, 5e6, 10.0).with_outage(4.0, 2.0);
-        let trace = BandwidthTrace::from_profile(&profile, 1e3);
-        assert_eq!(trace.bps_at(0.0), 20e6);
-        assert_eq!(trace.bps_at(5.0), 1e3); // outage window → floor
-        assert_eq!(trace.bps_at(12.0), 5e6);
     }
 
     #[test]

@@ -35,15 +35,11 @@
 
 pub mod abr;
 pub mod network;
-pub mod pipeline;
+mod pipeline;
 pub mod session;
 
 pub use abr::{allocate_tile_rungs, TileAllocation};
 pub use network::NetworkModel;
-pub use pipeline::{
-    CleanTransport, FaultedTransport, FovPassthrough, GpuBackend, PteBackend, RenderBackend,
-    SegmentLink, StageIo, Transport,
-};
 pub use session::{
     ContentPath, FaultSummary, PlaybackReport, PlaybackSession, Renderer, SelectionPolicy,
     SessionConfig,

@@ -19,10 +19,9 @@
 //!   on the way back ([`CleanTransport`] never fails; a
 //!   [`FaultedTransport`] runs every rung under the `evr-faults` retry
 //!   policy);
-//! * **decode/render** plays the delivered frames, dispatching
-//!   on-device projective transformation to a [`RenderBackend`]
-//!   ([`GpuBackend`], [`PteBackend`], or the degenerate
-//!   [`FovPassthrough`] on FOV-check hits, which needs no PT at all);
+//! * **decode/render** plays the delivered frames: an FOV-check hit
+//!   displays the decoded FOV frame directly, every other frame is
+//!   decoded and projected on the session's PT hardware ([`Backend`]);
 //! * **account** charges the per-segment session costs (GPU context
 //!   power) into the [`EnergyLedger`].
 //!
@@ -30,6 +29,11 @@
 //! thin configurations of this one pipeline; a session carrying a
 //! [`TiledRateCatalog`] plays tiled. `tests/pipeline_parity.rs` pins
 //! their reports bit-identical to the pre-unification loops.
+//!
+//! The run's [`PlaybackReport`] is its one record: an observed session
+//! adds the report's totals into its counters and energy gauges once,
+//! at the end of the run, and observes only the frame, stall and stage
+//! timings per event.
 //!
 //! [`PlaybackSession::run`]: crate::session::PlaybackSession::run
 //! [`PlaybackSession::run_resilient`]: crate::session::PlaybackSession::run_resilient
@@ -39,9 +43,9 @@ use std::time::Instant;
 
 use evr_energy::{Activity, Component, DeviceParams, EnergyLedger};
 use evr_faults::{FaultInjector, FaultSetup, FrontGate, LinkState, RequestFate};
-use evr_obs::{names, Observer, TraceCtx};
+use evr_obs::{names, Counter, Gauge, Histogram, Observer, TraceCtx};
 use evr_projection::FovFrameMeta;
-use evr_pte::{FrameStats, GpuModel, Pte};
+use evr_pte::{FrameStats, Pte};
 use evr_sas::checker::{CheckOutcome, FovChecker};
 use evr_sas::ingest::FPS;
 use evr_sas::{PrerenderedFov, SasServer, TiledRateCatalog};
@@ -50,42 +54,45 @@ use evr_video::codec::EncodedSegment;
 
 use crate::network::NetworkModel;
 use crate::session::{
-    frame_wire_bytes, FaultSummary, PlaybackReport, PlaybackSession, SelectionPolicy, SessionConfig,
+    frame_wire_bytes, FaultSummary, PlaybackReport, PlaybackSession, Renderer, SelectionPolicy,
+    SessionConfig,
 };
 
 /// Pre-resolved playback metric handles; all detached (free) when the
-/// session's observer is a no-op. Public so [`RenderBackend`]
-/// implementations can receive it; the individual handles stay
-/// crate-private.
-#[derive(Debug, Clone, Default)]
-pub struct SessionMetrics {
-    pub(crate) enabled: bool,
-    pub(crate) frames: evr_obs::Counter,
-    pub(crate) fov_hits: evr_obs::Counter,
-    pub(crate) fov_misses: evr_obs::Counter,
-    pub(crate) fallback_frames: evr_obs::Counter,
-    pub(crate) rebuffer_events: evr_obs::Counter,
-    pub(crate) rebuffer_seconds: evr_obs::Gauge,
-    pub(crate) segments: evr_obs::Counter,
-    pub(crate) fetch_bytes: evr_obs::Counter,
-    pub(crate) frame_seconds: evr_obs::Histogram,
-    pub(crate) pt_gpu_frames: evr_obs::Counter,
-    pub(crate) pt_pte_frames: evr_obs::Counter,
-    pub(crate) pte_frames: evr_obs::Counter,
-    pub(crate) pte_active_cycles: evr_obs::Counter,
-    pub(crate) pte_stall_cycles: evr_obs::Counter,
-    pub(crate) pte_pmem_hits: evr_obs::Counter,
-    pub(crate) pte_pmem_misses: evr_obs::Counter,
-    pub(crate) fault_retries: evr_obs::Counter,
-    pub(crate) fault_timeouts: evr_obs::Counter,
-    pub(crate) degraded_frames: evr_obs::Counter,
-    pub(crate) frozen_frames: evr_obs::Counter,
-    pub(crate) backoff_seconds: evr_obs::Gauge,
-    pub(crate) fault_stall_seconds: evr_obs::Histogram,
-    pub(crate) stage_plan: evr_obs::Histogram,
-    pub(crate) stage_fetch: evr_obs::Histogram,
-    pub(crate) stage_render: evr_obs::Histogram,
-    pub(crate) stage_account: evr_obs::Histogram,
+/// session's observer is a no-op. The histograms are observed per
+/// event; the counters and gauges are written once per run, from the
+/// run's report, by [`SessionMetrics::mirror`].
+#[derive(Debug, Clone)]
+pub(crate) struct SessionMetrics {
+    enabled: bool,
+    frame_seconds: Histogram,
+    fault_stall_seconds: Histogram,
+    stage_plan: Histogram,
+    stage_fetch: Histogram,
+    stage_render: Histogram,
+    stage_account: Histogram,
+    frames: Counter,
+    fov_hits: Counter,
+    fov_misses: Counter,
+    fallback_frames: Counter,
+    rebuffer_events: Counter,
+    rebuffer_seconds: Gauge,
+    segments: Counter,
+    fetch_bytes: Counter,
+    pt_gpu_frames: Counter,
+    pt_pte_frames: Counter,
+    pte_frames: Counter,
+    pte_active_cycles: Counter,
+    pte_stall_cycles: Counter,
+    pte_pmem_hits: Counter,
+    pte_pmem_misses: Counter,
+    fault_retries: Counter,
+    fault_timeouts: Counter,
+    degraded_frames: Counter,
+    frozen_frames: Counter,
+    backoff_seconds: Gauge,
+    /// `evr_energy_joules_<component>`, in [`Component::ALL`] order.
+    energy: [Gauge; Component::ALL.len()],
 }
 
 /// Fault-stall histogram bounds, seconds: backoff waits (tens of ms) up
@@ -100,6 +107,12 @@ impl SessionMetrics {
         };
         SessionMetrics {
             enabled: observer.is_enabled(),
+            frame_seconds: observer.histogram(names::FRAME_SECONDS, &evr_obs::LATENCY_BOUNDS_S),
+            fault_stall_seconds: observer.histogram(names::FAULT_STALL_SECONDS, &STALL_BOUNDS_S),
+            stage_plan: stage("plan"),
+            stage_fetch: stage("fetch"),
+            stage_render: stage("render"),
+            stage_account: stage("account"),
             frames: observer.counter(names::FRAMES),
             fov_hits: observer.counter(names::FOV_HITS),
             fov_misses: observer.counter(names::FOV_MISSES),
@@ -108,7 +121,6 @@ impl SessionMetrics {
             rebuffer_seconds: observer.gauge(names::REBUFFER_SECONDS),
             segments: observer.counter(names::SEGMENTS),
             fetch_bytes: observer.counter(names::FETCH_BYTES),
-            frame_seconds: observer.histogram(names::FRAME_SECONDS, &evr_obs::LATENCY_BOUNDS_S),
             pt_gpu_frames: observer.counter(names::PT_GPU_FRAMES),
             pt_pte_frames: observer.counter(names::PT_PTE_FRAMES),
             pte_frames: observer.counter(names::PTE_FRAMES),
@@ -121,42 +133,80 @@ impl SessionMetrics {
             degraded_frames: observer.counter(names::DEGRADED_FRAMES),
             frozen_frames: observer.counter(names::FROZEN_FRAMES),
             backoff_seconds: observer.gauge(names::BACKOFF_SECONDS),
-            fault_stall_seconds: observer.histogram(names::FAULT_STALL_SECONDS, &STALL_BOUNDS_S),
-            stage_plan: stage("plan"),
-            stage_fetch: stage("fetch"),
-            stage_render: stage("render"),
-            stage_account: stage("account"),
+            energy: Component::ALL.map(|c| observer.gauge(&names::energy_gauge(&c.to_string()))),
+        }
+    }
+
+    /// Adds one run's totals: the report's counters over its `segments`
+    /// segments, the frames the `renderer` projected (the PTE's cycle
+    /// and P-MEM counters are the session's representative `pte_frame`
+    /// stats times those frames) and the ledger's joules per component.
+    fn mirror(
+        &self,
+        r: &PlaybackReport,
+        segments: u64,
+        renderer: Renderer,
+        pte_frame: &FrameStats,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        self.frames.add(r.frames_total);
+        self.fov_hits.add(r.fov_hits);
+        self.fov_misses.add(r.fov_misses);
+        self.fallback_frames.add(r.fallback_frames);
+        self.rebuffer_events.add(r.rebuffer_events);
+        self.rebuffer_seconds.add(r.rebuffer_time_s);
+        self.segments.add(segments);
+        self.fetch_bytes.add(r.bytes_received);
+        self.fault_retries.add(r.faults.retries);
+        self.fault_timeouts.add(r.faults.timeouts);
+        self.degraded_frames.add(r.faults.degraded_frames);
+        self.frozen_frames.add(r.faults.frozen_frames);
+        self.backoff_seconds.add(r.faults.backoff_time_s);
+        // Every fallback frame, and only those, went through on-device PT.
+        let pt_frames = r.fallback_frames;
+        match renderer {
+            Renderer::Gpu => self.pt_gpu_frames.add(pt_frames),
+            Renderer::Pte => {
+                self.pt_pte_frames.add(pt_frames);
+                self.pte_frames.add(pt_frames);
+                self.pte_active_cycles.add(pte_frame.active_cycles.saturating_mul(pt_frames));
+                self.pte_stall_cycles.add(pte_frame.stall_cycles.saturating_mul(pt_frames));
+                self.pte_pmem_hits.add(pte_frame.pmem_hits.saturating_mul(pt_frames));
+                self.pte_pmem_misses.add(pte_frame.pmem_misses.saturating_mul(pt_frames));
+            }
+        }
+        for (gauge, c) in self.energy.iter().zip(Component::ALL) {
+            gauge.add(r.ledger.component_total(c));
         }
     }
 }
 
 /// The per-segment link view the fetch stage operates under.
 #[derive(Debug, Clone, Copy)]
-pub struct SegmentLink {
+pub(crate) struct SegmentLink {
     /// Effective network model: the sampled fault-process state when a
     /// time-varying link is attached, the session's static model
     /// otherwise.
-    pub net: NetworkModel,
+    net: NetworkModel,
     /// Whether the link is up at the segment boundary.
-    pub up: bool,
+    up: bool,
 }
 
 /// The mutable run state a [`Transport`] may touch while fetching:
 /// stalls burn energy and are counted as they happen.
-pub struct StageIo<'a> {
-    /// Energy ledger of the run.
-    pub ledger: &'a mut EnergyLedger,
-    /// Fault bookkeeping of the run.
-    pub faults: &'a mut FaultSummary,
-    /// Device energy parameters.
-    pub device: &'a DeviceParams,
-    pub(crate) metrics: &'a SessionMetrics,
+pub(crate) struct StageIo<'a> {
+    ledger: &'a mut EnergyLedger,
+    faults: &'a mut FaultSummary,
+    device: &'a DeviceParams,
+    metrics: &'a SessionMetrics,
 }
 
 impl StageIo<'_> {
     /// Accounts `dt` seconds of fault-induced stall: playback pauses
     /// while the radio idles and base power keeps burning.
-    pub fn account_stall(&mut self, dt: f64) {
+    fn account_stall(&mut self, dt: f64) {
         self.faults.stall_time_s += dt;
         self.ledger.add(
             Component::Network,
@@ -172,7 +222,7 @@ impl StageIo<'_> {
 
 /// The fetch stage: how segment requests reach the server and what can
 /// go wrong on the way back.
-pub trait Transport {
+pub(crate) trait Transport {
     /// Whether radio wire bytes are accumulated per segment against the
     /// sampled link (its loss inflation varies over the run) instead of
     /// once at end-of-run against the session's static model. The two
@@ -217,7 +267,7 @@ pub trait Transport {
 /// A fault-free network (or local storage): every request is served
 /// immediately over the session's static link model.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CleanTransport;
+pub(crate) struct CleanTransport;
 
 impl Transport for CleanTransport {
     const PER_SEGMENT_WIRE: bool = false;
@@ -255,13 +305,13 @@ impl Transport for CleanTransport {
 /// deadline, and are re-attempted after an exponentially growing,
 /// deterministically jittered backoff wait.
 #[derive(Debug)]
-pub struct FaultedTransport {
+pub(crate) struct FaultedTransport {
     injector: FaultInjector,
 }
 
 impl FaultedTransport {
     /// Builds the transport from a fault setup (seeds the injector).
-    pub fn new(setup: &FaultSetup) -> Self {
+    pub(crate) fn new(setup: &FaultSetup) -> Self {
         FaultedTransport { injector: FaultInjector::new(setup) }
     }
 }
@@ -282,8 +332,6 @@ impl Transport for FaultedTransport {
         seg: u32,
         wire_payload: u64,
     ) -> bool {
-        let m = io.metrics;
-        let observed = m.enabled;
         let policy = *self.injector.retry();
         for attempt in 0..=policy.max_retries {
             if attempt > 0 {
@@ -291,10 +339,6 @@ impl Transport for FaultedTransport {
                 io.faults.retries += 1;
                 io.faults.backoff_time_s += b;
                 io.account_stall(b);
-                if observed {
-                    m.fault_retries.inc();
-                    m.backoff_seconds.add(b);
-                }
             }
             // Stalls push the wall clock forward, so an outage window
             // can end while the client is still backing off.
@@ -317,9 +361,6 @@ impl Transport for FaultedTransport {
             }
             io.faults.timeouts += 1;
             io.account_stall(policy.timeout_s);
-            if observed {
-                m.fault_timeouts.inc();
-            }
         }
         false
     }
@@ -339,117 +380,53 @@ impl Transport for FaultedTransport {
     }
 }
 
-/// The decode/render stage's on-device projective-transform hardware.
-pub trait RenderBackend {
+/// The decode/render stage's on-device projective transform on the
+/// session's [`SessionConfig::renderer`]. Every projected frame fills
+/// the same panel in the same frame slot, so one frame's compute and
+/// memory joules are worked out once per run.
+#[derive(Debug, Clone, Copy)]
+struct Backend {
+    renderer: Renderer,
+    compute_j: f64,
+    memory_j: f64,
+}
+
+impl Backend {
+    fn of(session: &PlaybackSession) -> Self {
+        let cfg = &session.cfg;
+        let device = &cfg.device;
+        let (compute_j, memory_j) = match cfg.renderer {
+            // Texture-mapping PT on the mobile GPU (today's path).
+            Renderer::Gpu => {
+                let cost = cfg.gpu.pt_frame(device.panel_pixels);
+                (cost.energy_j, device.dram_energy(cost.dram_bytes))
+            }
+            // The PTE accelerator (HAR) at the session's pre-analysed
+            // representative frame cost: datapath + SRAM + leakage for
+            // the whole frame slot (the PTE stays powered across slots
+            // it renders in).
+            Renderer::Pte => {
+                let s = &session.pte_frame;
+                let leakage_w = Pte::new(cfg.pte).energy_params().leakage_w;
+                let idle = (1.0 / FPS - s.frame_time_s()).max(0.0) * leakage_w;
+                (
+                    s.compute_energy_j + s.sram_energy_j + s.leakage_energy_j + idle,
+                    device.dram_energy(s.dram_read_bytes + s.dram_write_bytes),
+                )
+            }
+        };
+        Backend { renderer: cfg.renderer, compute_j, memory_j }
+    }
+
     /// Accounts one frame of on-device PT into `ledger`; returns whether
     /// the GPU ran (GPU context power is charged per segment by the
     /// account stage).
-    fn render(&self, ledger: &mut EnergyLedger, slot: f64) -> bool;
-
-    /// Mirrors one rendered frame's PT stats into the metric handles.
-    /// The pipeline calls this on observed runs only, keeping the quiet
-    /// path identical to an uninstrumented session.
-    fn note_metrics(&self, m: &SessionMetrics);
-}
-
-/// Texture-mapping PT on the mobile GPU (today's path).
-#[derive(Debug, Clone, Copy)]
-pub struct GpuBackend {
-    gpu: GpuModel,
-    device: DeviceParams,
-}
-
-impl GpuBackend {
-    /// Builds the backend from a session configuration.
-    pub fn new(cfg: &SessionConfig) -> Self {
-        GpuBackend { gpu: cfg.gpu, device: cfg.device }
-    }
-}
-
-impl RenderBackend for GpuBackend {
     #[inline]
-    fn render(&self, ledger: &mut EnergyLedger, _slot: f64) -> bool {
-        let cost = self.gpu.pt_frame(self.device.panel_pixels);
-        ledger.add(Component::Compute, Activity::ProjectiveTransform, cost.energy_j);
-        ledger.add(
-            Component::Memory,
-            Activity::ProjectiveTransform,
-            self.device.dram_energy(cost.dram_bytes),
-        );
-        true
+    fn render(&self, ledger: &mut EnergyLedger) -> bool {
+        ledger.add(Component::Compute, Activity::ProjectiveTransform, self.compute_j);
+        ledger.add(Component::Memory, Activity::ProjectiveTransform, self.memory_j);
+        self.renderer == Renderer::Gpu
     }
-
-    fn note_metrics(&self, m: &SessionMetrics) {
-        m.pt_gpu_frames.inc();
-    }
-}
-
-/// The PTE accelerator (HAR), with the session's pre-analysed
-/// representative frame cost.
-#[derive(Debug, Clone, Copy)]
-pub struct PteBackend {
-    frame: FrameStats,
-    leakage_w: f64,
-    device: DeviceParams,
-}
-
-impl PteBackend {
-    /// Builds the backend from a session configuration and its
-    /// pre-analysed PTE frame cost.
-    pub fn new(cfg: &SessionConfig, frame: FrameStats) -> Self {
-        PteBackend {
-            frame,
-            leakage_w: Pte::new(cfg.pte).energy_params().leakage_w,
-            device: cfg.device,
-        }
-    }
-}
-
-impl RenderBackend for PteBackend {
-    #[inline]
-    fn render(&self, ledger: &mut EnergyLedger, slot: f64) -> bool {
-        let s = &self.frame;
-        // Datapath + SRAM + leakage for the whole frame slot (the PTE
-        // stays powered across slots it renders in).
-        let idle = (slot - s.frame_time_s()).max(0.0) * self.leakage_w;
-        ledger.add(
-            Component::Compute,
-            Activity::ProjectiveTransform,
-            s.compute_energy_j + s.sram_energy_j + s.leakage_energy_j + idle,
-        );
-        ledger.add(
-            Component::Memory,
-            Activity::ProjectiveTransform,
-            self.device.dram_energy(s.dram_read_bytes + s.dram_write_bytes),
-        );
-        false
-    }
-
-    fn note_metrics(&self, m: &SessionMetrics) {
-        // Mirror the (pre-analysed, representative) PTU stats of this
-        // rendered frame into the engine counters.
-        let s = &self.frame;
-        m.pt_pte_frames.inc();
-        m.pte_frames.inc();
-        m.pte_active_cycles.add(s.active_cycles);
-        m.pte_stall_cycles.add(s.stall_cycles);
-        m.pte_pmem_hits.add(s.pmem_hits);
-        m.pte_pmem_misses.add(s.pmem_misses);
-    }
-}
-
-/// Direct display of a served FOV frame: the render stage degenerates
-/// to the decode alone — no on-device PT, no GPU context.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FovPassthrough;
-
-impl RenderBackend for FovPassthrough {
-    #[inline]
-    fn render(&self, _ledger: &mut EnergyLedger, _slot: f64) -> bool {
-        false
-    }
-
-    fn note_metrics(&self, _m: &SessionMetrics) {}
 }
 
 /// What the plan stage chose for one segment.
@@ -559,8 +536,10 @@ impl RunState {
     }
 }
 
+/// Observes the time since `t0` into `h`; `t0` is `Some` exactly on
+/// observed runs.
 #[inline]
-fn observe_stage(h: &evr_obs::Histogram, t0: Option<Instant>) {
+fn observe_since(h: &Histogram, t0: Option<Instant>) {
     if let Some(t0) = t0 {
         h.observe(t0.elapsed().as_secs_f64());
     }
@@ -568,33 +547,31 @@ fn observe_stage(h: &evr_obs::Histogram, t0: Option<Instant>) {
 
 /// One staged playback run: the `plan → fetch → decode/render →
 /// account` loop, generic over the [`Transport`] (clean vs faulted
-/// link) and the [`RenderBackend`] (GPU vs PTE fallback rendering).
-/// Monomorphised per combination, so the clean unobserved path keeps
-/// the tight codegen of the original hand-written loop.
+/// link), with the session's PT hardware as a [`Backend`].
 ///
 /// Whole-frame and tiled playback share the loop and differ only in the
 /// stage bodies, chosen by whether the session carries a
 /// [`TiledRateCatalog`].
-pub(crate) struct SegmentPipeline<'s, T, R> {
+pub(crate) struct SegmentPipeline<'s, T> {
     session: &'s PlaybackSession,
     server: &'s SasServer,
     trace: &'s HeadTrace,
     transport: T,
-    backend: R,
+    backend: Backend,
     /// Who this run is for; recorded (narrowed per segment) on every
     /// timeline interval when the observer carries an enabled timeline.
     ctx: TraceCtx,
 }
 
-impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
+impl<'s, T: Transport> SegmentPipeline<'s, T> {
     pub(crate) fn new(
         session: &'s PlaybackSession,
         server: &'s SasServer,
         trace: &'s HeadTrace,
         transport: T,
-        backend: R,
         ctx: TraceCtx,
     ) -> Self {
+        let backend = Backend::of(session);
         SegmentPipeline { session, server, trace, transport, backend, ctx }
     }
 
@@ -626,7 +603,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
 
         for seg in 0..catalog.segment_count() {
             let mut ctx = self.ctx.with_segment(seg as i64);
-            m.segments.inc();
             let original = catalog
                 .try_original_segment(seg)
                 .expect("every segment below segment_count has an original");
@@ -661,7 +637,7 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                 },
                 None => SegmentPlan::Whole { chosen: None },
             };
-            observe_stage(&m.stage_plan, t0);
+            observe_since(&m.stage_plan, t0);
             if let Some(ts) = ts {
                 tl.record("plan", ctx, ts, tl.now_ns());
             }
@@ -686,7 +662,7 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                     self.acquire_tiles(&mut st, &link, seg, seg_start_t, tiles, rungs, &geom)
                 }
             };
-            observe_stage(&m.stage_fetch, t0);
+            observe_since(&m.stage_fetch, t0);
             if let Some(ts) = ts {
                 tl.record("fetch", ctx, ts, tl.now_ns());
             }
@@ -716,7 +692,7 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                     false
                 }
             };
-            observe_stage(&m.stage_render, t0);
+            observe_since(&m.stage_render, t0);
             if let Some(ts) = ts {
                 tl.record("render", ctx, ts, tl.now_ns());
             }
@@ -734,7 +710,7 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                     cfg.gpu.session_energy(seg_duration),
                 );
             }
-            observe_stage(&m.stage_account, t0);
+            observe_since(&m.stage_account, t0);
             if let Some(ts) = ts {
                 tl.record("account", ctx, ts, tl.now_ns());
             }
@@ -798,7 +774,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         if T::PER_SEGMENT_WIRE {
             st.wire_bytes_total += link.net.wire_bytes(bytes);
         }
-        session.metrics.fetch_bytes.add(bytes);
         true
     }
 
@@ -922,9 +897,10 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
     }
 
     /// Plays a delivered FOV segment: per frame, FOV-check hit → direct
-    /// display ([`FovPassthrough`]); first miss → mid-segment fallback
-    /// fetch of the original, catch-up decode of its reference chain,
-    /// and on-device PT for the segment's remainder.
+    /// display of the decoded FOV frame, no on-device PT; first miss →
+    /// mid-segment fallback fetch of the original, catch-up decode of
+    /// its reference chain, and on-device PT for the segment's
+    /// remainder.
     #[allow(clippy::too_many_arguments)]
     fn play_fov(
         &self,
@@ -940,13 +916,12 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         let session = self.session;
         let cfg = &session.cfg;
         let m = &session.metrics;
-        let observed = m.enabled;
         let n = original.frames.len();
         let mut gpu_used = false;
         let mut fell_back = false;
         #[allow(clippy::needless_range_loop)] // indexes three parallel sequences
         for f in 0..n {
-            let frame_t0 = observed.then(Instant::now);
+            let frame_t0 = m.enabled.then(Instant::now);
             let t = seg_start_t + f as f64 * geom.slot;
             let pose = self.trace.pose_at(t);
             if !fell_back {
@@ -957,9 +932,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                 };
                 match outcome {
                     CheckOutcome::Hit => {
-                        if observed {
-                            m.fov_hits.inc();
-                        }
                         // Direct display: decode the FOV frame only.
                         account_decode(
                             &cfg.device,
@@ -967,37 +939,22 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                             geom.fov_px,
                             frame_wire_bytes(&fov_seg.frames[f], geom.fov_scale),
                         );
-                        gpu_used |= FovPassthrough.render(&mut st.ledger, geom.slot);
                         st.frames_total += 1;
-                        if let Some(t0) = frame_t0 {
-                            m.frames.inc();
-                            m.frame_seconds.observe(t0.elapsed().as_secs_f64());
-                        }
+                        observe_since(&m.frame_seconds, frame_t0);
                         continue;
                     }
                     CheckOutcome::Miss => {
-                        if observed {
-                            m.fov_misses.inc();
-                        }
                         // Mid-segment fallback: fetch the original over
                         // the segment's link and fall back for the
                         // segment's remainder.
                         fell_back = true;
                         st.rebuffer_events += 1;
                         let intra = frame_wire_bytes(&original.frames[0], geom.src_scale);
-                        let pause = link.net.rebuffer_time(intra);
-                        st.rebuffer_time_s += pause;
-                        if observed {
-                            m.rebuffer_events.inc();
-                            m.rebuffer_seconds.add(pause);
-                        }
+                        st.rebuffer_time_s += link.net.rebuffer_time(intra);
                         if cfg.path.uses_network() {
                             st.bytes_received += orig_bytes;
                             if T::PER_SEGMENT_WIRE {
                                 st.wire_bytes_total += link.net.wire_bytes(orig_bytes);
-                            }
-                            if observed {
-                                m.fetch_bytes.add(orig_bytes);
                             }
                         } else {
                             st.storage_read_bytes += orig_bytes;
@@ -1023,19 +980,17 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                 geom.src_px,
                 frame_wire_bytes(&original.frames[f], geom.src_scale),
             );
-            gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
+            gpu_used |= self.backend.render(&mut st.ledger);
             st.fallback_frames += 1;
             st.frames_total += 1;
-            self.note_rendered_frame(frame_t0);
+            observe_since(&m.frame_seconds, frame_t0);
         }
         gpu_used
     }
 
     /// Plays a segment from the original panorama: decode at
     /// `byte_scale` of the full wire size plus on-device PT for every
-    /// frame. Unobserved full-quality segments take the out-of-line
-    /// quiet loop, preserving the tight codegen of an uninstrumented
-    /// session.
+    /// frame.
     fn play_original(
         &self,
         st: &mut RunState,
@@ -1044,57 +999,25 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         degraded: bool,
         geom: &Geometry,
     ) -> bool {
-        let session = self.session;
-        let m = &session.metrics;
-        let observed = m.enabled;
+        let cfg = &self.session.cfg;
+        let m = &self.session.metrics;
         let n = original.frames.len() as u64;
         if degraded {
             st.faults.degraded_frames += n;
-            if observed {
-                m.degraded_frames.add(n);
-            }
             st.faults.degraded_segments += 1;
         }
-        if !observed && byte_scale == 1.0 {
-            // `(x as f64 * 1.0) as u64` is exact below 2^53, so the
-            // unscaled quiet loop is value-identical to the scaled one.
-            let gpu_used = self.play_original_quiet(&mut st.ledger, original, geom);
-            st.fallback_frames += n;
-            st.frames_total += n;
-            return gpu_used;
-        }
-        let mut gpu_used = false;
-        #[allow(clippy::needless_range_loop)] // parallel frame index
-        for f in 0..n as usize {
-            let frame_t0 = observed.then(Instant::now);
-            let bytes =
-                (frame_wire_bytes(&original.frames[f], geom.src_scale) as f64 * byte_scale) as u64;
-            account_decode(&session.cfg.device, &mut st.ledger, geom.src_px, bytes);
-            gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
-            st.fallback_frames += 1;
-            st.frames_total += 1;
-            self.note_rendered_frame(frame_t0);
-        }
-        gpu_used
-    }
-
-    /// The uninstrumented decode + PT loop over one original segment;
-    /// returns whether the GPU ran. Kept out of line so the quiet path
-    /// keeps the tight codegen of an unobserved session regardless of
-    /// how much instrumentation surrounds it in the pipeline.
-    #[inline(never)]
-    fn play_original_quiet(
-        &self,
-        ledger: &mut EnergyLedger,
-        original: &EncodedSegment,
-        geom: &Geometry,
-    ) -> bool {
-        let device = &self.session.cfg.device;
         let mut gpu_used = false;
         for frame in &original.frames {
-            account_decode(device, ledger, geom.src_px, frame_wire_bytes(frame, geom.src_scale));
-            gpu_used |= self.backend.render(ledger, geom.slot);
+            let frame_t0 = m.enabled.then(Instant::now);
+            // `(x as f64 * 1.0) as u64` is exact below 2^53, so a
+            // full-quality segment decodes its unscaled bytes.
+            let bytes = (frame_wire_bytes(frame, geom.src_scale) as f64 * byte_scale) as u64;
+            account_decode(&cfg.device, &mut st.ledger, geom.src_px, bytes);
+            gpu_used |= self.backend.render(&mut st.ledger);
+            observe_since(&m.frame_seconds, frame_t0);
         }
+        st.fallback_frames += n;
+        st.frames_total += n;
         gpu_used
     }
 
@@ -1113,8 +1036,8 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         degraded: bool,
         geom: &Geometry,
     ) -> bool {
-        let session = self.session;
-        let m = &session.metrics;
+        let cfg = &self.session.cfg;
+        let m = &self.session.metrics;
         let mut gpu_used = false;
         for f in 0..n as usize {
             let frame_t0 = m.enabled.then(Instant::now);
@@ -1123,18 +1046,15 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                 .enumerate()
                 .filter_map(|(t, d)| d.map(|r| tiles.rung(seg, t, r).frame_bytes[f]))
                 .sum();
-            account_decode(&session.cfg.device, &mut st.ledger, geom.src_px, bytes);
-            gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
-            st.fallback_frames += 1;
-            st.frames_total += 1;
-            self.note_rendered_frame(frame_t0);
+            account_decode(&cfg.device, &mut st.ledger, geom.src_px, bytes);
+            gpu_used |= self.backend.render(&mut st.ledger);
+            observe_since(&m.frame_seconds, frame_t0);
         }
+        st.fallback_frames += n;
+        st.frames_total += n;
         if degraded {
             st.faults.degraded_frames += n;
             st.faults.degraded_segments += 1;
-            if m.enabled {
-                m.degraded_frames.add(n);
-            }
         }
         gpu_used
     }
@@ -1142,31 +1062,13 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
     /// Every rung failed: the display repeats the last image for the
     /// whole segment — no decode, no PT.
     fn freeze(&self, st: &mut RunState, n: u64) {
-        let m = &self.session.metrics;
         st.faults.frozen_frames += n;
         st.faults.degraded_segments += 1;
         st.frames_total += n;
-        if m.enabled {
-            m.frozen_frames.add(n);
-            m.frames.add(n);
-        }
     }
 
-    /// Counts one on-device-PT frame and times it from `t0`, which is
-    /// `Some` exactly on observed runs.
-    #[inline]
-    fn note_rendered_frame(&self, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            let m = &self.session.metrics;
-            self.backend.note_metrics(m);
-            m.fallback_frames.inc();
-            m.frames.inc();
-            m.frame_seconds.observe(t0.elapsed().as_secs_f64());
-        }
-    }
-
-    /// Settles the session-wide energy components and assembles the
-    /// report.
+    /// Settles the session-wide energy components, assembles the report
+    /// and mirrors its totals into the session's metrics.
     fn finish(self, mut st: RunState) -> PlaybackReport {
         let session = self.session;
         let cfg = &session.cfg;
@@ -1199,16 +1101,8 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             None if cfg.path.uses_sas() => 1.0,
             None => 0.0,
         };
-        account_session_tail(
-            cfg,
-            &session.observer,
-            &mut st.ledger,
-            duration_s,
-            wire_bytes,
-            storage_bytes,
-            sas_scale,
-        );
-        PlaybackReport {
+        account_session_tail(cfg, &mut st.ledger, duration_s, wire_bytes, storage_bytes, sas_scale);
+        let report = PlaybackReport {
             ledger: st.ledger,
             frames_total: st.frames_total,
             fov_hits: st.checker.hits(),
@@ -1219,7 +1113,10 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             bytes_received: st.bytes_received,
             duration_s,
             faults: st.faults,
-        }
+        };
+        let segments = self.server.catalog().segment_count() as u64;
+        session.metrics.mirror(&report, segments, cfg.renderer, &session.pte_frame);
+        report
     }
 }
 
@@ -1230,7 +1127,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
 /// loop used, so f64 accumulation is preserved bit-for-bit.
 fn account_session_tail(
     cfg: &SessionConfig,
-    obs: &Observer,
     ledger: &mut EnergyLedger,
     duration_s: f64,
     wire_bytes: Option<u64>,
@@ -1262,7 +1158,6 @@ fn account_session_tail(
         );
     }
     ledger.add(Component::Memory, Activity::Base, d.dram_static_energy(duration_s));
-    ledger.mirror_gauges(obs);
 }
 
 /// The pose used for stream selection at time `t`, per the configured

@@ -6,10 +6,10 @@
 //! direct display) → display, while tagging every joule into an
 //! [`EnergyLedger`].
 //!
-//! The control flow itself lives in [`crate::pipeline`]: `run` and
-//! [`PlaybackSession::run_resilient`] are thin configurations of the
-//! same staged segment pipeline, differing only in the [`Transport`]
-//! and [`RenderBackend`](crate::pipeline::RenderBackend) they plug in.
+//! The control flow itself lives in one staged segment pipeline
+//! (`plan → fetch → decode/render → account`): `run` and
+//! [`PlaybackSession::run_resilient`] differ only in how its fetches
+//! reach the server, over a clean link or under injected faults.
 
 use std::sync::Arc;
 
@@ -26,10 +26,7 @@ use evr_trace::HeadTrace;
 use evr_video::codec::EncodedFrame;
 
 use crate::network::NetworkModel;
-use crate::pipeline::{
-    CleanTransport, FaultedTransport, GpuBackend, PteBackend, SegmentPipeline, SessionMetrics,
-    Transport,
-};
+use crate::pipeline::{CleanTransport, FaultedTransport, SegmentPipeline, SessionMetrics};
 
 /// How the client picks which FOV video to request at a segment boundary.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -313,9 +310,11 @@ impl PlaybackSession {
         Self::with_observer(cfg, Observer::noop())
     }
 
-    /// Like [`PlaybackSession::new`], but every run records playback
-    /// counters and frame and stage timings into `observer`, and stage
-    /// intervals into its timeline when one is attached.
+    /// Like [`PlaybackSession::new`], but every run records frame, stall
+    /// and stage timings into `observer` as they happen, stage intervals
+    /// into its timeline when one is attached, and at its end adds the
+    /// report's totals into the playback counters and the per-component
+    /// energy gauges.
     pub fn with_observer(cfg: SessionConfig, observer: Observer) -> Self {
         let (sw, sh) = cfg.sas.target_src;
         let pte = Pte::new(cfg.pte);
@@ -355,8 +354,8 @@ impl PlaybackSession {
         &self.cfg
     }
 
-    /// Replays `trace` against `server`'s video: the staged pipeline
-    /// over a [`CleanTransport`].
+    /// Replays `trace` against `server`'s video over a fault-free link:
+    /// every request is served at once.
     pub fn run(&self, server: &SasServer, trace: &HeadTrace) -> PlaybackReport {
         self.run_traced(server, trace, TraceCtx::anonymous())
     }
@@ -371,11 +370,10 @@ impl PlaybackSession {
         trace: &HeadTrace,
         ctx: TraceCtx,
     ) -> PlaybackReport {
-        self.run_pipeline(server, trace, CleanTransport, ctx)
+        SegmentPipeline::new(self, server, trace, CleanTransport, ctx).run()
     }
 
-    /// Replays `trace` against `server`'s video under injected faults:
-    /// the staged pipeline over a [`FaultedTransport`].
+    /// Replays `trace` against `server`'s video under injected faults.
     ///
     /// Per segment the client walks a graceful-degradation ladder: FOV
     /// video → full-quality original → lower-bitrate rung → frame
@@ -415,37 +413,7 @@ impl PlaybackSession {
         if setup.is_clean() || !self.cfg.path.uses_network() {
             return self.run_traced(server, trace, ctx);
         }
-        self.run_pipeline(server, trace, FaultedTransport::new(setup), ctx)
-    }
-
-    /// Dispatches the staged pipeline for the configured renderer.
-    fn run_pipeline<T: Transport>(
-        &self,
-        server: &SasServer,
-        trace: &HeadTrace,
-        transport: T,
-        ctx: TraceCtx,
-    ) -> PlaybackReport {
-        match self.cfg.renderer {
-            Renderer::Gpu => SegmentPipeline::new(
-                self,
-                server,
-                trace,
-                transport,
-                GpuBackend::new(&self.cfg),
-                ctx,
-            )
-            .run(),
-            Renderer::Pte => SegmentPipeline::new(
-                self,
-                server,
-                trace,
-                transport,
-                PteBackend::new(&self.cfg, self.pte_frame),
-                ctx,
-            )
-            .run(),
-        }
+        SegmentPipeline::new(self, server, trace, FaultedTransport::new(setup), ctx).run()
     }
 }
 
@@ -628,6 +596,77 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn observed_gpu_run_counts_every_fallback_frame_on_the_gpu() {
+        use evr_obs::names;
+        let (server, trace) = setup(VideoId::Rhino, 1.0);
+        for path in [ContentPath::OnlineBaseline, ContentPath::OnlineSas] {
+            let obs = evr_obs::Observer::enabled();
+            let cfg = SessionConfig::new(path, Renderer::Gpu, SasConfig::tiny_for_tests());
+            let r = PlaybackSession::with_observer(cfg, obs.clone()).run(&server, &trace);
+            assert_eq!(obs.counter(names::PT_GPU_FRAMES).get(), r.fallback_frames, "{path:?}");
+            assert_eq!(obs.counter(names::PT_PTE_FRAMES).get(), 0, "{path:?}");
+            assert_eq!(obs.counter(names::PTE_FRAMES).get(), 0, "{path:?}");
+        }
+    }
+
+    #[test]
+    fn observed_pte_run_counts_exact_engine_cycles() {
+        use evr_obs::names;
+        let (server, trace) = setup(VideoId::Rs, 1.0);
+        let obs = evr_obs::Observer::enabled();
+        let cfg = SessionConfig::new(
+            ContentPath::OnlineBaseline,
+            Renderer::Pte,
+            SasConfig::tiny_for_tests(),
+        );
+        let session = PlaybackSession::with_observer(cfg, obs.clone());
+        let r = session.run(&server, &trace);
+        let frames = r.fallback_frames;
+        assert_eq!(frames, r.frames_total, "the baseline projects every frame");
+        // Every PT frame costs the session's representative frame stats.
+        let s = &session.pte_frame;
+        assert!(s.active_cycles > 0 && s.pmem_misses > 0);
+        assert_eq!(obs.counter(names::PT_PTE_FRAMES).get(), frames);
+        assert_eq!(obs.counter(names::PT_GPU_FRAMES).get(), 0);
+        assert_eq!(obs.counter(names::PTE_FRAMES).get(), frames);
+        assert_eq!(obs.counter(names::PTE_ACTIVE_CYCLES).get(), s.active_cycles * frames);
+        assert_eq!(obs.counter(names::PTE_STALL_CYCLES).get(), s.stall_cycles * frames);
+        assert_eq!(obs.counter(names::PTE_PMEM_HITS).get(), s.pmem_hits * frames);
+        assert_eq!(obs.counter(names::PTE_PMEM_MISSES).get(), s.pmem_misses * frames);
+    }
+
+    #[test]
+    fn energy_gauges_equal_the_ledger_and_accumulate_over_runs() {
+        let (server, trace) = setup(VideoId::Rhino, 1.0);
+        let cfg =
+            SessionConfig::new(ContentPath::OnlineSas, Renderer::Pte, SasConfig::tiny_for_tests());
+        let obs = evr_obs::Observer::enabled();
+        let session = PlaybackSession::with_observer(cfg, obs.clone());
+        let gauge = |c: Component| obs.gauge(&evr_obs::names::energy_gauge(&c.to_string())).get();
+        let first = session.run(&server, &trace);
+        for c in Component::ALL {
+            assert_eq!(gauge(c), first.ledger.component_total(c), "{c} after one run");
+        }
+        let second = session.run_resilient(
+            &server,
+            &trace,
+            &evr_faults::FaultSetup::none().with_plan(
+                evr_faults::FaultPlan::none()
+                    .with(evr_faults::FaultEvent::SegmentCorruption { segment: 0 }),
+            ),
+        );
+        assert_ne!(first.ledger, second.ledger);
+        for c in Component::ALL {
+            let want = first.ledger.component_total(c) + second.ledger.component_total(c);
+            assert!((gauge(c) - want).abs() < 1e-12, "{c}: gauge {} vs ledgers {want}", gauge(c));
+        }
+        // An unobserved session registers nothing.
+        let silent = PlaybackSession::new(cfg);
+        let _ = silent.run(&server, &trace);
+        assert!(silent.observer().metrics().is_empty());
     }
 
     #[test]
@@ -850,6 +889,26 @@ mod resilience_tests {
         // The observed run is behaviourally identical to a silent one.
         let silent = PlaybackSession::new(cfg).run_resilient(&server, &trace, &setup);
         assert_eq!(silent, r);
+    }
+
+    #[test]
+    fn observed_frozen_run_counts_every_segment() {
+        let (server, trace) = setup(VideoId::Rs, 1.0);
+        let obs = evr_obs::Observer::enabled();
+        let cfg =
+            SessionConfig::new(ContentPath::OnlineSas, Renderer::Pte, SasConfig::tiny_for_tests());
+        let setup = evr_faults::FaultSetup::none().with_plan(
+            FaultPlan::none().with(FaultEvent::ServerOutage { start_s: 0.0, duration_s: 1e6 }),
+        );
+        let r =
+            PlaybackSession::with_observer(cfg, obs.clone()).run_resilient(&server, &trace, &setup);
+        let segments = server.catalog().segment_count() as u64;
+        assert!(segments > 1);
+        assert_eq!(r.faults.degraded_segments, segments, "every segment froze");
+        assert_eq!(obs.counter(names::SEGMENTS).get(), segments);
+        assert_eq!(obs.counter(names::FRAMES).get(), r.frames_total);
+        assert_eq!(obs.counter(names::FROZEN_FRAMES).get(), r.frames_total);
+        assert_eq!(obs.counter(names::FALLBACK_FRAMES).get(), 0);
     }
 }
 

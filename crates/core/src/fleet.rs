@@ -221,6 +221,52 @@ mod tests {
     }
 
     #[test]
+    fn shared_observer_counters_are_the_merged_report_for_any_worker_count() {
+        // One observer per sweep, shared by the runner and the session:
+        // each run mirrors its report's totals once, so the counters do
+        // not depend on which lane ran which user.
+        let sys = tiny();
+        let users = 6;
+        let sweep = |workers| {
+            let obs = Observer::enabled();
+            let mut session = sys.session_for(UseCase::OnlineStreaming, Variant::SPlusH);
+            session.set_observer(obs.clone());
+            let runner = FleetRunner::new(workers).with_observer(&obs);
+            let merged = runner.run_merged(users, |u| sys.run_with(&session, u));
+            let mut counters: Vec<(String, u64)> = obs
+                .metrics()
+                .into_iter()
+                .filter(|(n, _)| !n.starts_with(names::FLEET_WORKER_USERS_PREFIX))
+                .filter_map(|(n, v)| match v {
+                    evr_obs::MetricSnapshot::Counter(c) => Some((n, c)),
+                    _ => None,
+                })
+                .collect();
+            counters.sort();
+            (obs, merged, counters)
+        };
+        let (obs, merged, serial) = sweep(1);
+        let (_, fleet_merged, fleet) = sweep(8);
+        assert_eq!(merged, fleet_merged);
+        assert_eq!(serial, fleet);
+
+        let c = |name| obs.counter(name).get();
+        assert!(merged.fov_hits > 0 && merged.fallback_frames > 0);
+        assert_eq!(c(names::FLEET_USERS), users);
+        assert_eq!(c(names::SEGMENTS), users * sys.server().catalog().segment_count() as u64);
+        assert_eq!(c(names::FRAMES), merged.frames_total);
+        assert_eq!(c(names::FOV_HITS), merged.fov_hits);
+        assert_eq!(c(names::FOV_MISSES), merged.fov_misses);
+        assert_eq!(c(names::FALLBACK_FRAMES), merged.fallback_frames);
+        assert_eq!(c(names::REBUFFER_EVENTS), merged.rebuffer_events);
+        assert_eq!(c(names::FETCH_BYTES), merged.bytes_received);
+        // S+H projects its fallback frames on the PTE.
+        assert_eq!(c(names::PT_PTE_FRAMES), merged.fallback_frames);
+        assert_eq!(c(names::PTE_FRAMES), merged.fallback_frames);
+        assert_eq!(c(names::PT_GPU_FRAMES), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one user")]
     fn zero_users_panics() {
         let _ = FleetRunner::new(2).run(0, |_| PlaybackReport::empty());

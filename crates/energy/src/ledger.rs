@@ -115,23 +115,6 @@ impl EnergyLedger {
         EnergyLedger::default()
     }
 
-    /// Adds this ledger's per-component totals into the
-    /// `evr_energy_joules_<component>` gauges of `observer` (a no-op for
-    /// a no-op observer). Sessions call this once at the end of a run, so
-    /// repeated runs against one observer accumulate; keeping the mirror
-    /// out of [`EnergyLedger::add`] keeps per-frame accounting free of
-    /// observability cost.
-    pub fn mirror_gauges(&self, observer: &evr_obs::Observer) {
-        if !observer.is_enabled() {
-            return;
-        }
-        for c in Component::ALL {
-            observer
-                .gauge(&evr_obs::names::energy_gauge(&c.to_string()))
-                .add(self.component_total(c));
-        }
-    }
-
     /// Adds `joules` under `(component, activity)`.
     ///
     /// # Panics
@@ -346,43 +329,6 @@ mod tests {
     fn display_format_lists_components() {
         let s = sample_ledger().to_string();
         assert!(s.contains("compute") && s.contains("display") && s.contains("W"));
-    }
-
-    #[test]
-    fn observer_gauges_mirror_component_totals() {
-        let obs = evr_obs::Observer::enabled();
-        let mut l = EnergyLedger::new();
-        l.add(Component::Compute, Activity::Decode, 1.25);
-        l.add(Component::Compute, Activity::Base, 0.5);
-        l.add(Component::Display, Activity::DisplayScan, 2.0);
-        l.merge(&sample_ledger());
-        l.mirror_gauges(&obs);
-        for c in Component::ALL {
-            let gauge = obs.gauge(&evr_obs::names::energy_gauge(&c.to_string()));
-            assert!(
-                (gauge.get() - l.component_total(c)).abs() < 1e-12,
-                "{c}: gauge {} vs ledger {}",
-                gauge.get(),
-                l.component_total(c)
-            );
-        }
-    }
-
-    #[test]
-    fn mirror_gauges_accumulates_across_runs() {
-        let obs = evr_obs::Observer::enabled();
-        let l = sample_ledger();
-        l.mirror_gauges(&obs);
-        l.mirror_gauges(&obs);
-        let compute = obs.gauge(&evr_obs::names::energy_gauge("compute"));
-        assert!((compute.get() - 2.0 * l.component_total(Component::Compute)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mirror_gauges_on_noop_observer_registers_nothing() {
-        let obs = evr_obs::Observer::noop();
-        sample_ledger().mirror_gauges(&obs);
-        assert!(obs.metrics().is_empty());
     }
 
     proptest! {

@@ -72,10 +72,6 @@ pub mod names {
     pub const BACKOFF_SECONDS: &str = "evr_fault_backoff_seconds_total";
     pub const FAULT_STALL_SECONDS: &str = "evr_fault_stall_seconds";
 
-    // ABR (evr-client).
-    pub const ABR_SWITCHES: &str = "evr_abr_ladder_switches_total";
-    pub const ABR_STALLS: &str = "evr_abr_stalls_total";
-
     // SAS server (evr-sas).
     pub const SAS_FOV_REQUESTS: &str = "evr_sas_fov_requests_total";
     /// Original-segment requests to the server. Reads 0: clients read
