@@ -21,12 +21,8 @@ fn main() {
     let ladder =
         ingest_ladder_with(&scene_for(video), &scale.sas, &[24, 16, 10], scale.duration_s, 0)
             .unwrap_or_else(|e| panic!("ladder ingest failed: {e}"));
-    eprintln!(
-        "rung bitrates: {:.1} / {:.1} / {:.1} Mbps",
-        ladder.rung_bitrate_bps(0) / 1e6,
-        ladder.rung_bitrate_bps(1) / 1e6,
-        ladder.rung_bitrate_bps(2) / 1e6
-    );
+    let mbps = |rung| ladder.rung_bitrate_bps(rung).expect("three rungs") / 1e6;
+    eprintln!("rung bitrates: {:.1} / {:.1} / {:.1} Mbps", mbps(0), mbps(1), mbps(2));
 
     // EVR's per-segment FOV traffic (one quality, cluster chosen by a
     // centre-looking viewer).

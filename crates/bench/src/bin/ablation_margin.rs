@@ -20,7 +20,7 @@ fn main() {
         let mut sas = scale.sas;
         sas.fov_margin = Degrees(margin);
         let system = EvrSystem::build(VideoId::Rs, sas, scale.duration_s);
-        let cfg = ExperimentConfig { users: scale.users, threads: scale.threads };
+        let cfg = ExperimentConfig { users: scale.users, threads: 0 };
         let base = run_variant(&system, UseCase::OnlineStreaming, Variant::Baseline, &cfg);
         let sh = run_variant(&system, UseCase::OnlineStreaming, Variant::SPlusH, &cfg);
         println!(

@@ -24,7 +24,7 @@ fn main() {
         sas.segment_frames = seg_frames;
         sas.codec = CodecConfig::new(seg_frames, sas.codec.quantizer);
         let system = EvrSystem::build(VideoId::Rhino, sas, scale.duration_s);
-        let cfg = ExperimentConfig { users: scale.users, threads: scale.threads };
+        let cfg = ExperimentConfig { users: scale.users, threads: 0 };
         let base = run_variant(&system, UseCase::OnlineStreaming, Variant::Baseline, &cfg);
         let sh = run_variant(&system, UseCase::OnlineStreaming, Variant::SPlusH, &cfg);
         println!(

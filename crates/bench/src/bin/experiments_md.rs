@@ -1,25 +1,38 @@
-//! Regenerates `EXPERIMENTS.md`: runs every experiment at the requested
-//! scale and writes the paper-vs-measured record.
+//! Prints `EXPERIMENTS.md`, the paper-vs-measured record: runs every
+//! experiment at the requested scale and writes the record to stdout.
+//! Per-section wall times go to stderr, so the record is a pure
+//! function of the code.
 //!
 //! ```sh
-//! cargo run --release -p evr-bench --bin experiments_md            # paper scale
-//! cargo run --release -p evr-bench --bin experiments_md -- quick
+//! cargo run --release -p evr-bench --bin experiments_md > EXPERIMENTS.md   # paper scale
+//! cargo run --release -p evr-bench --bin experiments_md -- quick           # smoke scale
 //! ```
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use evr_bench::context_from_env;
 use evr_core::figures as f;
 use evr_core::report;
 
-fn main() {
-    let t0 = std::time::Instant::now();
+/// Runs one section of the record, printing its wall time to stderr.
+fn timed<T>(name: &str, run: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = run();
+    eprintln!("{name}: {:.1?}", t.elapsed());
+    out
+}
+
+fn main() -> Result<(), evr_sas::IngestError> {
+    let t0 = Instant::now();
     let ctx = context_from_env();
     let scale = *ctx.scale();
 
     let mut md = String::new();
     md.push_str("# EXPERIMENTS — paper vs this reproduction\n\n");
-    md.push_str("Generated by `cargo run --release -p evr-bench --bin experiments_md`.\n\n");
+    md.push_str(
+        "Generated by `cargo run --release -p evr-bench --bin experiments_md > EXPERIMENTS.md`.\n\n",
+    );
     let _ = writeln!(
         md,
         "Run scale: **{} users** per video over **{} s** of content (the paper: 59 \
@@ -30,27 +43,18 @@ fn main() {
         scale.users, scale.duration_s
     );
 
-    eprintln!("[1/10] figure 3...");
-    md.push_str(&report::fig03_markdown(&f::fig03(&ctx)));
-    eprintln!("[2/10] figure 5... ({:?})", t0.elapsed());
-    md.push_str(&report::fig05_markdown(&f::fig05(&ctx)));
-    eprintln!("[3/10] figure 6... ({:?})", t0.elapsed());
-    md.push_str(&report::fig06_markdown(&f::fig06(&ctx)));
-    eprintln!("[4/10] figure 11... ({:?})", t0.elapsed());
-    md.push_str(&report::fig11_markdown(&f::fig11()));
-    eprintln!("[5/10] figure 12... ({:?})", t0.elapsed());
-    md.push_str(&report::fig12_markdown(&f::fig12(&ctx)));
-    eprintln!("[6/10] figure 13... ({:?})", t0.elapsed());
-    md.push_str(&report::fig13_markdown(&f::fig13(&ctx)));
-    eprintln!("[7/10] figure 14... ({:?})", t0.elapsed());
-    md.push_str(&report::fig14_markdown(&f::fig14(&ctx)));
-    eprintln!("[8/10] figure 15... ({:?})", t0.elapsed());
-    md.push_str(&report::fig15_markdown(&f::fig15(&ctx)));
-    eprintln!("[9/10] figure 16... ({:?})", t0.elapsed());
-    md.push_str(&report::fig16_markdown(&f::fig16(&ctx)));
-    eprintln!("[10/10] figure 17 + prototype... ({:?})", t0.elapsed());
-    md.push_str(&report::fig17_markdown(&f::fig17()));
-    md.push_str(&report::proto_markdown(&f::proto_pte()));
+    md += &timed("figure 3", || report::fig03_markdown(&f::fig03(&ctx)));
+    md += &timed("figure 5", || report::fig05_markdown(&f::fig05(&ctx)));
+    md += &timed("figure 6", || report::fig06_markdown(&f::fig06(&ctx)));
+    md += &timed("figure 11", || report::fig11_markdown(&f::fig11()));
+    md += &timed("figure 12", || report::fig12_markdown(&f::fig12(&ctx)));
+    md += &timed("figure 13", || report::fig13_markdown(&f::fig13(&ctx)));
+    md += &report::fig14_markdown(&timed("figure 14", || f::fig14(&ctx))?);
+    md += &timed("figure 15", || report::fig15_markdown(&f::fig15(&ctx)));
+    md += &timed("figure 16", || report::fig16_markdown(&f::fig16(&ctx)));
+    md += &timed("figure 17", || report::fig17_markdown(&f::fig17()));
+    md += &timed("§7.2 prototype", || report::proto_markdown(&f::proto_pte()));
+    md += &timed("T / T+H", || report::tiled_variants_markdown(&f::tiled_variants_table(&ctx)));
 
     md.push_str("## Reading guide\n\n");
     md.push_str(
@@ -61,10 +65,13 @@ fn main() {
          * **Known deviations** (see DESIGN.md §8): `S` saves more compute than the \
          paper's 22%; Fig. 3b's per-video spread is narrower; Fig. 14's overheads sit \
          below the paper's because the motion-compensated codec makes FOV videos \
-         cheaper relative to originals than the authors' H.264 pipeline did.\n",
+         cheaper relative to originals than the authors' H.264 pipeline did.\n\
+         * **The paper's §2 point**: tiling (`T`) cuts bandwidth but saves little \
+         device energy, because PT still runs on every frame; pairing it with the \
+         PTE (`T+H`) recovers the energy saving.\n",
     );
-    let _ = writeln!(md, "\n_Total generation time: {:?}._", t0.elapsed());
 
-    std::fs::write("EXPERIMENTS.md", &md).expect("write EXPERIMENTS.md");
-    eprintln!("wrote EXPERIMENTS.md ({} bytes) in {:?}", md.len(), t0.elapsed());
+    print!("{md}");
+    eprintln!("{} bytes in {:.1?}", md.len(), t0.elapsed());
+    Ok(())
 }

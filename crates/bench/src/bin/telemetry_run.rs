@@ -23,7 +23,7 @@ fn main() {
     header("telemetry", "instrumented Baseline vs S+H online-streaming run");
 
     let video = VideoId::Rhino;
-    let cfg = ExperimentConfig { users: scale.users, threads: scale.threads };
+    let cfg = ExperimentConfig { users: scale.users, threads: 0 };
     for variant in [Variant::Baseline, Variant::SPlusH] {
         // A fresh observer per variant keeps each artifact self-contained.
         let timeline = evr_obs::Timeline::bounded(evr_obs::DEFAULT_TIMELINE_CAPACITY);

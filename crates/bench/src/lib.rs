@@ -1,13 +1,13 @@
-//! Shared plumbing for the figure-regeneration binaries.
+//! Shared plumbing for the evaluation binaries.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` (`fig03` … `fig17`, `proto_pte`, plus the `ablation_*`
-//! studies); `all_figures` runs them in one process with a shared
-//! ingestion cache. Binaries accept an optional scale argument:
+//! `experiments_md` prints every table and figure of the paper's
+//! evaluation as `EXPERIMENTS.md`, in one process with a shared
+//! ingestion cache; the `ablation_*` binaries run the studies beyond the
+//! paper. Binaries accept an optional scale argument:
 //!
 //! ```text
-//! cargo run --release -p evr-bench --bin fig12            # paper scale
-//! cargo run --release -p evr-bench --bin fig12 -- quick   # smoke scale
+//! cargo run --release -p evr-bench --bin experiments_md > EXPERIMENTS.md   # paper scale
+//! cargo run --release -p evr-bench --bin experiments_md -- quick           # smoke scale
 //! ```
 //!
 //! Criterion micro-benchmarks for the performance-shaped claims live in

@@ -1,9 +1,10 @@
 //! One function per table/figure of the paper's evaluation.
 //!
-//! Each function returns the figure's data series as plain structs; the
-//! `evr-bench` binaries format them. Everything is produced by running
-//! the actual system (ingestion, trace replay, accelerator models) — no
-//! figure is a table lookup.
+//! Each function returns the figure's data series as plain structs;
+//! [`crate::report`] renders them, and `evr-bench`'s `experiments_md`
+//! prints the record. Everything is produced by running the actual
+//! system (ingestion, trace replay, accelerator models) — no figure is a
+//! table lookup.
 
 use evr_energy::{Activity, Component};
 use evr_math::fixed::FxFormat;
@@ -13,7 +14,7 @@ use evr_projection::transform::render_panorama;
 use evr_projection::{FilterMode, FovSpec, Projection, Viewport};
 use evr_pte::systolic::hmp_network;
 use evr_pte::{GpuModel, Pte, PteConfig, SystolicArray};
-use evr_sas::SasConfig;
+use evr_sas::{IngestError, SasConfig};
 use evr_trace::analysis::{coverage_curve, duration_cdf, tracking_episodes};
 use evr_video::library::VideoId;
 
@@ -29,24 +30,22 @@ pub struct FigureScale {
     pub duration_s: f64,
     /// SAS configuration (controls analysis resolutions).
     pub sas: SasConfig,
-    /// Worker threads for the user sweep; `0` means one per core
-    /// (see [`evr_sched::resolve_workers`]).
-    pub threads: usize,
 }
 
 impl FigureScale {
     /// Paper-scale: 59 users over the full 60 s scenes.
     pub fn paper() -> Self {
-        FigureScale { users: 59, duration_s: 60.0, sas: SasConfig::default(), threads: 0 }
+        FigureScale { users: 59, duration_s: 60.0, sas: SasConfig::default() }
     }
 
     /// Reduced scale for smoke tests and CI.
     pub fn quick() -> Self {
-        FigureScale { users: 6, duration_s: 6.0, sas: SasConfig::default(), threads: 0 }
+        FigureScale { users: 6, duration_s: 6.0, sas: SasConfig::default() }
     }
 
+    /// The user sweep, one worker per core.
     fn experiment(&self) -> ExperimentConfig {
-        ExperimentConfig { users: self.users, threads: self.threads }
+        ExperimentConfig { users: self.users, threads: 0 }
     }
 }
 
@@ -327,7 +326,12 @@ pub struct Fig14Point {
 
 /// Fig. 14: sweeping object utilisation (25/50/75/100%) trades FOV-store
 /// size against device energy savings.
-pub fn fig14(ctx: &FigureContext) -> Vec<Fig14Point> {
+///
+/// # Errors
+///
+/// [`IngestError::InvalidConfig`] if the scale's SAS configuration
+/// ingests below 100% utilisation, which the sweep cannot raise.
+pub fn fig14(ctx: &FigureContext) -> Result<Vec<Fig14Point>, IngestError> {
     let scale = ctx.scale();
     let mut out = Vec::new();
     for &video in &VideoId::EVALUATION {
@@ -337,7 +341,7 @@ pub fn fig14(ctx: &FigureContext) -> Vec<Fig14Point> {
         for &utilization in &[0.25, 0.5, 0.75, 1.0] {
             // Derive the reduced store from the fully ingested catalog;
             // the baseline is utilisation-independent.
-            let system = full.with_utilization(utilization);
+            let system = full.with_utilization(utilization)?;
             let sh = run_variant(&system, UseCase::OnlineStreaming, Variant::SPlusH, &cfg);
             out.push(Fig14Point {
                 video,
@@ -347,7 +351,7 @@ pub fn fig14(ctx: &FigureContext) -> Vec<Fig14Point> {
             });
         }
     }
-    out
+    Ok(out)
 }
 
 // --- Figure 15: live streaming & offline playback ----------------------------
@@ -508,8 +512,8 @@ pub fn fig17() -> Vec<Fig17Row> {
 
 // --- Tiled multi-rate variants (T / T+H) -------------------------------------
 
-/// One row of the tiled-variant table (README variant table): one video
-/// × one tiled variant, clean and under a mild deterministic fault plan.
+/// One row of the tiled-variant table: one video × one tiled variant,
+/// clean and under a mild deterministic fault plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TiledVariantRow {
     /// The video.
@@ -525,8 +529,8 @@ pub struct TiledVariantRow {
     pub faulted_bandwidth_saving: f64,
     /// Device-energy saving under the fault plan.
     pub faulted_device_saving: f64,
-    /// Fraction of segments degraded under the fault plan (per-tile
-    /// fault isolation keeps this well short of freezing).
+    /// Fraction of frames degraded or frozen under the fault plan
+    /// (per-tile fault isolation keeps this well short of freezing).
     pub faulted_degraded_fraction: f64,
 }
 
@@ -637,6 +641,7 @@ mod tests {
     #[test]
     fn fig11_chooses_28_10() {
         let points = fig11();
+        assert!(points.len() > 20, "{} points", points.len());
         let chosen = points
             .iter()
             .find(|p| p.total_bits == 28 && p.int_bits == 10)

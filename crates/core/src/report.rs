@@ -8,9 +8,9 @@ use std::fmt::Write as _;
 
 use crate::figures::{
     Fig11Point, Fig12Row, Fig13Row, Fig14Point, Fig15Row, Fig16Row, Fig17Row, Fig3Row, Fig5Curve,
-    Fig6Curve, ProtoPteRow,
+    Fig6Curve, ProtoPteRow, TiledVariantRow,
 };
-use crate::system::UseCase;
+use crate::system::{UseCase, Variant};
 
 fn pct(v: f64) -> String {
     format!("{:.1}%", 100.0 * v)
@@ -303,6 +303,43 @@ pub fn fig17_markdown(rows: &[Fig17Row]) -> String {
     out
 }
 
+/// Renders the `T` / `T+H` table (tiled view-guided streaming, the
+/// related work of the paper's §2), with one mean row per variant.
+pub fn tiled_variants_markdown(rows: &[TiledVariantRow]) -> String {
+    let mut out = String::new();
+    out.push_str("### Tiled viewport-adaptive streaming — T / T+H vs baseline\n\n");
+    out.push_str("Paper (§2): tile-based view-guided streaming saves bandwidth, but the ");
+    out.push_str("client still pays PT on every frame. Faulted columns are against an ");
+    out.push_str("equally faulted baseline under a seeded mild plan (one dropped request, ");
+    out.push_str("one corrupt segment).\n\n");
+    out.push_str("| video | variant | clean bandwidth | clean device | faulted bandwidth | ");
+    out.push_str("faulted device | degraded frames |\n|---|---|---|---|---|---|---|\n");
+    let cells = |r: &TiledVariantRow| {
+        [
+            r.bandwidth_saving,
+            r.device_saving,
+            r.faulted_bandwidth_saving,
+            r.faulted_device_saving,
+            r.faulted_degraded_fraction,
+        ]
+    };
+    for r in rows {
+        let c = cells(r).map(pct);
+        let _ = writeln!(out, "| {} | {} | {} |", r.video, r.variant, c.join(" | "));
+    }
+    for variant in Variant::TILED {
+        let sel: Vec<_> = rows.iter().filter(|r| r.variant == variant).map(cells).collect();
+        if sel.is_empty() {
+            continue;
+        }
+        let mean: Vec<String> =
+            (0..5).map(|i| pct(sel.iter().map(|c| c[i]).sum::<f64>() / sel.len() as f64)).collect();
+        let _ = writeln!(out, "| **{variant} mean** | | **{}** |", mean.join("** | **"));
+    }
+    out.push('\n');
+    out
+}
+
 /// Renders the chaos (fault-injection) degradation table: one row per
 /// severity rung, from the aggregate reports of a resilient sweep.
 ///
@@ -387,6 +424,29 @@ mod tests {
         let md = fig11_markdown(&points);
         assert!(md.contains("**chosen [28,10]**"));
         assert!(md.contains("exceeds threshold"));
+    }
+
+    #[test]
+    fn tiled_table_lists_each_row_and_variant_means() {
+        let row = |video, variant, bw, device| TiledVariantRow {
+            video,
+            variant,
+            bandwidth_saving: bw,
+            device_saving: device,
+            faulted_bandwidth_saving: -0.66,
+            faulted_device_saving: device,
+            faulted_degraded_fraction: 0.017,
+        };
+        let rows = vec![
+            row(VideoId::Rs, Variant::T, 0.30, -0.012),
+            row(VideoId::Rs, Variant::TPlusH, 0.30, 0.25),
+            row(VideoId::Paris, Variant::T, 0.20, 0.032),
+        ];
+        let md = tiled_variants_markdown(&rows);
+        assert!(md.contains("| RS | T | 30.0% | -1.2% | -66.0% | -1.2% | 1.7% |"), "{md}");
+        assert!(md.contains("| RS | T+H | 30.0% | 25.0% | -66.0% | 25.0% | 1.7% |"));
+        assert!(md.contains("| **T mean** | | **25.0%** | **1.0%** | **-66.0%** | **1.0%** |"));
+        assert!(md.contains("| **T+H mean** | | **30.0%** | **25.0%** |"));
     }
 
     #[test]

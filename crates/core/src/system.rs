@@ -6,8 +6,8 @@ use std::sync::{Arc, Mutex};
 
 use evr_client::session::{ContentPath, PlaybackReport, PlaybackSession, Renderer, SessionConfig};
 use evr_sas::{
-    ingest_tiled_rates_with, ingest_video_with, FovPrerenderStore, IngestOptions, SasConfig,
-    SasServer, TiledRateCatalog,
+    ingest_tiled_rates_with, ingest_video_with, FovPrerenderStore, IngestError, IngestOptions,
+    SasConfig, SasServer, TiledRateCatalog,
 };
 use evr_trace::behavior::{params_for, ObjectTracks};
 use evr_trace::HeadTrace;
@@ -328,11 +328,12 @@ impl EvrSystem {
     /// Derives a system whose store keeps only `utilization` of the
     /// objects' FOV videos (the Fig. 14 sweep), without re-ingesting.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `utilization` exceeds the ingested utilisation.
-    pub fn with_utilization(&self, utilization: f64) -> EvrSystem {
-        let catalog = self.server.catalog().with_utilization(utilization);
+    /// The errors of [`evr_sas::SasCatalog::with_utilization`]: `utilization`
+    /// outside `[0, 1]`, NaN, or above the ingested utilisation.
+    pub fn with_utilization(&self, utilization: f64) -> Result<EvrSystem, IngestError> {
+        let catalog = self.server.catalog().with_utilization(utilization)?;
         let mut sas = self.sas;
         sas.object_utilization = utilization;
         // Same content fingerprint, fewer indexed streams: the derived
@@ -340,7 +341,7 @@ impl EvrSystem {
         // pre-render store.
         let mut server = SasServer::with_store(catalog, FovPrerenderStore::shared().clone());
         server.set_observer(&self.observer);
-        EvrSystem {
+        Ok(EvrSystem {
             video: self.video,
             scene: self.scene.clone(),
             server,
@@ -349,7 +350,7 @@ impl EvrSystem {
             observer: self.observer.clone(),
             tiles: Mutex::new(self.tiles.lock().unwrap().clone()),
             tracks: self.tracks.clone(),
-        }
+        })
     }
 }
 
@@ -428,7 +429,7 @@ mod tests {
             trace.samples().iter().map(b).collect()
         };
         let sys = tiny_system();
-        let derived = sys.with_utilization(sys.sas_config().object_utilization / 2.0);
+        let derived = sys.with_utilization(sys.sas_config().object_utilization / 2.0).unwrap();
         for user in 0..24 {
             let one_off = evr_trace::generate_user_trace(
                 sys.scene(),
@@ -457,7 +458,7 @@ mod tests {
             assert!((got - r.ledger.component_total(c)).abs() < 1e-9, "{c:?}");
         }
         // Derived systems inherit the instrumentation.
-        let derived = sys.with_utilization(sys.sas_config().object_utilization);
+        let derived = sys.with_utilization(sys.sas_config().object_utilization).unwrap();
         assert!(derived.observer().is_enabled());
         // Detaching restores silent sessions.
         sys.instrument(&evr_obs::Observer::noop());

@@ -218,20 +218,23 @@ impl SasCatalog {
     /// `utilization` of the segment's objects are covered (the Fig. 14
     /// sweep, without re-running the expensive ingestion).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `utilization` is outside `[0, 1]` or exceeds the
+    /// [`IngestError::InvalidConfig`] if `utilization` fails
+    /// [`SasConfig::validate`] (outside `[0, 1]`, or NaN) or exceeds the
     /// catalog's ingested utilisation (streams that were never
     /// materialised cannot be conjured back).
-    pub fn with_utilization(&self, utilization: f64) -> SasCatalog {
-        assert!((0.0..=1.0).contains(&utilization), "utilization must be in [0, 1]");
-        assert!(
-            utilization <= self.config.object_utilization,
-            "cannot raise utilisation above the ingested {}",
-            self.config.object_utilization
-        );
+    pub fn with_utilization(&self, utilization: f64) -> Result<SasCatalog, IngestError> {
+        let config = SasConfig { object_utilization: utilization, ..self.config };
+        config.validate().map_err(IngestError::InvalidConfig)?;
+        if utilization > self.config.object_utilization {
+            return Err(IngestError::InvalidConfig(format!(
+                "cannot raise utilisation above the ingested {}",
+                self.config.object_utilization
+            )));
+        }
         let mut out = self.clone();
-        out.config.object_utilization = utilization;
+        out.config = config;
         out.index.clear();
         for seg in 0..self.segment_count() {
             let mut streams: Vec<&FovStream> =
@@ -248,7 +251,7 @@ impl SasCatalog {
                 out.index.insert((seg, stream.cluster), *stream);
             }
         }
-        out
+        Ok(out)
     }
 
     /// Garbage-collects the data and metadata logs: rewrites them keeping
@@ -842,7 +845,7 @@ mod compaction_tests {
         let full =
             ingest_video_with(&scene_for(VideoId::Rhino), &cfg, 1.0, &IngestOptions::default())
                 .expect("tiny config ingests");
-        let mut reduced = full.with_utilization(0.5);
+        let mut reduced = full.with_utilization(0.5).expect("0.5 is below the ingested 1.0");
         let live_bytes = reduced.total_fov_target_bytes();
         let reclaimed = reduced.compact();
         assert!(reclaimed > 0, "something should have been dropped");
@@ -865,6 +868,23 @@ mod compaction_tests {
             }
         }
         assert_eq!(indexed, reduced.fov_log.total_bytes());
+    }
+
+    #[test]
+    fn utilization_outside_the_ingested_range_is_an_error() {
+        let cfg = SasConfig::tiny_for_tests();
+        let full =
+            ingest_video_with(&scene_for(VideoId::Rhino), &cfg, 1.0, &IngestOptions::default())
+                .expect("tiny config ingests");
+        let refused = |c: &SasCatalog, u: f64| {
+            matches!(c.with_utilization(u), Err(IngestError::InvalidConfig(_)))
+        };
+        for bad in [f64::NAN, -0.1, 1.5] {
+            assert!(refused(&full, bad), "{bad}");
+        }
+        let half = full.with_utilization(0.5).expect("below the ingested 1.0");
+        assert!(refused(&half, 0.75), "above the ingested 0.5");
+        assert!(!refused(&half, 0.5));
     }
 
     #[test]

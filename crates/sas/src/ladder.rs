@@ -44,13 +44,10 @@ impl LadderCatalog {
         self.segment_duration_s
     }
 
-    /// Wire bytes of `segment` at `rung`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn bytes(&self, segment: u32, rung: usize) -> u64 {
-        self.bytes[segment as usize][rung]
+    /// Wire bytes of `segment` at `rung`, or `None` if either is out of
+    /// range.
+    pub fn bytes(&self, segment: u32, rung: usize) -> Option<u64> {
+        self.bytes.get(segment as usize)?.get(rung).copied()
     }
 
     /// The whole `bytes[segment][rung]` matrix.
@@ -58,10 +55,11 @@ impl LadderCatalog {
         &self.bytes
     }
 
-    /// Mean bitrate of a rung across the video, bits/second.
-    pub fn rung_bitrate_bps(&self, rung: usize) -> f64 {
-        let total: u64 = self.bytes.iter().map(|seg| seg[rung]).sum();
-        total as f64 * 8.0 / (self.bytes.len() as f64 * self.segment_duration_s)
+    /// Mean bitrate of a rung across the video, bits/second, or `None`
+    /// if `rung` is out of range.
+    pub fn rung_bitrate_bps(&self, rung: usize) -> Option<f64> {
+        let total: u64 = self.bytes.iter().map(|seg| seg.get(rung)).sum::<Option<u64>>()?;
+        Some(total as f64 * 8.0 / (self.bytes.len() as f64 * self.segment_duration_s))
     }
 }
 
@@ -130,6 +128,15 @@ mod tests {
             assert!(c.bytes(seg, 1) < c.bytes(seg, 2), "segment {seg}");
         }
         assert!(c.rung_bitrate_bps(0) < c.rung_bitrate_bps(2));
+    }
+
+    #[test]
+    fn out_of_range_segment_or_rung_is_none() {
+        let c = catalog();
+        assert_eq!(c.bytes(c.segment_count(), 0), None);
+        assert_eq!(c.bytes(0, 3), None);
+        assert!(c.bytes(0, 2).is_some());
+        assert_eq!(c.rung_bitrate_bps(3), None);
     }
 
     #[test]

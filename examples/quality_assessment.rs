@@ -65,5 +65,5 @@ fn main() {
     }
     println!("\n(PT fidelity = mean pixel error of the [28,10] datapath vs f64 —");
     println!(" below the paper's 1e-3 visual-indistinguishability threshold)");
-    println!("run `cargo run --release -p evr-bench --bin fig17` for the energy comparison.");
+    println!("Fig. 17's energy comparison is in EXPERIMENTS.md (`--bin experiments_md`).");
 }

@@ -92,7 +92,7 @@ fn oracle_prediction_upper_bounds_sas() {
 fn fps_drop_stays_bounded() {
     // Lee et al. (paper §8.2): a 5% FPS drop is unlikely to affect
     // perception; at paper-scale segments EVR stays around 1% (see
-    // EXPERIMENTS.md / fig13). The tiny test config uses 8-frame
+    // Fig. 13 in EXPERIMENTS.md). The tiny test config uses 8-frame
     // segments — ~4× the rebuffer opportunities per second — so this
     // only bounds the worst case.
     let sys = system();
@@ -106,8 +106,9 @@ fn fps_drop_stays_bounded() {
 fn storage_utilization_monotonicity() {
     let sys = system();
     let mut prev_bytes = 0u64;
+    assert!(sys.with_utilization(f64::NAN).is_err());
     for util in [0.25, 0.5, 0.75, 1.0] {
-        let derived = sys.with_utilization(util);
+        let derived = sys.with_utilization(util).unwrap();
         let bytes = derived.server().catalog().total_fov_target_bytes();
         assert!(bytes >= prev_bytes, "utilization {util}");
         prev_bytes = bytes;

@@ -37,10 +37,11 @@ fn ladder_and_abr_agree_with_the_catalog_scale() {
     let ladder = ingest_ladder_with(&scene, &cfg, &[24, 12], 1.0, 0).expect("valid ladder");
     assert_eq!(ladder.segment_count(), 4);
     // The finest rung's bitrate bounds the coarsest's from above.
-    assert!(ladder.rung_bitrate_bps(1) > ladder.rung_bitrate_bps(0));
+    let rate = |rung| ladder.rung_bitrate_bps(rung).expect("two rungs");
+    assert!(rate(1) > rate(0));
 
     // A link sized between the rungs forces the coarse rung without stalls.
-    let mid = (ladder.rung_bitrate_bps(0) * 1.3).min(ladder.rung_bitrate_bps(1) * 0.9);
+    let mid = (rate(0) * 1.3).min(rate(1) * 0.9);
     let out = simulate_abr(
         ladder.matrix(),
         ladder.segment_duration(),

@@ -3,8 +3,7 @@
 //! numbers live in EXPERIMENTS.md.
 
 use evr_core::figures::{
-    fig03, fig05, fig11, fig12, fig13, fig14, fig15, fig17, proto_pte, tiled_variants_table,
-    FigureContext, FigureScale,
+    fig03, fig05, fig12, fig13, fig14, fig15, tiled_variants_table, FigureContext, FigureScale,
 };
 use evr_core::{UseCase, Variant};
 use evr_sas::SasConfig;
@@ -61,7 +60,7 @@ fn fig13_and_fig14_shapes() {
         assert!(r.fps_drop_pct < 12.0, "{:?}: {}", r.video, r.fps_drop_pct);
         assert!((0.0..=100.0).contains(&r.miss_rate_pct));
     }
-    let points = fig14(&ctx);
+    let points = fig14(&ctx).expect("the default config ingests at 100% utilisation");
     assert_eq!(points.len(), 20);
     // Per video, storage overhead grows with utilisation.
     for chunk in points.chunks(4) {
@@ -122,19 +121,4 @@ fn tiled_variant_table_shape() {
         rows.iter().filter(|r| r.variant == Variant::TPlusH).map(|r| r.device_saving).sum::<f64>()
             / 5.0;
     assert!(th_mean > t_mean + 0.05, "T+H {th_mean} vs T {t_mean}");
-}
-
-#[test]
-fn fig11_fig17_proto_static_figures() {
-    // These don't depend on the experiment scale.
-    let points = fig11();
-    assert!(points.len() > 20);
-    let chosen = points.iter().find(|p| p.total_bits == 28 && p.int_bits == 10).unwrap();
-    assert!(chosen.error < 1e-3);
-
-    let rows = fig17();
-    assert_eq!(rows.len(), 12);
-
-    let proto = proto_pte();
-    assert!(proto.iter().any(|r| r.ptus == 2 && r.fps > 45.0));
 }

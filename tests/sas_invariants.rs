@@ -54,8 +54,8 @@ fn utilization_filtering_is_nested() {
     // any higher utilisation.
     let s = server();
     let full = s.catalog();
-    let half = full.with_utilization(0.5);
-    let quarter = half.with_utilization(0.25);
+    let half = full.with_utilization(0.5).unwrap();
+    let quarter = half.with_utilization(0.25).unwrap();
     for seg in 0..full.segment_count() {
         let h: Vec<_> = half.clusters_in_segment(seg);
         let q: Vec<_> = quarter.clusters_in_segment(seg);
